@@ -11,7 +11,6 @@ discriminant bound for number fields.
 
 from .numbertheory import (
     BoundResult,
-    RegulatorInput,
     compare_bounds,
     hermite_constant,
     improved_bound,

@@ -5,7 +5,7 @@ Subcommands: verify (exhaustive pattern sweep for one n), certify
 certificate), maximize (numeric maximization of f_n), sample (seeded
 domination sampling), bound (regulator-discriminant bounds).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
 JSON output is canonical (sorted keys, two-space indent), so identical
 run configurations produce byte-identical reports.
 """
@@ -17,9 +17,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
-from .numbertheory import RegulatorInput, compare_bounds
+from .numbertheory import compare_bounds
 from .partition import (
     CertificateFormatError,
     ConstructionFailure,
@@ -31,29 +30,6 @@ from .partition import (
 from .search import RNG_NAME, maximize_f, sample_domination, sweep_patterns
 
 _BOUND_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parameters of one CLI run.  Two runs with equal configs produce
-    byte-identical JSON reports."""
-
-    command: str
-    n: int | None = None
-    pattern: str | None = None
-    grid_step: float | None = None
-    samples: int | None = None
-    seed: int | None = None
-    jobs: int | None = None
-    format: str = "text"
-    out: str | None = None
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        fields = ("n", "pattern", "grid_step", "samples", "seed", "jobs",
-                  "format", "out")
-        kwargs = {f: getattr(args, f) for f in fields if hasattr(args, f)}
-        return cls(command=args.command, **kwargs)
 
 
 def _parse_pattern(text: str) -> tuple[int, ...]:
@@ -83,30 +59,32 @@ def _write(body: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(body)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(body)
+        except OSError as e:
+            raise ValueError(f"cannot write output: {e}")
 
 
-def _emit(payload: dict, text_lines: list[str], cfg: RunConfig) -> None:
-    if cfg.format == "json":
+def _emit(payload: dict, text_lines: list[str], args: argparse.Namespace) -> None:
+    if args.format == "json":
         body = _canonical_json(payload)
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         body = _csv_table(payload)
     else:
         body = "".join(line + "\n" for line in text_lines)
-    _write(body, cfg.out)
+    _write(body, args.out)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    if cfg.n < 1:
+    if args.n < 1:
         raise ValueError("--n must be >= 1")
-    report = sweep_patterns(cfg.n, jobs=cfg.jobs)
+    report = sweep_patterns(args.n, jobs=args.jobs)
     ok = not report.failures
     payload = {
         "command": "verify",
         "n": report.n,
-        "jobs": cfg.jobs,
+        "jobs": args.jobs,
         "patterns_checked": report.patterns_checked,
         "failures": [{"pattern": list(p), "reason": r} for p, r in report.failures],
         "ok": ok,
@@ -114,24 +92,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lines = [f"n={report.n}: {report.patterns_checked} patterns verified, "
              f"{len(report.failures)} failures ({report.wall_time:.2f} s)"]
     lines += [f"  {list(p)}: {r}" for p, r in report.failures[:10]]
-    _emit(payload, lines, cfg)
+    _emit(payload, lines, args)
     return 0 if ok else 1
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    pattern = _parse_pattern(cfg.pattern)
+    pattern = _parse_pattern(args.pattern)
     try:
         gp = build_good_partition(pattern)
     except ConstructionFailure as e:
         print(f"construction failed: {e}", file=sys.stderr)
         return 1
-    _write(certificate_to_json(gp), cfg.out)
+    _write(certificate_to_json(gp), args.out)
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -153,20 +129,19 @@ def _cmd_check(args: argparse.Namespace) -> int:
     }
     verdict = "valid" if result.ok else f"INVALID: {result.reason}"
     lines = [f"{args.certificate}: {verdict}"]
-    _emit(payload, lines, cfg)
+    _emit(payload, lines, args)
     return 0 if result.ok else 1
 
 
 def _cmd_maximize(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    if cfg.n < 1:
+    if args.n < 1:
         raise ValueError("--n must be >= 1")
-    res = maximize_f(cfg.n, grid_step=cfg.grid_step)
+    res = maximize_f(args.n, grid_step=args.grid_step)
     ok = res.best_value <= res.bound + _BOUND_SLACK
     payload = {
         "command": "maximize",
         "n": res.n,
-        "grid_step": cfg.grid_step,
+        "grid_step": args.grid_step,
         "best_value": res.best_value,
         "best_point": list(res.best_point),
         "bound": res.bound,
@@ -181,35 +156,32 @@ def _cmd_maximize(args: argparse.Namespace) -> int:
              f"  method: {res.method}"]
     if not ok:
         lines.append("  BOUND EXCEEDED")
-    _emit(payload, lines, cfg)
+    _emit(payload, lines, args)
     return 0 if ok else 1
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    if cfg.n < 1 or cfg.samples < 1:
+    if args.n < 1 or args.samples < 1:
         raise ValueError("--n and --samples must be >= 1")
-    result = sample_domination(cfg.n, cfg.samples, cfg.seed)
+    result = sample_domination(args.n, args.samples, args.seed)
     payload = {
         "command": "sample",
-        "n": cfg.n,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
+        "n": args.n,
+        "samples": args.samples,
+        "seed": args.seed,
         "rng": RNG_NAME,
         "ok": result.ok,
         "reason": result.reason,
     }
     verdict = "all dominated" if result.ok else f"FAILED: {result.reason}"
-    lines = [f"n={cfg.n}: {cfg.samples} samples (seed {cfg.seed}, {RNG_NAME}): "
+    lines = [f"n={args.n}: {args.samples} samples (seed {args.seed}, {RNG_NAME}): "
              f"{verdict}"]
-    _emit(payload, lines, cfg)
+    _emit(payload, lines, args)
     return 0 if result.ok else 1
 
 
 def _cmd_bound(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    inp = RegulatorInput(args.m, args.R, args.gamma)
-    res = compare_bounds(inp.m, inp.regulator, inp.hermite)
+    res = compare_bounds(args.m, args.R, args.gamma)
     payload = {
         "command": "bound",
         "m": res.m,
@@ -223,7 +195,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     lines = [f"m={res.m}, R={res.regulator}: remak {res.remak:.12g}, "
              f"improved {res.improved:.12g} (gain {res.improvement:.12g})",
              f"  gamma_{res.m - 1} = {res.hermite_value:.12g} ({res.hermite_source})"]
-    _emit(payload, lines, cfg)
+    _emit(payload, lines, args)
     return 0
 
 

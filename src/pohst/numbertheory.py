@@ -31,15 +31,6 @@ HERMITE_EXACT: dict[int, float] = {
 
 
 @dataclass(frozen=True)
-class RegulatorInput:
-    """Degree m >= 2, regulator R > 0, optional gamma_{m-1} override."""
-
-    m: int
-    regulator: float
-    hermite: float | None = None
-
-
-@dataclass(frozen=True)
 class BoundResult:
     m: int
     regulator: float

@@ -25,12 +25,15 @@ time and a violation raises ConstructionFailure with the full trace.
 
 The validator is written against the block-shape definition only and
 shares no shape logic with the builder, so a certificate produced by
-one can be rejected by the other if either is wrong.
+one can be rejected by the other if either is wrong.  It also keeps its
+own prefix-product derivation of J instead of calling the builder-side
+noncanonical_set: it checks each member in O(1) and the cover by count.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,15 +48,13 @@ from .triangle import (
     leq_with_tol,
     negate_abs,
     noncanonical_set,
+    prefix_classes,
     product_sign,
     sign_pattern_of,
 )
 
 #: Serialized certificate format version.
 CERTIFICATE_VERSION = "1"
-
-#: Provenance labels a block can carry.
-PROVENANCES = ("initial", "case1", "case2-op1", "case2-op2", "case3-op1", "case3-op2")
 
 BLOCK_KINDS = {1: "singleton", 2: "doubleton", 4: "quadrupleton"}
 
@@ -150,7 +151,7 @@ def horizontal_list(t: TermIndex, J: NonCanonicalSet) -> list[SignedTerm]:
     for i2 in range(i, j + 1):
         s = J.sign_of(TermIndex(i2, j))
         if s is not None:
-            out.append(SignedTerm(TermIndex(i2, j), s, True))
+            out.append(SignedTerm(TermIndex(i2, j), s))
     return out
 
 
@@ -161,7 +162,7 @@ def vertical_list(t: TermIndex, J: NonCanonicalSet) -> list[SignedTerm]:
     for j2 in range(i, j + 1):
         s = J.sign_of(TermIndex(i, j2))
         if s is not None:
-            out.append(SignedTerm(TermIndex(i, j2), s, True))
+            out.append(SignedTerm(TermIndex(i, j2), s))
     return out
 
 
@@ -172,7 +173,7 @@ def vertical_list(t: TermIndex, J: NonCanonicalSet) -> list[SignedTerm]:
 def _freeze_block(members: Sequence[TermIndex], signs: dict[TermIndex, int],
                   provenance: str) -> PartitionBlock:
     ordered = sorted((TermIndex(*m) for m in members), key=prec_key)
-    terms = tuple(SignedTerm(m, signs[m], True) for m in ordered)
+    terms = tuple(SignedTerm(m, signs[m]) for m in ordered)
     return PartitionBlock(BLOCK_KINDS[len(terms)], terms, provenance)
 
 
@@ -325,7 +326,7 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
         raise fail(k, neg, f"case3: positive pair {tuple(pos)} neither sing "
                    "nor in an hdoub usable for operation 2")
 
-    final = tuple(sorted((_freeze_block(mem, signs, prov[bid], )
+    final = tuple(sorted((_freeze_block(mem, signs, prov[bid])
                           for bid, mem in blocks.items()),
                          key=lambda b: prec_key(b.members[0].index)))
     return GoodPartition(len(pat), pat, final, tuple(steps))
@@ -407,13 +408,6 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
     for k in range(1, n + 1):
         prefix[k] = prefix[k - 1] * pat[k - 1]
 
-    expected: dict[tuple[int, int], int] = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            s = prefix[j] * prefix[i - 1]
-            if s == (1 if (i + j) % 2 == 0 else -1):
-                expected[(i, j)] = s
-
     seen: set[tuple[int, int]] = set()
     for b in gp.blocks:
         if b.kind not in ("singleton", "doubleton", "quadrupleton"):
@@ -424,9 +418,10 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
             i, j = m.index
             if not (1 <= i <= j <= n):
                 return CheckResult(False, f"bad-index: {(i, j)}", b)
-            if (i, j) not in expected:
+            s = prefix[j] * prefix[i - 1]
+            if s != (1 if (i + j) % 2 == 0 else -1):
                 return CheckResult(False, f"not-noncanonical: {(i, j)}", b)
-            if m.sign != expected[(i, j)]:
+            if m.sign != s:
                 return CheckResult(False, f"sign-mismatch: {(i, j)}", b)
             if (i, j) in seen:
                 return CheckResult(False, f"duplicate-member: {(i, j)}", b)
@@ -463,11 +458,23 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
                     return CheckResult(False, f"bad-quadrupleton: corner {t} must have "
                                        f"sign {s:+d}", b)
 
-    if seen != set(expected):
-        missing = sorted(set(expected) - seen)
-        return CheckResult(False, f"incomplete-cover: missing {missing[:4]}"
-                           + ("..." if len(missing) > 4 else ""))
-    return ACCEPT
+    # seen holds distinct members of J, so the cover is complete iff
+    # |seen| = |J|.  With r_k = (-1)^k prefix[k], the member test above
+    # reads r_{i-1} != r_j: |J| is the product of the two class sizes of
+    # r, and row i of J is the k >= i in the class opposite r_{i-1}.
+    r = [p if k % 2 == 0 else -p for k, p in enumerate(prefix)]
+    classes = {c: [k for k in range(n + 1) if r[k] == c] for c in (1, -1)}
+    if len(seen) == len(classes[1]) * len(classes[-1]):
+        return ACCEPT
+
+    missing: list[tuple[int, int]] = []
+    for i in range(1, n + 1):
+        other = classes[-r[i - 1]]
+        missing += [(i, k) for k in other[bisect_left(other, i):] if (i, k) not in seen]
+        if len(missing) > 4:
+            break
+    return CheckResult(False, f"incomplete-cover: missing {missing[:4]}"
+                       + ("..." if len(missing) > 4 else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -582,53 +589,26 @@ class _RowState:
         return ACCEPT
 
 
-def _negatives_by_row(pattern: Sequence[int]) -> dict[int, list[int]]:
+def _negatives_by_row(J: NonCanonicalSet) -> dict[int, list[int]]:
     out: dict[int, list[int]] = {}
-    for t in noncanonical_set(pattern).negatives:
+    for t in J.negatives:
         out.setdefault(t[1], []).append(t[0])
     return out
 
 
-def check_impossible_configurations(gp: GoodPartition,
-                                    processed_upto: TermIndex | None = None) -> CheckResult:
+def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
     """Scan one (possibly intermediate) partition state for the five
     configurations ruled out by the construction.
 
     Case-2 history is read from gp.trace; for states assembled by hand
-    pass a trace whose steps carry the intended cases.  processed_upto
-    is informational (the last absorbed negative pair, if any).
+    pass a trace whose steps carry the intended cases.
     """
-    state = _RowState(_negatives_by_row(gp.pattern))
+    state = _RowState(_negatives_by_row(noncanonical_set(gp.pattern)))
     rows: set[int] = set()
     for b in gp.blocks:
         rows |= state.add(b.indices)
     anchors = {TermIndex(*s.pair) for s in gp.trace if s.case == "case2"}
     return state.check_rows(sorted(rows), anchors)
-
-
-def replay_states(gp: GoodPartition):
-    """Yield (k, blocks) for k = 0..N, reconstructing every intermediate
-    partition state of a build from its trace.
-
-    Each blocks value is a tuple of PartitionBlock in prec order of
-    their first member; k = 0 is the all-positive-singleton start.
-    """
-    signs = dict(noncanonical_set(gp.pattern).signs)
-    J_pos = sorted((t for t, s in signs.items() if s > 0), key=prec_key)
-    state: dict[frozenset, PartitionBlock] = {}
-    for p in J_pos:
-        blk = _freeze_block([p], signs, "initial")
-        state[frozenset([p])] = blk
-    yield 0, tuple(state.values())
-    for step in gp.trace:
-        for consumed in step.consumed:
-            key = frozenset(consumed.indices)
-            if key not in state:
-                raise ValueError(f"trace step {step.k} consumes a block "
-                                 f"{sorted(key)} that is not present")
-            del state[key]
-        state[frozenset(step.created.indices)] = step.created
-        yield step.k, tuple(state.values())
 
 
 def audit_build(gp: GoodPartition) -> CheckResult:
@@ -639,15 +619,14 @@ def audit_build(gp: GoodPartition) -> CheckResult:
     pair (so coverage grows by one and no later negative sneaks in),
     and no affected row shows an impossible configuration.
     """
-    signs = dict(noncanonical_set(gp.pattern).signs)
-    negatives = sorted((t for t, s in signs.items() if s < 0), key=prec_key)
+    J = noncanonical_set(gp.pattern)
+    negatives = sorted(J.negatives, key=prec_key)
     if len(gp.trace) != len(negatives):
         return CheckResult(False, f"trace has {len(gp.trace)} steps for "
                            f"{len(negatives)} negative pairs")
 
-    live: dict[frozenset, str] = {
-        frozenset([t]): "initial" for t, s in signs.items() if s > 0}
-    rows = _RowState(_negatives_by_row(gp.pattern))
+    live: dict[frozenset, str] = {frozenset([t]): "initial" for t in J.positives}
+    rows = _RowState(_negatives_by_row(J))
     anchors: set[TermIndex] = set()
 
     for k, step in enumerate(gp.trace, start=1):
@@ -693,20 +672,11 @@ def parity_counts(pattern: Sequence[int]) -> tuple[int, int]:
     Border pairs are those with i = 1 or j = n.  For even n and an odd
     number of negative signs the two counts agree.
     """
-    pat = as_sign_pattern(pattern)
-    n = len(pat)
-    prefix = [1] * (n + 1)
-    for k in range(1, n + 1):
-        prefix[k] = prefix[k - 1] * pat[k - 1]
-    b_plus = b_minus = 0
-    for i, j in {(1, j) for j in range(1, n + 1)} | {(i, n) for i in range(1, n + 1)}:
-        s = prefix[j] * prefix[i - 1]
-        if s == (1 if (i + j) % 2 == 0 else -1):
-            if s > 0:
-                b_plus += 1
-            else:
-                b_minus += 1
-    return b_plus, b_minus
+    q = prefix_classes(pattern)
+    n = len(q) - 1
+    border = {(1, j) for j in range(1, n + 1)} | {(i, n) for i in range(1, n + 1)}
+    signs = [1 if (i + j) % 2 == 0 else -1 for i, j in border if q[i - 1] != q[j]]
+    return signs.count(1), signs.count(-1)
 
 
 def sign_rectangle_relation(pattern: Sequence[int],
@@ -837,15 +807,17 @@ def certificate_from_json(text: str) -> GoodPartition:
     for key in ("n", "pattern", "blocks", "version"):
         if key not in data:
             raise CertificateFormatError(f"missing key {key!r}")
+    # type(x) is int, not isinstance: JSON true/false parse to bool, an int.
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise CertificateFormatError("n must be a positive integer")
     pattern = data["pattern"]
     if (not isinstance(pattern, list) or len(pattern) != n
-            or any(s not in (-1, 1) for s in pattern)):
+            or any(type(s) is not int or s not in (-1, 1) for s in pattern)):
         raise CertificateFormatError("pattern must be a list of n entries +1/-1")
-    if not isinstance(data["version"], str):
-        raise CertificateFormatError("version must be a string")
+    if data["version"] != CERTIFICATE_VERSION:
+        raise CertificateFormatError(f"unsupported version {data['version']!r}, "
+                                     f"expected {CERTIFICATE_VERSION!r}")
     if not isinstance(data["blocks"], list):
         raise CertificateFormatError("blocks must be a list")
     blocks = []
@@ -863,11 +835,11 @@ def certificate_from_json(text: str) -> GoodPartition:
         terms = []
         for m, s in zip(members, signs):
             if (not isinstance(m, list) or len(m) != 2
-                    or not all(isinstance(c, int) for c in m)):
+                    or not all(type(c) is int for c in m)):
                 raise CertificateFormatError(f"bad member {m!r}")
-            if s not in (-1, 1):
+            if type(s) is not int or s not in (-1, 1):
                 raise CertificateFormatError(f"bad sign {s!r}")
-            terms.append(SignedTerm(TermIndex(*m), s, True))
+            terms.append(SignedTerm(TermIndex(*m), s))
         if not isinstance(raw["provenance"], str):
             raise CertificateFormatError("provenance must be a string")
         blocks.append(PartitionBlock(str(raw["kind"]), tuple(terms), raw["provenance"]))

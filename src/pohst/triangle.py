@@ -12,8 +12,14 @@ All the combinatorics downstream depends on v only through its sign
 pattern.  A term is *canonical* when it agrees, up to the expected sign,
 with the corresponding term of the mirrored vector -|v|; concretely the
 term (i, j) is non-canonical exactly when its product sign equals
-(-1)^(i+j).  The non-canonical index set is what the good-partition
+(-1)^(i+j).  The non-canonical index set J is what the good-partition
 construction has to cover.
+
+Every such sign fact follows from one prefix identity.  Put
+q_k = (-1)^k x_1 ... x_k in signs, with q_0 = +1 (prefix_classes).  The
+product sign of (i, j) is x_i ... x_j = (-1)^(i+j+1) q_{i-1} q_j, so
+(i, j) is non-canonical exactly when q_{i-1} != q_j, its sign is then
+(-1)^(i+j), and |J| = |A| |B| for the two classes A, B of q_0..q_n.
 
 Indices are 1-based throughout the public interface.
 """
@@ -46,7 +52,6 @@ class SignedTerm:
 
     index: TermIndex
     sign: int
-    noncanonical: bool
 
 
 @dataclass(frozen=True)
@@ -150,42 +155,32 @@ def negate_abs(v: Sequence[float] | np.ndarray) -> np.ndarray:
     return -np.abs(as_vector(v))
 
 
+def prefix_classes(pattern: Sequence[int]) -> tuple[int, ...]:
+    """The classes q_0..q_n, q_k = (-1)^k x_1 ... x_k, of a sign pattern."""
+    q = [1]
+    for s in as_sign_pattern(pattern):
+        q.append(-q[-1] * s)
+    return tuple(q)
+
+
 def product_sign(pattern: Sequence[int], t: TermIndex) -> int:
     """Product of the pattern signs over the run i..j."""
-    pat = as_sign_pattern(pattern)
-    i, j = _check_index(TermIndex(*t), len(pat))
-    s = 1
-    for k in range(i - 1, j):
-        s *= pat[k]
-    return s
-
-
-def signed_term(pattern: Sequence[int], t: TermIndex) -> SignedTerm:
-    """Attach product sign and canonicity flag to one index."""
-    pat = as_sign_pattern(pattern)
-    i, j = _check_index(TermIndex(*t), len(pat))
-    s = product_sign(pat, (i, j))
-    parity = 1 if (i + j) % 2 == 0 else -1
-    return SignedTerm(TermIndex(i, j), s, s == parity)
+    q = prefix_classes(pattern)
+    i, j = _check_index(TermIndex(*t), len(q) - 1)
+    return q[i - 1] * q[j] * (1 if (i + j) % 2 else -1)
 
 
 def noncanonical_set(pattern: Sequence[int]) -> NonCanonicalSet:
     """All non-canonical term indices of a sign pattern, with signs.
 
-    The all-negative pattern has an empty set: every run of length L
-    then has product sign (-1)^L = (-1)^(i+j+1), never (-1)^(i+j).
+    The all-negative pattern has an empty set: every q_k is then +1.
     """
-    pat = as_sign_pattern(pattern)
-    n = len(pat)
-    members = []
-    for i in range(1, n + 1):
-        s = 1
-        for j in range(i, n + 1):
-            s *= pat[j - 1]
-            parity = 1 if (i + j) % 2 == 0 else -1
-            if s == parity:
-                members.append(SignedTerm(TermIndex(i, j), s, True))
-    return NonCanonicalSet(n, frozenset(members))
+    q = prefix_classes(pattern)
+    n = len(q) - 1
+    members = frozenset(
+        SignedTerm(TermIndex(i, j), 1 if (i + j) % 2 == 0 else -1)
+        for j in range(1, n + 1) for i in range(1, j + 1) if q[i - 1] != q[j])
+    return NonCanonicalSet(n, members)
 
 
 def split_at_zeros(v: Sequence[float] | np.ndarray) -> list[np.ndarray]:

@@ -246,7 +246,7 @@ def test_criterion_9_certificate_round_trip_and_mutations(certificates):
             # flip the sign of its first member
             m0 = blk.members[0]
             flipped = PartitionBlock(blk.kind, (SignedTerm(
-                m0.index, -m0.sign, True),) + blk.members[1:], blk.provenance)
+                m0.index, -m0.sign),) + blk.members[1:], blk.provenance)
             assert not validate_partition(
                 GoodPartition(back.n, back.pattern, rest + (flipped,)))
             mutations += 2
@@ -255,7 +255,7 @@ def test_criterion_9_certificate_round_trip_and_mutations(certificates):
             if target is None:
                 continue  # n=1: nowhere to move inside the triangle
             moved = PartitionBlock(blk.kind, (SignedTerm(
-                target, m0.sign, True),) + blk.members[1:], blk.provenance)
+                target, m0.sign),) + blk.members[1:], blk.provenance)
             assert not validate_partition(
                 GoodPartition(back.n, back.pattern, rest + (moved,)))
             mutations += 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from pohst.cli import RunConfig, build_parser, main
+from pohst.cli import main
 from pohst.partition import build_good_partition, certificate_to_json
 
 
@@ -43,6 +43,14 @@ def test_verify_out_file(capsys, tmp_path):
                               "--out", str(target)])
     assert rc == 0 and out == ""
     assert json.loads(target.read_text())["n"] == 3
+
+
+def test_out_to_unwritable_path_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    rc, _, err = run(capsys, ["verify", "--n", "3", "--out", str(target)])
+    assert rc == 2 and "cannot write" in err
+    rc, _, err = run(capsys, ["certify", "--pattern", "-,+", "--out", str(target)])
+    assert rc == 2 and "cannot write" in err
 
 
 def test_verify_rejects_bad_n(capsys):
@@ -157,12 +165,3 @@ def test_usage_errors(capsys):
 
 def test_help_exits_cleanly(capsys):
     assert run(capsys, ["--help"])[0] == 0
-
-
-def test_run_config_from_args():
-    parser = build_parser()
-    args = parser.parse_args(["verify", "--n", "6", "--jobs", "2",
-                              "--format", "json"])
-    cfg = RunConfig.from_args(args)
-    assert (cfg.command, cfg.n, cfg.jobs, cfg.format, cfg.out) == (
-        "verify", 6, 2, "json", None)

@@ -7,7 +7,6 @@ import pytest
 from pohst.numbertheory import (
     HERMITE_EXACT,
     BoundResult,
-    RegulatorInput,
     compare_bounds,
     hermite_constant,
     improved_bound,
@@ -122,11 +121,6 @@ def test_compare_bounds_reports_sources():
     assert res.hermite_source == "upper-estimate"
     res = compare_bounds(10, 1.0, hermite=1.5)
     assert res.hermite_source == "user" and res.hermite_value == 1.5
-
-
-def test_regulator_input_record():
-    inp = RegulatorInput(5, 2.5)
-    assert (inp.m, inp.regulator, inp.hermite) == (5, 2.5, None)
 
 
 @pytest.mark.parametrize("m,R,gamma", [

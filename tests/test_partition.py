@@ -3,7 +3,9 @@ impossible-configuration catalogue, audits, parity, the ideal case,
 domination, and certificate serialization."""
 
 import itertools
+import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from pohst.partition import (
     ConstructionFailure,
     GoodPartition,
     PartitionBlock,
-    PROVENANCES,
     audit_build,
     build_good_partition,
     certificate_from_json,
@@ -30,7 +31,6 @@ from pohst.partition import (
     parity_counts,
     prec_key,
     prec_less,
-    replay_states,
     sign_rectangle_relation,
     validate_partition,
     vertical_list,
@@ -52,8 +52,7 @@ def all_patterns(n):
 
 def block_of(idx, pattern, kind=None, prov="initial"):
     """Assemble a block whose member signs are the true product signs."""
-    mem = tuple(SignedTerm(TermIndex(*t), product_sign(pattern, t), True)
-                for t in idx)
+    mem = tuple(SignedTerm(TermIndex(*t), product_sign(pattern, t)) for t in idx)
     kind = kind or {1: "singleton", 2: "doubleton", 4: "quadrupleton"}[len(idx)]
     return PartitionBlock(kind, mem, prov)
 
@@ -170,7 +169,8 @@ def test_build_covers_every_provenance():
         for pat in all_patterns(n):
             for b in build_good_partition(pat).blocks:
                 seen.add(b.provenance)
-    assert seen == set(PROVENANCES)
+    assert seen == {"initial", "case1", "case2-op1", "case2-op2",
+                    "case3-op1", "case3-op2"}
 
 
 def test_build_rejects_bad_pattern():
@@ -260,14 +260,14 @@ def _doubleton_pattern_cert():
     # member outside the triangle
     (lambda gp: state_of(gp.pattern, [PartitionBlock("doubleton", (
         gp.blocks[0].members[0],
-        SignedTerm(TermIndex(2, 1), -1, True)), "case1")]), "bad-index"),
+        SignedTerm(TermIndex(2, 1), -1)), "case1")]), "bad-index"),
     # member that is canonical for this pattern
     (lambda gp: state_of(gp.pattern, [PartitionBlock("doubleton", (
         gp.blocks[0].members[0],
-        SignedTerm(TermIndex(1, 1), -1, True)), "case1")]), "not-noncanonical"),
+        SignedTerm(TermIndex(1, 1), -1)), "case1")]), "not-noncanonical"),
     # stored sign contradicts the pattern
     (lambda gp: state_of(gp.pattern, [PartitionBlock("doubleton", (
-        SignedTerm(TermIndex(2, 2), -1, True),
+        SignedTerm(TermIndex(2, 2), -1),
         gp.blocks[0].members[1]), "case1")]), "sign-mismatch"),
     # same index in two blocks
     (lambda gp: state_of(gp.pattern, list(gp.blocks) + [
@@ -283,6 +283,20 @@ def test_validator_rejects(mutate, reason_prefix):
     gp = mutate(_doubleton_pattern_cert())
     r = validate_partition(gp)
     assert not r and r.reason.startswith(reason_prefix)
+
+
+def test_validator_rejects_large_empty_cover_quickly():
+    """Rejecting an empty cover costs time linear in the certificate,
+    not in n^2, and names the first missing members as before."""
+    rng = np.random.default_rng(2022)
+    pattern = [1] + rng.choice((-1, 1), size=2999).tolist()
+    text = json.dumps({"n": 3000, "pattern": pattern, "blocks": [], "version": "1"})
+    t0 = time.perf_counter()
+    r = validate_partition(certificate_from_json(text))
+    elapsed = time.perf_counter() - t0
+    assert not r and r.reason.startswith("incomplete-cover: missing [(1, 1), ")
+    assert r.reason.endswith("...")
+    assert elapsed < 3.0
 
 
 def test_validator_rejects_two_positive_doubleton():
@@ -368,34 +382,21 @@ def test_impossible_5_case2_pair_left_of_nvdoub():
 
 
 # ---------------------------------------------------------------------------
-# replay and audit
-
-
-def test_replay_yields_every_intermediate_state():
-    gp = build_good_partition((-1, -1, 1, -1))
-    states = list(replay_states(gp))
-    assert [k for k, _ in states] == [0, 1, 2, 3]
-    assert set(states[-1][1]) == set(gp.blocks)
-    for k, blocks in states:
-        assert check_impossible_configurations(
-            GoodPartition(gp.n, gp.pattern, blocks, gp.trace[:k]))
-
-
-def test_replay_rejects_foreign_consumed_block():
-    gp = build_good_partition((-1, 1))
-    bad_pair = block_of([(2, 2)], gp.pattern, prov="initial")
-    step = BuildStep(1, TermIndex(1, 2), "case1", 1,
-                     (block_of([(1, 1)], (1, 1)),), gp.blocks[0])
-    tampered = GoodPartition(gp.n, gp.pattern, gp.blocks, (step,))
-    with pytest.raises(ValueError):
-        list(replay_states(tampered))
-    del bad_pair
+# audit
 
 
 def test_audit_accepts_all_builds_small_n():
     for n in range(1, 7):
         for pat in all_patterns(n):
             assert audit_build(build_good_partition(pat))
+
+
+def test_audit_rejects_foreign_consumed_block():
+    gp = build_good_partition((-1, 1))
+    step = BuildStep(1, TermIndex(1, 2), "case1", 1,
+                     (block_of([(1, 1)], (1, 1)),), gp.blocks[0])
+    r = audit_build(GoodPartition(gp.n, gp.pattern, gp.blocks, (step,)))
+    assert not r and "is not present" in r.reason
 
 
 def test_audit_rejects_truncated_trace():
@@ -427,7 +428,7 @@ def test_audit_rejects_tampered_created_block():
     s = gp.trace[0]
     fat = block_of([(2, 2), (1, 2)], gp.pattern, prov="case1")
     fat = PartitionBlock("doubleton", fat.members + (
-        SignedTerm(TermIndex(1, 1), -1, True),), "case1")
+        SignedTerm(TermIndex(1, 1), -1),), "case1")
     r = audit_build(GoodPartition(gp.n, gp.pattern, gp.blocks,
                                   (BuildStep(1, s.pair, s.case, 1, s.consumed, fat),)))
     assert not r and "consumed members plus" in r.reason
@@ -624,6 +625,9 @@ def test_certificate_round_trip_identity():
     ('{"n": 2, "pattern": [-1], "blocks": [], "version": "1"}', "list of n entries"),
     ('{"n": 2, "pattern": [-1, 0], "blocks": [], "version": "1"}', "list of n entries"),
     ('{"n": 2, "pattern": [-1, 1], "blocks": [], "version": 1}', "version"),
+    ('{"n": 2, "pattern": [-1, 1], "blocks": [], "version": "zzz"}', "version"),
+    ('{"n": true, "pattern": [1], "blocks": [], "version": "1"}', "positive integer"),
+    ('{"n": 1, "pattern": [true], "blocks": [], "version": "1"}', "list of n entries"),
     ('{"n": 2, "pattern": [-1, 1], "blocks": {}, "version": "1"}', "blocks must be"),
     ('{"n": 2, "pattern": [-1, 1], "blocks": [7], "version": "1"}', "block must be"),
     ('{"n": 2, "pattern": [-1, 1], "blocks": [{"kind": "doubleton"}], '
@@ -634,6 +638,12 @@ def test_certificate_round_trip_identity():
     ('{"n": 2, "pattern": [-1, 1], "blocks": [{"kind": "doubleton", '
      '"members": [[2], [1, 2]], "signs": [1, -1], "provenance": "case1"}], '
      '"version": "1"}', "bad member"),
+    ('{"n": 1, "pattern": [1], "blocks": [{"kind": "singleton", '
+     '"members": [[true, true]], "signs": [1], "provenance": "initial"}], '
+     '"version": "1"}', "bad member"),
+    ('{"n": 1, "pattern": [1], "blocks": [{"kind": "singleton", '
+     '"members": [[1, 1]], "signs": [true], "provenance": "initial"}], '
+     '"version": "1"}', "bad sign"),
     ('{"n": 2, "pattern": [-1, 1], "blocks": [{"kind": "doubleton", '
      '"members": [[2, 2], [1, 2]], "signs": [1, 0], "provenance": "case1"}], '
      '"version": "1"}', "bad sign"),

@@ -21,7 +21,6 @@ from pohst.triangle import (
     pohst_bound,
     product_sign,
     sign_pattern_of,
-    signed_term,
     split_at_zeros,
     term_indices,
 )
@@ -119,16 +118,9 @@ def test_product_sign_frozen(t, expected):
     assert product_sign((-1, 1), t) == expected
 
 
-def test_signed_term_canonicity():
-    # (1,2) has odd i+j, so sign -1 makes it non-canonical
-    st_ = signed_term((-1, 1), (1, 2))
-    assert (st_.sign, st_.noncanonical) == (-1, True)
-    # (1,1) has even i+j and sign -1: canonical
-    st_ = signed_term((-1, 1), (1, 1))
-    assert (st_.sign, st_.noncanonical) == (-1, False)
-
-
 @pytest.mark.parametrize("pattern,expected", [
+    # (1,2): odd i+j and sign -1, non-canonical; (1,1): even i+j and
+    # sign -1, canonical
     ((-1, 1), {(2, 2): 1, (1, 2): -1}),
     ((1, 1), {(1, 1): 1, (2, 2): 1}),
     ((-1,), {}),
@@ -152,7 +144,8 @@ def test_noncanonical_membership_xor(pattern):
     """t is non-canonical exactly when its product sign is not (-1)^(i+j+1)."""
     J = noncanonical_set(pattern)
     for t in term_indices(len(pattern)):
-        s = product_sign(pattern, t)
+        s = math.prod(pattern[t.i - 1:t.j])
+        assert product_sign(pattern, t) == s
         reference = -1 if (t.i + t.j) % 2 == 0 else 1
         assert (t in J) != (s == reference)
         if t in J:
