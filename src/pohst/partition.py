@@ -33,6 +33,7 @@ noncanonical_set: it checks each member in O(1) and the cover by count.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -44,12 +45,12 @@ from .triangle import (
     as_sign_pattern,
     as_vector,
     eval_f,
-    eval_term,
     leq_with_tol,
     negate_abs,
     noncanonical_set,
     prefix_classes,
     product_sign,
+    running_terms,
     sign_pattern_of,
 )
 
@@ -201,7 +202,6 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
     next_id = len(positives)
 
     failed: set[TermIndex] = set()   # negatives whose Case 1 did not apply
-    anchors: set[TermIndex] = set()  # negatives absorbed via Case 2
     steps: list[BuildStep] = []
 
     def snapshot(bid: int) -> PartitionBlock:
@@ -293,7 +293,6 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
             if len(found) > 1:
                 raise fail(k, neg, "case2: usable positive not unique: "
                            f"{[tuple(p) for p, _ in found]}")
-            anchors.add(neg)
             pos, via = found[0]
             if via is None:
                 apply_op1(k, neg, pos, "case2")
@@ -336,19 +335,11 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
 # Configuration taxonomy
 
 
-def _block_map(gp: GoodPartition) -> dict[TermIndex, PartitionBlock]:
-    out: dict[TermIndex, PartitionBlock] = {}
-    for b in gp.blocks:
-        for m in b.members:
-            out[m.index] = b
-    return out
-
-
 def classify(t: SignedTerm | TermIndex, gp: GoodPartition) -> Configuration:
     """Configuration of one term inside a partition (possibly intermediate)."""
     idx = t.index if isinstance(t, SignedTerm) else TermIndex(*t)
     sign = product_sign(gp.pattern, idx)
-    block = _block_map(gp).get(idx)
+    block = next((b for b in gp.blocks if idx in b.indices), None)
     if block is None:
         return Configuration("unassigned")
     mem = block.indices
@@ -736,6 +727,13 @@ def ideal_case_factorization(n: int) -> list[tuple[TermIndex, ...]]:
     return out
 
 
+def block_products(cols: Sequence, blocks: Sequence[Sequence[TermIndex]]) -> list:
+    """The product of each block's terms in member order, from one pass of
+    running_terms over cols (x_{k+1} = cols[k], floats or batch columns)."""
+    terms = {(i, j): t for i, j, t in running_terms(cols)}
+    return [math.prod(terms[t] for t in b) for b in blocks]
+
+
 def domination_check(v, gp: GoodPartition) -> CheckResult:
     """Block-wise and global domination of f under the mirror -|v|.
 
@@ -748,13 +746,12 @@ def domination_check(v, gp: GoodPartition) -> CheckResult:
     if tuple(gp.pattern) != pat:
         return CheckResult(False, f"pattern-mismatch: partition is for {gp.pattern}")
     mirror = negate_abs(arr)
-    for b in gp.blocks:
-        lhs = rhs = 1.0
-        for m in b.members:
-            lhs *= eval_term(arr, m.index)
-            rhs *= eval_term(mirror, m.index)
-        if not leq_with_tol(lhs, rhs):
-            return CheckResult(False, f"block-domination-failed: {lhs} > {rhs}", b)
+    indices = [b.indices for b in gp.blocks]
+    lhs = block_products(arr.tolist(), indices)
+    rhs = block_products(mirror.tolist(), indices)
+    for b, x, y in zip(gp.blocks, lhs, rhs):
+        if not leq_with_tol(x, y):
+            return CheckResult(False, f"block-domination-failed: {x} > {y}", b)
     fv, fm = eval_f(arr), eval_f(mirror)
     if not leq_with_tol(fv, fm):
         return CheckResult(False, f"global-domination-failed: {fv} > {fm}")

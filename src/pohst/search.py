@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -29,11 +30,12 @@ from .partition import (
     CheckResult,
     ConstructionFailure,
     audit_build,
+    block_products,
     build_good_partition,
     parity_counts,
     validate_partition,
 )
-from .triangle import ABS_TOL, REL_TOL, as_sign_pattern, eval_f, pohst_bound
+from .triangle import as_sign_pattern, eval_f, leq_with_tol, pohst_bound, running_terms
 
 #: PRNG used for every sampling campaign, recorded in reports.
 RNG_NAME = "numpy-PCG64"
@@ -107,6 +109,7 @@ def sweep_patterns(n: int, jobs: int = 1) -> SweepReport:
     """Verify all 2^n sign patterns; failures are collected, not raised."""
     if not 1 <= n <= 24:
         raise ValueError("n must be between 1 and 24")
+    jobs = min(jobs, os.cpu_count() or 1)  # the report does not depend on jobs
     total = 2 ** n
     t0 = time.perf_counter()
     if jobs <= 1 or total < 256:
@@ -147,14 +150,7 @@ def enumerate_maximizers(n: int) -> list[tuple[int, ...]]:
 def eval_f_batch(X: np.ndarray) -> np.ndarray:
     """Vectorized f_n over the rows of X; the numeric twin of eval_f."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    m, n = X.shape
-    f = np.ones(m)
-    for i in range(n):
-        p = np.ones(m)
-        for j in range(i, n):
-            p = p * X[:, j]
-            f = f * (1.0 - p)
-    return f
+    return math.prod(t for _, _, t in running_terms(X.T))
 
 
 def _axis_points(grid_step: float) -> np.ndarray:
@@ -230,10 +226,11 @@ def maximize_f(n: int, grid_step: float = 0.25,
 
     n <= 8: exhaustive grid at grid_step, then golden-section ascent.
     Larger n: coarse 0.5-step lattice screen plus seeded random
-    multistarts, each polished by the same coordinate ascent.
+    multistarts, each polished by the same coordinate ascent.  The
+    screen visits 5^n points, so n is capped at 12.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= 12:
+        raise ValueError("n must be between 1 and 12")
     bound = pohst_bound(n)
     evaluations = 0
 
@@ -308,10 +305,6 @@ def _sample_batches(n: int, samples: int, seed: int,
         produced += m
 
 
-def _tolerant_leq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a <= b + np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(a), np.abs(b)))
-
-
 def sample_domination(n: int, samples: int = 100_000, seed: int = 42) -> CheckResult:
     """Seeded random check of f(v) <= f(-|v|) <= 2^floor((n+1)/2).
 
@@ -324,7 +317,7 @@ def sample_domination(n: int, samples: int = 100_000, seed: int = 42) -> CheckRe
     for offset, X in _sample_batches(n, samples, seed):
         fv = eval_f_batch(X)
         fm = eval_f_batch(-np.abs(X))
-        ok = _tolerant_leq(fv, fm) & _tolerant_leq(fm, np.full_like(fm, bound))
+        ok = leq_with_tol(fv, fm) & leq_with_tol(fm, bound)
         if not ok.all():
             bad = int(np.argmin(ok))
             return CheckResult(
@@ -338,31 +331,28 @@ def sample_blockwise_domination(n: int, samples: int = 100_000,
                                 seed: int = 42) -> CheckResult:
     """Block-level domination on the same sample stream as
     sample_domination: for every sample, every block of the certificate
-    of its sign pattern dominates under the mirror vector.
+    of its sign pattern dominates under the mirror vector.  A failure
+    names the lowest failing pattern_from_index index, its first failing
+    block in block order, and that block's first failing row.
     """
     if n < 1 or samples < 1:
         raise ValueError("need n >= 1 and samples >= 1")
-    cache: dict[tuple[int, ...], list[tuple] ] = {}
+    cache: dict[int, list[tuple]] = {}
+    bits = 1 << np.arange(n, dtype=np.int64)
     for offset, X in _sample_batches(n, samples, seed):
-        signs = np.where(X > 0, 1, -1).astype(np.int8)
-        patterns = np.unique(signs, axis=0)
-        for pat_row in patterns:
-            pat = tuple(int(s) for s in pat_row)
-            blocks = cache.get(pat)
+        index = (X < 0) @ bits
+        order = np.argsort(index, kind="stable")
+        keys, starts = np.unique(index[order], return_index=True)
+        for key, rows in zip(keys.tolist(), np.split(order, starts[1:])):
+            blocks = cache.get(key)
             if blocks is None:
-                gp = build_good_partition(pat)
-                blocks = [b.indices for b in gp.blocks]
-                cache[pat] = blocks
-            rows = np.nonzero((signs == pat_row).all(axis=1))[0]
+                gp = build_good_partition(pattern_from_index(n, key))
+                blocks = cache[key] = [b.indices for b in gp.blocks]
             G = X[rows]
-            M = -np.abs(G)
-            for indices in blocks:
-                lhs = np.ones(len(rows))
-                rhs = np.ones(len(rows))
-                for (i, j) in indices:
-                    lhs = lhs * (1.0 - np.prod(G[:, i - 1:j], axis=1))
-                    rhs = rhs * (1.0 - np.prod(M[:, i - 1:j], axis=1))
-                ok = _tolerant_leq(lhs, rhs)
+            lhs = block_products(G.T, blocks)
+            rhs = block_products(-np.abs(G.T), blocks)
+            for indices, a, b in zip(blocks, lhs, rhs):
+                ok = leq_with_tol(a, b)
                 if not ok.all():
                     bad = int(np.argmin(ok))
                     return CheckResult(

@@ -21,6 +21,9 @@ product sign of (i, j) is x_i ... x_j = (-1)^(i+j+1) q_{i-1} q_j, so
 (i, j) is non-canonical exactly when q_{i-1} != q_j, its sign is then
 (-1)^(i+j), and |J| = |A| |B| for the two classes A, B of q_0..q_n.
 
+running_terms is the only place where the run products x_i ... x_j are
+formed: f_n, its batch twin and the block-domination checks read it.
+
 Indices are 1-based throughout the public interface.
 """
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,21 +136,21 @@ def eval_term(v: Sequence[float] | np.ndarray, t: TermIndex) -> float:
     return 1.0 - p
 
 
-def eval_f(v: Sequence[float] | np.ndarray) -> float:
-    """Evaluate f_n(v) with one running product per row start.
-
-    O(n^2) multiplications; no prefix-quotient shortcuts, so zero
-    entries are handled exactly.
-    """
-    arr = as_vector(v)
-    n = len(arr)
-    f = 1.0
+def running_terms(cols: Sequence) -> Iterator[tuple[int, int, float | np.ndarray]]:
+    """Yield (i, j, 1 - x_i ... x_j), i outer, j inner; cols[k] is x_{k+1},
+    a float or a batch column.  One running product per run start and no
+    prefix-quotient shortcut, so zero entries are handled exactly."""
+    n = len(cols)
     for i in range(n):
         p = 1.0
-        for k in range(i, n):
-            p *= arr[k]
-            f *= 1.0 - p
-    return f
+        for j in range(i, n):
+            p = p * cols[j]
+            yield i + 1, j + 1, 1.0 - p
+
+
+def eval_f(v: Sequence[float] | np.ndarray) -> float:
+    """Evaluate f_n(v) as the product of its terms, in running_terms order."""
+    return math.prod(t for _, _, t in running_terms(as_vector(v).tolist()))
 
 
 def negate_abs(v: Sequence[float] | np.ndarray) -> np.ndarray:
@@ -211,9 +214,10 @@ def pohst_bound(n: int) -> float:
     return float(2 ** ((n + 1) // 2))
 
 
-def leq_with_tol(a: float, b: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
-    """a <= b up to mixed relative/absolute tolerance."""
-    return a <= b + max(abs_, rel * max(abs(a), abs(b)))
+def leq_with_tol(a: float | np.ndarray, b: float | np.ndarray, rel: float = REL_TOL,
+                 abs_: float = ABS_TOL) -> bool | np.ndarray:
+    """a <= b up to mixed relative/absolute tolerance, elementwise."""
+    return a <= b + np.maximum(abs_, rel * np.maximum(np.abs(a), np.abs(b)))
 
 
 def close(a: float, b: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:

@@ -552,6 +552,16 @@ def test_domination_check_pattern_mismatch():
     assert not r and r.reason.startswith("pattern-mismatch")
 
 
+def test_domination_check_rejects_undominated_block():
+    # (1,2)- alone is not dominated: 1 - 0.5*(-0.5) = 1.25 > 1 - 0.25
+    pos = PartitionBlock("singleton", (SignedTerm(TermIndex(1, 1), 1),), "initial")
+    neg = PartitionBlock("singleton", (SignedTerm(TermIndex(1, 2), -1),), "initial")
+    r = domination_check((0.5, -0.5), GoodPartition(2, (1, -1), (pos, neg)))
+    assert not r
+    assert r.reason == "block-domination-failed: 1.25 > 0.75"
+    assert r.witness == neg
+
+
 def test_domination_random_small_n():
     rng = np.random.default_rng(17)
     cache = {}

@@ -2,12 +2,17 @@
 domination sampler."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import pohst.search as search
+from pohst.cli import main
+from pohst.partition import GoodPartition, PartitionBlock, prec_key
 from pohst.search import (
     RNG_NAME,
+    _sample_batches,
     enumerate_maximizers,
     eval_f_batch,
     maximize_f,
@@ -17,7 +22,14 @@ from pohst.search import (
     sweep_patterns,
     verify_pattern,
 )
-from pohst.triangle import eval_f, pohst_bound
+from pohst.triangle import (
+    eval_f,
+    eval_term,
+    leq_with_tol,
+    negate_abs,
+    noncanonical_set,
+    pohst_bound,
+)
 
 
 def test_rng_is_named():
@@ -60,6 +72,16 @@ def test_sweep_patterns_parallel_agrees():
     parallel = sweep_patterns(9, jobs=2)
     assert serial.patterns_checked == parallel.patterns_checked == 512
     assert serial.failures == parallel.failures == ()
+
+
+def test_sweep_patterns_caps_jobs_at_cpu_count(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(search, "get_context", no_pool)
+    report = sweep_patterns(8, jobs=64)
+    assert report.patterns_checked == 256 and report.failures == ()
 
 
 @pytest.mark.parametrize("n", [0, 25])
@@ -124,9 +146,11 @@ def test_eval_f_batch_matches_scalar():
     rng = np.random.default_rng(23)
     for n in (1, 3, 6):
         X = rng.uniform(-1.0, 1.0, size=(40, n))
+        X[::3, n // 2] = 0.0
+        X[1, :] = 0.0
         batch = eval_f_batch(X)
         for row, expected in zip(X, batch):
-            assert math.isclose(eval_f(row), expected, rel_tol=1e-13)
+            assert eval_f(row) == expected
 
 
 def test_eval_f_batch_accepts_single_row():
@@ -165,6 +189,17 @@ def test_maximize_rejects_bad_arguments():
         maximize_f(3, grid_step=0.3)
 
 
+def test_maximize_rejects_large_n_before_screening(monkeypatch, capsys):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the lattice screen was started")
+
+    monkeypatch.setattr(search, "_lattice_batches", no_lattice)
+    with pytest.raises(ValueError, match="between 1 and 12"):
+        maximize_f(13)
+    assert main(["maximize", "--n", "13"]) == 2
+    assert "between 1 and 12" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # domination sampling
 
@@ -178,6 +213,37 @@ def test_sample_domination_accepts_and_is_deterministic():
 def test_sample_blockwise_domination_accepts():
     assert sample_blockwise_domination(4, samples=2_000, seed=42)
     assert sample_blockwise_domination(1, samples=500, seed=7)
+
+
+def _singletons(pattern):
+    members = sorted(noncanonical_set(pattern).members, key=lambda m: prec_key(m.index))
+    blocks = tuple(PartitionBlock("singleton", (m,), "initial") for m in members)
+    return GoodPartition(len(pattern), tuple(pattern), blocks)
+
+
+def _first_block_failure(n, samples, seed):
+    """Reference witness: per batch, patterns in ascending index, blocks
+    in order, rows in order; terms from eval_term."""
+    for offset, X in _sample_batches(n, samples, seed):
+        for idx in range(2 ** n):
+            rows = [r for r, x in enumerate(X)
+                    if pattern_from_index(n, idx) == tuple(np.where(x > 0, 1, -1))]
+            for b in _singletons(pattern_from_index(n, idx)).blocks:
+                for r in rows:
+                    lhs = math.prod(eval_term(X[r], t) for t in b.indices)
+                    rhs = math.prod(eval_term(negate_abs(X[r]), t) for t in b.indices)
+                    if not leq_with_tol(lhs, rhs):
+                        return b.indices, offset + r, tuple(X[r])
+    return None
+
+
+def test_sample_blockwise_domination_reports_failing_block(monkeypatch):
+    monkeypatch.setattr(search, "build_good_partition", _singletons)
+    r = sample_blockwise_domination(3, samples=400, seed=42)
+    block, sample, vec = _first_block_failure(3, 400, 42)
+    assert not r
+    assert r.reason == f"block {[tuple(t) for t in block]} failed domination at sample {sample}"
+    assert r.witness == (sample, vec)
 
 
 @pytest.mark.parametrize("call", [

@@ -72,7 +72,7 @@ def test_eval_f_matches_definition():
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 direct *= 1.0 - np.prod(v[i - 1:j])
-        assert close(eval_f(v), direct)
+        assert eval_f(v) == direct
 
 
 @pytest.mark.parametrize("n,expected", [
@@ -210,5 +210,6 @@ def test_term_indices_order():
 def test_tolerance_helpers():
     assert leq_with_tol(1.0, 1.0 - 1e-14)
     assert not leq_with_tol(1.0 + 1e-9, 1.0)
+    assert leq_with_tol(np.array([1.0 - 1e-14, 1.0 + 1e-9]), 1.0).tolist() == [True, False]
     assert close(2.0, 2.0 + 1e-13)
     assert not close(2.0, 2.0 + 1e-9)
