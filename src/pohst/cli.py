@@ -77,14 +77,11 @@ def _emit(payload: dict, text_lines: list[str], args: argparse.Namespace) -> Non
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     report = sweep_patterns(args.n, jobs=args.jobs)
     ok = not report.failures
     payload = {
         "command": "verify",
         "n": report.n,
-        "jobs": args.jobs,
         "patterns_checked": report.patterns_checked,
         "failures": [{"pattern": list(p), "reason": r} for p, r in report.failures],
         "ok": ok,
@@ -134,8 +131,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_maximize(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise ValueError("--n must be >= 1")
     res = maximize_f(args.n, grid_step=args.grid_step)
     ok = res.best_value <= res.bound + _BOUND_SLACK
     payload = {
@@ -161,8 +156,6 @@ def _cmd_maximize(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.n < 1 or args.samples < 1:
-        raise ValueError("--n and --samples must be >= 1")
     result = sample_domination(args.n, args.samples, args.seed)
     payload = {
         "command": "sample",

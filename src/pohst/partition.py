@@ -86,7 +86,10 @@ class PartitionBlock:
 @dataclass(frozen=True)
 class BuildStep:
     """One absorption step of the builder: which negative pair, which
-    case and operation, which blocks were consumed and created."""
+    case and operation, which blocks were consumed and created.
+
+    Each block is built once per build: a consumed block is the very
+    object an earlier step created, or an initial singleton."""
 
     k: int
     pair: TermIndex
@@ -171,13 +174,6 @@ def vertical_list(t: TermIndex, J: NonCanonicalSet) -> list[SignedTerm]:
 # Builder
 
 
-def _freeze_block(members: Sequence[TermIndex], signs: dict[TermIndex, int],
-                  provenance: str) -> PartitionBlock:
-    ordered = sorted((TermIndex(*m) for m in members), key=prec_key)
-    terms = tuple(SignedTerm(m, signs[m]) for m in ordered)
-    return PartitionBlock(BLOCK_KINDS[len(terms)], terms, provenance)
-
-
 def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
     """Construct a good partition of the non-canonical set of a pattern.
 
@@ -187,68 +183,51 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
     """
     pat = as_sign_pattern(pattern)
     J = noncanonical_set(pat)
-    signs = dict(J.signs)
-
-    positives = sorted(J.positives, key=prec_key)
-    negatives = sorted(J.negatives, key=prec_key)
-
-    blocks: dict[int, tuple[TermIndex, ...]] = {}
-    prov: dict[int, str] = {}
-    owner: dict[TermIndex, int] = {}
-    for bid, p in enumerate(positives):
-        blocks[bid] = (p,)
-        prov[bid] = "initial"
-        owner[p] = bid
-    next_id = len(positives)
-
+    signs = J.signs
+    owner: dict[TermIndex, PartitionBlock] = {}
     failed: set[TermIndex] = set()   # negatives whose Case 1 did not apply
     steps: list[BuildStep] = []
 
-    def snapshot(bid: int) -> PartitionBlock:
-        return _freeze_block(blocks[bid], signs, prov[bid])
+    def put(members: Iterable[TermIndex], provenance: str) -> PartitionBlock:
+        """Build one block and make it the owner of each of its members."""
+        ordered = sorted(members, key=prec_key)
+        block = PartitionBlock(BLOCK_KINDS[len(ordered)],
+                               tuple(SignedTerm(m, signs[m]) for m in ordered), provenance)
+        for m in ordered:
+            owner[m] = block
+        return block
+
+    def absorb(k: int, neg: TermIndex, case: str, *keys: TermIndex) -> None:
+        """Merge the blocks owning keys with neg: operation 1 for one key,
+        operation 2 (a rectangle) for two."""
+        consumed = tuple(owner[t] for t in keys)
+        members = [m.index for b in consumed for m in b.members] + [neg]
+        op = len(keys)
+        created = put(members, case if case == "case1" else f"{case}-op{op}")
+        steps.append(BuildStep(k, neg, case, op, consumed, created))
 
     def fail(k: int, neg: TermIndex, reason: str) -> ConstructionFailure:
         return ConstructionFailure(k, neg, reason, tuple(steps))
 
     def is_sing(idx: TermIndex) -> bool:
-        return len(blocks[owner[idx]]) == 1
+        return len(owner[idx].members) == 1
 
-    def hdoub_partner(idx: TermIndex) -> TermIndex | None:
-        """Negative left partner when idx sits in a horizontal doubleton."""
-        mem = blocks[owner[idx]]
+    def rectangle_corner(pos: TermIndex, j: int) -> TermIndex | None:
+        """The sing positive corner (left, j) that completes a rectangle,
+        when pos sits in a horizontal doubleton with negative partner left."""
+        mem = owner[pos].members
         if len(mem) != 2:
             return None
-        other = mem[0] if mem[1] == idx else mem[1]
-        if other[1] == idx[1] and other[0] < idx[0]:
-            return other
-        return None
+        left = (mem[0] if mem[1].index == pos else mem[1]).index
+        if left[1] != pos[1] or left[0] >= pos[0]:
+            return None
+        corner = TermIndex(left[0], j)
+        return corner if signs.get(corner) == 1 and is_sing(corner) else None
 
-    def apply_op1(k: int, neg: TermIndex, pos: TermIndex, case: str) -> None:
-        bid = owner[pos]
-        consumed = (snapshot(bid),)
-        blocks[bid] = (pos, neg)
-        prov[bid] = case if case == "case1" else case + "-op1"
-        owner[neg] = bid
-        created = snapshot(bid)
-        steps.append(BuildStep(k, neg, case, 1, consumed, created))
+    for p in J.positives:
+        put((p,), "initial")
 
-    def apply_op2(k: int, neg: TermIndex, pos: TermIndex, left: TermIndex,
-                  corner: TermIndex, case: str) -> None:
-        nonlocal next_id
-        dbid = owner[pos]
-        sbid = owner[corner]
-        consumed = (snapshot(dbid), snapshot(sbid))
-        del blocks[dbid], blocks[sbid]
-        bid = next_id
-        next_id += 1
-        blocks[bid] = (pos, left, neg, corner)
-        prov[bid] = case + "-op2"
-        for m in blocks[bid]:
-            owner[m] = bid
-        created = snapshot(bid)
-        steps.append(BuildStep(k, neg, case, 2, consumed, created))
-
-    for k, neg in enumerate(negatives, start=1):
+    for k, neg in enumerate(sorted(J.negatives, key=prec_key), start=1):
         i, j = neg
 
         # Case 1: prec-maximal sing positive to the right in row j,
@@ -260,7 +239,7 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
                 target = cand
                 break
         if target is not None:
-            apply_op1(k, neg, target, "case1")
+            absorb(k, neg, "case1", target)
             continue
         failed.add(neg)
 
@@ -281,32 +260,24 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
                 if signs.get(pos) != 1:
                     continue
                 if is_sing(pos):
-                    found.append((pos, None))
+                    found.append((pos,))
                     continue
-                left = hdoub_partner(pos)
-                if left is not None:
-                    corner = TermIndex(left[0], j)
-                    if signs.get(corner) == 1 and is_sing(corner):
-                        found.append((pos, (left, corner)))
+                corner = rectangle_corner(pos, j)
+                if corner is not None:
+                    found.append((pos, corner))
             if not found:
                 raise fail(k, neg, "case2: no usable positive in the vertical list")
             if len(found) > 1:
                 raise fail(k, neg, "case2: usable positive not unique: "
-                           f"{[tuple(p) for p, _ in found]}")
-            pos, via = found[0]
-            if via is None:
-                apply_op1(k, neg, pos, "case2")
-            else:
-                left, corner = via
-                apply_op2(k, neg, pos, left, corner, "case2")
+                           f"{[tuple(keys[0]) for keys in found]}")
+            absorb(k, neg, "case2", *found[0])
             continue
 
         # Case 3: the anchor was absorbed vertically; mirror its drop.
-        amem = blocks[owner[anchor]]
         j1 = None
-        for m in amem:
-            if m[0] == anchor[0] and m[1] < j and signs[m] == 1:
-                j1 = m[1]
+        for m in owner[anchor].members:
+            if m.index[0] == anchor[0] and m.index[1] < j and m.sign == 1:
+                j1 = m.index[1]
                 break
         if j1 is None:
             raise fail(k, neg, f"case3: anchor {tuple(anchor)} not in nvdoub configuration")
@@ -314,21 +285,18 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
         if signs.get(pos) != 1:
             raise fail(k, neg, f"case3: expected positive pair {tuple(pos)} not in J")
         if is_sing(pos):
-            apply_op1(k, neg, pos, "case3")
+            absorb(k, neg, "case3", pos)
             continue
-        left = hdoub_partner(pos)
-        if left is not None:
-            corner = TermIndex(left[0], j)
-            if signs.get(corner) == 1 and is_sing(corner):
-                apply_op2(k, neg, pos, left, corner, "case3")
-                continue
-        raise fail(k, neg, f"case3: positive pair {tuple(pos)} neither sing "
-                   "nor in an hdoub usable for operation 2")
+        corner = rectangle_corner(pos, j)
+        if corner is None:
+            raise fail(k, neg, f"case3: positive pair {tuple(pos)} neither sing "
+                       "nor in an hdoub usable for operation 2")
+        absorb(k, neg, "case3", pos, corner)
 
-    final = tuple(sorted((_freeze_block(mem, signs, prov[bid])
-                          for bid, mem in blocks.items()),
-                         key=lambda b: prec_key(b.members[0].index)))
-    return GoodPartition(len(pat), pat, final, tuple(steps))
+    # Each block is listed once, under its first member.
+    final = sorted((b for t, b in owner.items() if b.members[0].index == t),
+                   key=lambda b: prec_key(b.members[0].index))
+    return GoodPartition(len(pat), pat, tuple(final), tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -797,7 +765,7 @@ def certificate_from_json(text: str) -> GoodPartition:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # deep nesting recurses
         raise CertificateFormatError(f"not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise CertificateFormatError("certificate must be a JSON object")

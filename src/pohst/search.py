@@ -109,6 +109,8 @@ def sweep_patterns(n: int, jobs: int = 1) -> SweepReport:
     """Verify all 2^n sign patterns; failures are collected, not raised."""
     if not 1 <= n <= 24:
         raise ValueError("n must be between 1 and 24")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     jobs = min(jobs, os.cpu_count() or 1)  # the report does not depend on jobs
     total = 2 ** n
     t0 = time.perf_counter()

@@ -23,11 +23,14 @@ def test_verify_text(capsys):
 def test_verify_json_is_byte_identical(capsys):
     rc1, out1, _ = run(capsys, ["verify", "--n", "5", "--format", "json"])
     rc2, out2, _ = run(capsys, ["verify", "--n", "5", "--format", "json"])
-    assert rc1 == rc2 == 0
-    assert out1 == out2
+    rc3, out3, _ = run(capsys, ["verify", "--n", "5", "--format", "json",
+                                "--jobs", "2"])
+    assert rc1 == rc2 == rc3 == 0
+    assert out1 == out2 == out3
     payload = json.loads(out1)
     assert payload["ok"] is True and payload["patterns_checked"] == 32
     assert "wall_time" not in payload  # timing would break byte identity
+    assert "jobs" not in payload  # the result does not depend on it
 
 
 def test_verify_csv(capsys):
@@ -93,6 +96,13 @@ def test_check_rejects_malformed_json(capsys, tmp_path):
     cert.write_text("{not json")
     rc, _, err = run(capsys, ["check", str(cert)])
     assert rc == 2 and "malformed" in err
+
+
+def test_check_rejects_deeply_nested_json(capsys, tmp_path):
+    cert = tmp_path / "nested.json"
+    cert.write_text("[" * 200_000)
+    rc, _, err = run(capsys, ["check", str(cert)])
+    assert rc == 2 and "malformed certificate" in err
 
 
 def test_check_rejects_missing_file(capsys, tmp_path):
@@ -161,6 +171,13 @@ def test_usage_errors(capsys):
     assert run(capsys, [])[0] == 2
     assert run(capsys, ["frobnicate"])[0] == 2
     assert run(capsys, ["verify"])[0] == 2
+    for argv in (["verify", "--n", "0"], ["verify", "--n", "25"],
+                 ["verify", "--n", "3", "--jobs", "0"],
+                 ["verify", "--n", "3", "--jobs", "-1"],
+                 ["maximize", "--n", "0"], ["sample", "--n", "0"],
+                 ["sample", "--n", "2", "--samples", "0"]):
+        rc, _, err = run(capsys, argv)
+        assert rc == 2 and "error:" in err, argv
 
 
 def test_help_exits_cleanly(capsys):

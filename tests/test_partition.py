@@ -2,6 +2,7 @@
 impossible-configuration catalogue, audits, parity, the ideal case,
 domination, and certificate serialization."""
 
+import copy
 import itertools
 import json
 import math
@@ -9,12 +10,13 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pohst.partition import (
     BuildStep,
     CertificateFormatError,
+    CheckResult,
     ConstructionFailure,
     GoodPartition,
     PartitionBlock,
@@ -171,6 +173,27 @@ def test_build_covers_every_provenance():
                 seen.add(b.provenance)
     assert seen == {"initial", "case1", "case2-op1", "case2-op2",
                     "case3-op1", "case3-op2"}
+
+
+def test_build_keeps_each_block_in_one_form():
+    """A build makes each block object once: a consumed block is the very
+    object an earlier step created (or an initial singleton), no object
+    is consumed twice, and the final blocks are those same objects."""
+    for n in range(1, 9):
+        for pat in all_patterns(n):
+            gp = build_good_partition(pat)
+            created, consumed = [], set()
+            for step in gp.trace:
+                for b in step.consumed:
+                    assert id(b) not in consumed
+                    consumed.add(id(b))
+                    assert all(c is b for c in created if c == b)
+                created.append(step.created)
+            created_ids = {id(c) for c in created}
+            for b in gp.blocks:
+                assert id(b) not in consumed
+                assert id(b) in created_ids or (
+                    b.kind == "singleton" and b.provenance == "initial")
 
 
 def test_build_rejects_bad_pattern():
@@ -628,6 +651,7 @@ def test_certificate_round_trip_identity():
 
 @pytest.mark.parametrize("text,fragment", [
     ("not json", "not valid JSON"),
+    pytest.param("[" * 100_000, "not valid JSON", id="deep-nesting"),
     ("[]", "JSON object"),
     ("{}", "missing key"),
     ('{"n": "2", "pattern": [-1, 1], "blocks": [], "version": "1"}', "positive integer"),
@@ -665,6 +689,56 @@ def test_certificate_from_json_rejects(text, fragment):
     with pytest.raises(CertificateFormatError) as exc:
         certificate_from_json(text)
     assert fragment in str(exc.value)
+
+
+# Seeds for the fuzzer: the golden certificate, and one with every block kind.
+_FUZZ_SEEDS = [json.loads(GOLDEN),
+               certificate_payload(build_good_partition((1, 1, -1, 1, -1)))]
+_JUNK = [None, True, False, 0, -1, 1, 2, 7, 1.5, "", "1", "x", [], {}, [1],
+         [[1, 1]], [1, -1], [[2, 2], [1, 2]], {"kind": "singleton"}]
+
+
+def _slots(node):
+    """Every (container, key) position inside a JSON value."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in list(items):
+        yield node, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_certificate_fuzz_mutated_golden(data):
+    """Mutated certificates: the parser raises CertificateFormatError or
+    nothing, and the validator always returns a CheckResult."""
+    cert = copy.deepcopy(data.draw(st.sampled_from(_FUZZ_SEEDS)))
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from(["drop", "retype", "swap", "duplicate"]))
+        slots = list(_slots(cert))
+        blocks = cert.get("blocks") if isinstance(cert.get("blocks"), list) else []
+        if op == "drop" and slots:
+            node, key = data.draw(st.sampled_from(slots))
+            del node[key]
+        elif op == "retype" and slots:
+            node, key = data.draw(st.sampled_from(slots))
+            node[key] = copy.deepcopy(data.draw(st.sampled_from(_JUNK)))
+        elif op == "swap":
+            members = [(b["members"], k) for b in blocks
+                       if isinstance(b, dict) and isinstance(b.get("members"), list)
+                       for k in range(len(b["members"]))]
+            if len(members) >= 2:
+                (a, i), (b, k) = data.draw(st.lists(st.sampled_from(members),
+                                                    min_size=2, max_size=2))
+                a[i], b[k] = b[k], a[i]
+        elif op == "duplicate" and blocks:
+            blocks.append(copy.deepcopy(data.draw(st.sampled_from(blocks))))
+    try:
+        gp = certificate_from_json(json.dumps(cert))
+    except CertificateFormatError:
+        return
+    assert isinstance(validate_partition(gp), CheckResult)
 
 
 def test_certificate_format_error_is_value_error():

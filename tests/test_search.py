@@ -84,6 +84,16 @@ def test_sweep_patterns_caps_jobs_at_cpu_count(monkeypatch):
     assert report.patterns_checked == 256 and report.failures == ()
 
 
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_sweep_patterns_rejects_jobs_below_one(monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(search, "get_context", no_pool)
+    with pytest.raises(ValueError, match="jobs"):
+        sweep_patterns(8, jobs=jobs)
+
+
 @pytest.mark.parametrize("n", [0, 25])
 def test_sweep_patterns_rejects_bad_n(n):
     with pytest.raises(ValueError):
