@@ -6,7 +6,9 @@ product is dominated by the mirrored vector, which is the whole proof
 of f_n(v) <= 2^floor((n+1)/2).  The demo builds one for a pattern that
 exercises all three construction cases, prints the trace, serializes
 the certificate, and shows the independent validator rejecting a
-tampered copy.
+tampered copy.  A member (i, j) of the non-canonical set has sign
+(-1)^(i+j), so the set stores indices only; a block stores the signs
+it claims, as a certificate does, and the validator checks them.
 
 Run: python demos/good_partitions.py
 """
@@ -29,19 +31,20 @@ from pohst import (
 pattern = (-1, -1, 1, -1)
 J = noncanonical_set(pattern)
 print(f"pattern {pattern}")
-print(f"non-canonical terms: {sorted((tuple(t), s) for t, s in J.signs.items())}")
+print(f"non-canonical terms: {sorted(tuple(t) for t in J.members)}")
+print(f"their signs (-1)^(i+j): {sorted((tuple(t), s) for t, s in J.signs.items())}")
 print()
 
 gp = build_good_partition(pattern)
 print("construction trace (negatives absorbed lower rows first, right to left):")
 for s in gp.trace:
     print(f"  step {s.k}: pair {tuple(s.pair)} via {s.case} operation {s.operation}"
-          f" -> {s.created.kind} {[tuple(m.index) for m in s.created.members]}")
+          f" -> {s.created.kind} {[tuple(m) for m in s.created.members]}")
 print()
 
-print("final blocks:")
+print("final blocks (each member with its stored sign and its configuration):")
 for b in gp.blocks:
-    tags = {tuple(m.index): classify(m.index, gp).tag for m in b.members}
+    tags = {tuple(m): f"{s:+d} {classify(m, gp).tag}" for m, s in zip(b.members, b.signs)}
     print(f"  {b.kind:13s} {tags}   [{b.provenance}]")
 print()
 

@@ -51,7 +51,6 @@ from .search import (
 )
 from .triangle import (
     NonCanonicalSet,
-    SignedTerm,
     TermIndex,
     eval_f,
     eval_term,

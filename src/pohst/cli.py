@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
 
 from .numbertheory import compare_bounds
@@ -23,6 +22,7 @@ from .partition import (
     CertificateFormatError,
     ConstructionFailure,
     build_good_partition,
+    canonical_json,
     certificate_from_json,
     certificate_to_json,
     validate_partition,
@@ -39,10 +39,6 @@ def _parse_pattern(text: str) -> tuple[int, ...]:
         return tuple(mapping[t] for t in tokens)
     except KeyError:
         raise ValueError(f"pattern must be comma-separated +/- tokens, got {text!r}")
-
-
-def _canonical_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _csv_table(payload: dict) -> str:
@@ -68,7 +64,7 @@ def _write(body: str, out: str | None) -> None:
 
 def _emit(payload: dict, text_lines: list[str], args: argparse.Namespace) -> None:
     if args.format == "json":
-        body = _canonical_json(payload)
+        body = canonical_json(payload)
     elif args.format == "csv":
         body = _csv_table(payload)
     else:

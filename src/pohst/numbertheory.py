@@ -69,24 +69,17 @@ def _resolve(m: int, regulator: float,
     return hermite_constant(m - 1)
 
 
-def _regulator_term(m: int, regulator: float, gamma: float) -> float:
-    return math.sqrt(gamma * (m ** 3 - m) / 3.0) * (
-        math.sqrt(m) * regulator) ** (1.0 / (m - 1))
-
-
 def remak_bound(m: int, regulator: float, hermite: float | None = None) -> float:
     """Remak's upper bound on log|disc|:
 
     m log m + sqrt(gamma_{m-1} (m^3 - m)/3) * (sqrt(m) R)^(1/(m-1)).
     """
-    gamma, _ = _resolve(m, regulator, hermite)
-    return m * math.log(m) + _regulator_term(m, regulator, gamma)
+    return compare_bounds(m, regulator, hermite).remak
 
 
 def improved_bound(m: int, regulator: float, hermite: float | None = None) -> float:
     """The sharpened bound: floor(m/2) log 4 replaces m log m."""
-    gamma, _ = _resolve(m, regulator, hermite)
-    return (m // 2) * math.log(4.0) + _regulator_term(m, regulator, gamma)
+    return compare_bounds(m, regulator, hermite).improved
 
 
 def compare_bounds(m: int, regulator: float,
@@ -95,7 +88,8 @@ def compare_bounds(m: int, regulator: float,
     is independent of the regulator, nonnegative for m >= 2, and zero
     exactly at m = 2."""
     gamma, source = _resolve(m, regulator, hermite)
-    term = _regulator_term(m, regulator, gamma)
+    term = math.sqrt(gamma * (m ** 3 - m) / 3.0) * (
+        math.sqrt(m) * regulator) ** (1.0 / (m - 1))
     remak = m * math.log(m) + term
     improved = (m // 2) * math.log(4.0) + term
     return BoundResult(m, regulator, remak, improved, remak - improved,

@@ -40,7 +40,6 @@ from typing import Iterable, Sequence
 
 from .triangle import (
     NonCanonicalSet,
-    SignedTerm,
     TermIndex,
     as_sign_pattern,
     as_vector,
@@ -74,13 +73,14 @@ def prec_key(t: TermIndex) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class PartitionBlock:
-    kind: str
-    members: tuple[SignedTerm, ...]
-    provenance: str
+    """One block, field for field as in a certificate.  signs[k] is the
+    sign the block claims for members[k]; it is stored because a
+    certificate can get it wrong, and the validator checks it."""
 
-    @property
-    def indices(self) -> tuple[TermIndex, ...]:
-        return tuple(m.index for m in self.members)
+    kind: str
+    members: tuple[TermIndex, ...]
+    signs: tuple[int, ...]
+    provenance: str
 
 
 @dataclass(frozen=True)
@@ -148,26 +148,16 @@ class ConstructionFailure(Exception):
         super().__init__(f"step {step}, pair {tuple(pair)}: {reason}")
 
 
-def horizontal_list(t: TermIndex, J: NonCanonicalSet) -> list[SignedTerm]:
+def horizontal_list(t: TermIndex, J: NonCanonicalSet) -> list[TermIndex]:
     """Members of J in row j with first index >= i, ascending by first index."""
     i, j = t
-    out = []
-    for i2 in range(i, j + 1):
-        s = J.sign_of(TermIndex(i2, j))
-        if s is not None:
-            out.append(SignedTerm(TermIndex(i2, j), s))
-    return out
+    return [TermIndex(i2, j) for i2 in range(i, j + 1) if (i2, j) in J.members]
 
 
-def vertical_list(t: TermIndex, J: NonCanonicalSet) -> list[SignedTerm]:
+def vertical_list(t: TermIndex, J: NonCanonicalSet) -> list[TermIndex]:
     """Members of J in column i with second index <= j, ascending by second index."""
     i, j = t
-    out = []
-    for j2 in range(i, j + 1):
-        s = J.sign_of(TermIndex(i, j2))
-        if s is not None:
-            out.append(SignedTerm(TermIndex(i, j2), s))
-    return out
+    return [TermIndex(i, j2) for j2 in range(i, j + 1) if (i, j2) in J.members]
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +180,9 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
 
     def put(members: Iterable[TermIndex], provenance: str) -> PartitionBlock:
         """Build one block and make it the owner of each of its members."""
-        ordered = sorted(members, key=prec_key)
-        block = PartitionBlock(BLOCK_KINDS[len(ordered)],
-                               tuple(SignedTerm(m, signs[m]) for m in ordered), provenance)
+        ordered = tuple(sorted(members, key=prec_key))
+        block = PartitionBlock(BLOCK_KINDS[len(ordered)], ordered,
+                               tuple(signs[m] for m in ordered), provenance)
         for m in ordered:
             owner[m] = block
         return block
@@ -201,7 +191,7 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
         """Merge the blocks owning keys with neg: operation 1 for one key,
         operation 2 (a rectangle) for two."""
         consumed = tuple(owner[t] for t in keys)
-        members = [m.index for b in consumed for m in b.members] + [neg]
+        members = [m for b in consumed for m in b.members] + [neg]
         op = len(keys)
         created = put(members, case if case == "case1" else f"{case}-op{op}")
         steps.append(BuildStep(k, neg, case, op, consumed, created))
@@ -218,7 +208,7 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
         mem = owner[pos].members
         if len(mem) != 2:
             return None
-        left = (mem[0] if mem[1].index == pos else mem[1]).index
+        left = mem[0] if mem[1] == pos else mem[1]
         if left[1] != pos[1] or left[0] >= pos[0]:
             return None
         corner = TermIndex(left[0], j)
@@ -229,15 +219,11 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
 
     for k, neg in enumerate(sorted(J.negatives, key=prec_key), start=1):
         i, j = neg
+        right = horizontal_list(neg, J)[1:]   # neg heads its own list
 
         # Case 1: prec-maximal sing positive to the right in row j,
         # i.e. the one with the smallest first index.
-        target = None
-        for i2 in range(i + 1, j + 1):
-            cand = TermIndex(i2, j)
-            if signs.get(cand) == 1 and is_sing(cand):
-                target = cand
-                break
+        target = next((t for t in right if signs[t] == 1 and is_sing(t)), None)
         if target is not None:
             absorb(k, neg, "case1", target)
             continue
@@ -245,19 +231,14 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
 
         # Anchor: prec-minimal Case-1 failure in the row segment, which
         # is the failed pair with the largest first index.
-        anchor = None
-        for i2 in range(j, i, -1):
-            if TermIndex(i2, j) in failed:
-                anchor = TermIndex(i2, j)
-                break
+        anchor = next((t for t in reversed(right) if t in failed), None)
 
         if anchor is None:
             # Case 2: exactly one positive in the column segment below
             # is usable, either directly (sing) or through a rectangle.
             found = []
-            for j2 in range(i, j):
-                pos = TermIndex(i, j2)
-                if signs.get(pos) != 1:
+            for pos in vertical_list(neg, J)[:-1]:   # neg ends its own list
+                if signs[pos] != 1:
                     continue
                 if is_sing(pos):
                     found.append((pos,))
@@ -275,9 +256,9 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
 
         # Case 3: the anchor was absorbed vertically; mirror its drop.
         j1 = None
-        for m in owner[anchor].members:
-            if m.index[0] == anchor[0] and m.index[1] < j and m.sign == 1:
-                j1 = m.index[1]
+        for m, s in zip(owner[anchor].members, owner[anchor].signs):
+            if m[0] == anchor[0] and m[1] < j and s == 1:
+                j1 = m[1]
                 break
         if j1 is None:
             raise fail(k, neg, f"case3: anchor {tuple(anchor)} not in nvdoub configuration")
@@ -294,8 +275,8 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
         absorb(k, neg, "case3", pos, corner)
 
     # Each block is listed once, under its first member.
-    final = sorted((b for t, b in owner.items() if b.members[0].index == t),
-                   key=lambda b: prec_key(b.members[0].index))
+    final = sorted((b for t, b in owner.items() if b.members[0] == t),
+                   key=lambda b: prec_key(b.members[0]))
     return GoodPartition(len(pat), pat, tuple(final), tuple(steps))
 
 
@@ -303,14 +284,14 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
 # Configuration taxonomy
 
 
-def classify(t: SignedTerm | TermIndex, gp: GoodPartition) -> Configuration:
+def classify(t: TermIndex, gp: GoodPartition) -> Configuration:
     """Configuration of one term inside a partition (possibly intermediate)."""
-    idx = t.index if isinstance(t, SignedTerm) else TermIndex(*t)
+    idx = TermIndex(*t)
     sign = product_sign(gp.pattern, idx)
-    block = next((b for b in gp.blocks if idx in b.indices), None)
+    block = next((b for b in gp.blocks if idx in b.members), None)
     if block is None:
         return Configuration("unassigned")
-    mem = block.indices
+    mem = block.members
     i, j = idx
     if len(mem) == 1:
         return Configuration("sing", None, block)
@@ -373,21 +354,23 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
             return CheckResult(False, f"bad-kind: {b.kind!r}", b)
         if len(b.members) != {"singleton": 1, "doubleton": 2, "quadrupleton": 4}[b.kind]:
             return CheckResult(False, f"bad-kind: {b.kind} with {len(b.members)} members", b)
-        for m in b.members:
-            i, j = m.index
+        if len(b.signs) != len(b.members):
+            return CheckResult(False, f"bad-signs: {len(b.signs)} signs for "
+                               f"{len(b.members)} members", b)
+        for (i, j), sign in zip(b.members, b.signs):
             if not (1 <= i <= j <= n):
                 return CheckResult(False, f"bad-index: {(i, j)}", b)
             s = prefix[j] * prefix[i - 1]
             if s != (1 if (i + j) % 2 == 0 else -1):
                 return CheckResult(False, f"not-noncanonical: {(i, j)}", b)
-            if m.sign != s:
+            if sign != s:
                 return CheckResult(False, f"sign-mismatch: {(i, j)}", b)
             if (i, j) in seen:
                 return CheckResult(False, f"duplicate-member: {(i, j)}", b)
             seen.add((i, j))
 
-        idx = [tuple(m.index) for m in b.members]
-        sgn = {tuple(m.index): m.sign for m in b.members}
+        idx = [(i, j) for i, j in b.members]
+        sgn = dict(zip(idx, b.signs))
         if b.kind == "singleton":
             if sgn[idx[0]] != 1:
                 return CheckResult(False, "bad-singleton: negative sign", b)
@@ -565,7 +548,7 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
     state = _RowState(_negatives_by_row(noncanonical_set(gp.pattern)))
     rows: set[int] = set()
     for b in gp.blocks:
-        rows |= state.add(b.indices)
+        rows |= state.add(b.members)
     anchors = {TermIndex(*s.pair) for s in gp.trace if s.case == "case2"}
     return state.check_rows(sorted(rows), anchors)
 
@@ -599,23 +582,23 @@ def audit_build(gp: GoodPartition) -> CheckResult:
             anchors.add(pair)
         union: set[TermIndex] = set()
         for blk in step.consumed:
-            key = frozenset(blk.indices)
+            key = frozenset(blk.members)
             if live.pop(key, None) is None:
                 return CheckResult(False, f"step {k}: consumed block "
                                    f"{sorted(key)} is not present")
-            rows.remove(blk.indices)
+            rows.remove(blk.members)
             union |= key
-        created = set(step.created.indices)
+        created = set(step.created.members)
         if created != union | {pair}:
             return CheckResult(False, f"step {k}: created block is not the consumed "
                                "members plus the absorbed pair")
         live[frozenset(created)] = step.created.provenance
-        touched = rows.add(step.created.indices)
+        touched = rows.add(step.created.members)
         r = rows.check_rows(touched, anchors)
         if not r:
             return CheckResult(False, f"step {k}: {r.reason}", r.witness, r.code)
 
-    final = {(frozenset(b.indices), b.provenance) for b in gp.blocks}
+    final = {(frozenset(b.members), b.provenance) for b in gp.blocks}
     if final != set(live.items()):
         return CheckResult(False, "final state of the replay differs from gp.blocks")
     return ACCEPT
@@ -714,9 +697,9 @@ def domination_check(v, gp: GoodPartition) -> CheckResult:
     if tuple(gp.pattern) != pat:
         return CheckResult(False, f"pattern-mismatch: partition is for {gp.pattern}")
     mirror = negate_abs(arr)
-    indices = [b.indices for b in gp.blocks]
-    lhs = block_products(arr.tolist(), indices)
-    rhs = block_products(mirror.tolist(), indices)
+    members = [b.members for b in gp.blocks]
+    lhs = block_products(arr.tolist(), members)
+    rhs = block_products(mirror.tolist(), members)
     for b, x, y in zip(gp.blocks, lhs, rhs):
         if not leq_with_tol(x, y):
             return CheckResult(False, f"block-domination-failed: {x} > {y}", b)
@@ -742,8 +725,8 @@ def certificate_payload(gp: GoodPartition) -> dict:
         "blocks": [
             {
                 "kind": b.kind,
-                "members": [[m.index.i, m.index.j] for m in b.members],
-                "signs": [m.sign for m in b.members],
+                "members": [[i, j] for i, j in b.members],
+                "signs": list(b.signs),
                 "provenance": b.provenance,
             }
             for b in gp.blocks
@@ -752,9 +735,15 @@ def certificate_payload(gp: GoodPartition) -> dict:
     }
 
 
+def canonical_json(payload: dict) -> str:
+    """Sorted keys, two-space indent and a final newline, so equal
+    payloads give equal bytes."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def certificate_to_json(gp: GoodPartition) -> str:
-    """Canonical JSON text of a certificate (sorted keys, stable layout)."""
-    return json.dumps(certificate_payload(gp), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text of a certificate."""
+    return canonical_json(certificate_payload(gp))
 
 
 def certificate_from_json(text: str) -> GoodPartition:
@@ -797,15 +786,14 @@ def certificate_from_json(text: str) -> GoodPartition:
         if (not isinstance(members, list) or not isinstance(signs, list)
                 or len(members) != len(signs)):
             raise CertificateFormatError("members and signs must be lists of equal length")
-        terms = []
         for m, s in zip(members, signs):
             if (not isinstance(m, list) or len(m) != 2
                     or not all(type(c) is int for c in m)):
                 raise CertificateFormatError(f"bad member {m!r}")
             if type(s) is not int or s not in (-1, 1):
                 raise CertificateFormatError(f"bad sign {s!r}")
-            terms.append(SignedTerm(TermIndex(*m), s))
         if not isinstance(raw["provenance"], str):
             raise CertificateFormatError("provenance must be a string")
-        blocks.append(PartitionBlock(str(raw["kind"]), tuple(terms), raw["provenance"]))
+        blocks.append(PartitionBlock(str(raw["kind"]), tuple(TermIndex(*m) for m in members),
+                                     tuple(signs), raw["provenance"]))
     return GoodPartition(n, tuple(pattern), tuple(blocks))

@@ -152,7 +152,11 @@ def enumerate_maximizers(n: int) -> list[tuple[int, ...]]:
 def eval_f_batch(X: np.ndarray) -> np.ndarray:
     """Vectorized f_n over the rows of X; the numeric twin of eval_f."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    return math.prod(t for _, _, t in running_terms(X.T))
+    f = np.ones(len(X))
+    for _, _, t in running_terms(X.T):
+        f *= t
+        del t   # free the term before the next one is formed
+    return f
 
 
 def _axis_points(grid_step: float) -> np.ndarray:
@@ -349,7 +353,7 @@ def sample_blockwise_domination(n: int, samples: int = 100_000,
             blocks = cache.get(key)
             if blocks is None:
                 gp = build_good_partition(pattern_from_index(n, key))
-                blocks = cache[key] = [b.indices for b in gp.blocks]
+                blocks = cache[key] = [b.members for b in gp.blocks]
             G = X[rows]
             lhs = block_products(G.T, blocks)
             rhs = block_products(-np.abs(G.T), blocks)

@@ -50,31 +50,23 @@ class TermIndex(NamedTuple):
 
 
 @dataclass(frozen=True)
-class SignedTerm:
-    """A term index together with its product sign under a sign pattern."""
-
-    index: TermIndex
-    sign: int
-
-
-@dataclass(frozen=True)
 class NonCanonicalSet:
     """The non-canonical terms of one sign pattern.
 
-    Every member has sign +1 when i + j is even and -1 when i + j is
-    odd; that redundancy is kept explicit because certificates store
-    the signs and the validator re-derives them.
+    Every member (i, j) has sign (-1)^(i+j), so no sign is stored here:
+    signs are stored only where a certificate claims them
+    (PartitionBlock.signs), and the validator re-derives them.
     """
 
     n: int
-    members: frozenset[SignedTerm]
+    members: frozenset[TermIndex]
 
     @cached_property
     def signs(self) -> dict[TermIndex, int]:
-        return {m.index: m.sign for m in self.members}
+        return {t: 1 if (t[0] + t[1]) % 2 == 0 else -1 for t in self.members}
 
     def __contains__(self, t: TermIndex) -> bool:
-        return tuple(t) in self.signs
+        return tuple(t) in self.members
 
     def sign_of(self, t: TermIndex) -> int | None:
         """Sign of a member index, or None when t is canonical."""
@@ -174,16 +166,15 @@ def product_sign(pattern: Sequence[int], t: TermIndex) -> int:
 
 
 def noncanonical_set(pattern: Sequence[int]) -> NonCanonicalSet:
-    """All non-canonical term indices of a sign pattern, with signs.
+    """All non-canonical term indices of a sign pattern.
 
     The all-negative pattern has an empty set: every q_k is then +1.
     """
     q = prefix_classes(pattern)
     n = len(q) - 1
-    members = frozenset(
-        SignedTerm(TermIndex(i, j), 1 if (i + j) % 2 == 0 else -1)
-        for j in range(1, n + 1) for i in range(1, j + 1) if q[i - 1] != q[j])
-    return NonCanonicalSet(n, members)
+    return NonCanonicalSet(n, frozenset(
+        TermIndex(i, j) for j in range(1, n + 1) for i in range(1, j + 1)
+        if q[i - 1] != q[j]))
 
 
 def split_at_zeros(v: Sequence[float] | np.ndarray) -> list[np.ndarray]:

@@ -29,7 +29,7 @@ from pohst.search import (
     sample_domination,
     sweep_patterns,
 )
-from pohst.triangle import SignedTerm, TermIndex, eval_f, pohst_bound, term_indices
+from pohst.triangle import TermIndex, eval_f, pohst_bound, term_indices
 
 
 def _report(k, ok, detail):
@@ -244,18 +244,18 @@ def test_criterion_9_certificate_round_trip_and_mutations(certificates):
             assert not validate_partition(
                 GoodPartition(back.n, back.pattern, rest))
             # flip the sign of its first member
-            m0 = blk.members[0]
-            flipped = PartitionBlock(blk.kind, (SignedTerm(
-                m0.index, -m0.sign),) + blk.members[1:], blk.provenance)
+            m0, s0 = blk.members[0], blk.signs[0]
+            flipped = PartitionBlock(blk.kind, blk.members, (-s0,) + blk.signs[1:],
+                                     blk.provenance)
             assert not validate_partition(
                 GoodPartition(back.n, back.pattern, rest + (flipped,)))
             mutations += 2
             # move one corner to a neighboring index
-            target = _move_corner(m0.index, back.n)
+            target = _move_corner(m0, back.n)
             if target is None:
                 continue  # n=1: nowhere to move inside the triangle
-            moved = PartitionBlock(blk.kind, (SignedTerm(
-                target, m0.sign),) + blk.members[1:], blk.provenance)
+            moved = PartitionBlock(blk.kind, (target,) + blk.members[1:], blk.signs,
+                                   blk.provenance)
             assert not validate_partition(
                 GoodPartition(back.n, back.pattern, rest + (moved,)))
             mutations += 1

@@ -3,6 +3,7 @@ impossible-configuration catalogue, audits, parity, the ideal case,
 domination, and certificate serialization."""
 
 import copy
+import hashlib
 import itertools
 import json
 import math
@@ -37,8 +38,8 @@ from pohst.partition import (
     validate_partition,
     vertical_list,
 )
+from pohst.search import pattern_from_index
 from pohst.triangle import (
-    SignedTerm,
     TermIndex,
     eval_f,
     eval_term,
@@ -54,9 +55,9 @@ def all_patterns(n):
 
 def block_of(idx, pattern, kind=None, prov="initial"):
     """Assemble a block whose member signs are the true product signs."""
-    mem = tuple(SignedTerm(TermIndex(*t), product_sign(pattern, t)) for t in idx)
     kind = kind or {1: "singleton", 2: "doubleton", 4: "quadrupleton"}[len(idx)]
-    return PartitionBlock(kind, mem, prov)
+    return PartitionBlock(kind, tuple(TermIndex(*t) for t in idx),
+                          tuple(product_sign(pattern, t) for t in idx), prov)
 
 
 def state_of(pattern, blocks, trace=()):
@@ -101,20 +102,20 @@ def test_prec_transitive_exhaustive():
 def test_horizontal_list_frozen():
     J = noncanonical_set((-1, 1))
     got = horizontal_list(TermIndex(1, 2), J)
-    assert [(tuple(t.index), t.sign) for t in got] == [((1, 2), -1), ((2, 2), 1)]
+    assert [(tuple(t), J.sign_of(t)) for t in got] == [((1, 2), -1), ((2, 2), 1)]
     J = noncanonical_set((1, 1))
     got = horizontal_list(TermIndex(1, 1), J)
-    assert [(tuple(t.index), t.sign) for t in got] == [((1, 1), 1)]
+    assert [(tuple(t), J.sign_of(t)) for t in got] == [((1, 1), 1)]
 
 
 def test_vertical_list_frozen():
     J = noncanonical_set((-1, 1))
     got = vertical_list(TermIndex(1, 2), J)
-    assert [(tuple(t.index), t.sign) for t in got] == [((1, 2), -1)]
+    assert [(tuple(t), J.sign_of(t)) for t in got] == [((1, 2), -1)]
     # (1,1) is a member, (1,2) is not
     J = noncanonical_set((1, 1, 1, 1))
     got = vertical_list(TermIndex(1, 2), J)
-    assert [(tuple(t.index), t.sign) for t in got] == [((1, 1), 1)]
+    assert [(tuple(t), J.sign_of(t)) for t in got] == [((1, 1), 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +127,8 @@ def test_build_single_negative():
     assert len(gp.blocks) == 1
     b = gp.blocks[0]
     assert b.kind == "doubleton" and b.provenance == "case1"
-    assert [tuple(m.index) for m in b.members] == [(2, 2), (1, 2)]
-    assert [m.sign for m in b.members] == [1, -1]
+    assert [tuple(m) for m in b.members] == [(2, 2), (1, 2)]
+    assert list(b.signs) == [1, -1]
     assert len(gp.trace) == 1 and gp.trace[0].case == "case1"
 
 
@@ -141,13 +142,13 @@ def test_build_all_positive_is_singletons():
     gp = build_good_partition((1, 1))
     assert [b.kind for b in gp.blocks] == ["singleton", "singleton"]
     assert [b.provenance for b in gp.blocks] == ["initial", "initial"]
-    assert [tuple(b.members[0].index) for b in gp.blocks] == [(1, 1), (2, 2)]
+    assert [tuple(b.members[0]) for b in gp.blocks] == [(1, 1), (2, 2)]
 
 
 def test_build_exercises_all_three_cases():
     """(-1,-1,+1,-1) hits case 1, case 2 with operation 2, and case 3."""
     gp = build_good_partition((-1, -1, 1, -1))
-    got = [(b.kind, tuple(tuple(m.index) for m in b.members), b.provenance)
+    got = [(b.kind, tuple(tuple(m) for m in b.members), b.provenance)
            for b in gp.blocks]
     assert got == [
         ("quadrupleton", ((3, 3), (2, 3), (3, 4), (2, 4)), "case2-op2"),
@@ -161,7 +162,7 @@ def test_build_case3_op2_frozen():
     gp = build_good_partition((-1, 1, 1, 1, -1))
     quad = [b for b in gp.blocks if b.kind == "quadrupleton"]
     assert len(quad) == 1 and quad[0].provenance == "case3-op2"
-    assert [tuple(m.index) for m in quad[0].members] == [
+    assert [tuple(m) for m in quad[0].members] == [
         (2, 4), (1, 4), (2, 5), (1, 5)]
 
 
@@ -277,21 +278,26 @@ def _doubleton_pattern_cert():
     (lambda gp: GoodPartition(gp.n, (0, 1), gp.blocks), "bad-pattern"),
     # kind string unknown / inconsistent with the member count
     (lambda gp: state_of(gp.pattern, [PartitionBlock("triple", gp.blocks[0].members,
-                                                     "case1")]), "bad-kind"),
+                                                     gp.blocks[0].signs, "case1")]),
+     "bad-kind"),
     (lambda gp: state_of(gp.pattern, [PartitionBlock("singleton", gp.blocks[0].members,
-                                                     "case1")]), "bad-kind"),
+                                                     gp.blocks[0].signs, "case1")]),
+     "bad-kind"),
+    # fewer signs than members
+    (lambda gp: state_of(gp.pattern, [PartitionBlock("doubleton", gp.blocks[0].members,
+                                                     gp.blocks[0].signs[:1], "case1")]),
+     "bad-signs"),
     # member outside the triangle
     (lambda gp: state_of(gp.pattern, [PartitionBlock("doubleton", (
-        gp.blocks[0].members[0],
-        SignedTerm(TermIndex(2, 1), -1)), "case1")]), "bad-index"),
+        gp.blocks[0].members[0], TermIndex(2, 1)), (gp.blocks[0].signs[0], -1),
+        "case1")]), "bad-index"),
     # member that is canonical for this pattern
     (lambda gp: state_of(gp.pattern, [PartitionBlock("doubleton", (
-        gp.blocks[0].members[0],
-        SignedTerm(TermIndex(1, 1), -1)), "case1")]), "not-noncanonical"),
+        gp.blocks[0].members[0], TermIndex(1, 1)), (gp.blocks[0].signs[0], -1),
+        "case1")]), "not-noncanonical"),
     # stored sign contradicts the pattern
-    (lambda gp: state_of(gp.pattern, [PartitionBlock("doubleton", (
-        SignedTerm(TermIndex(2, 2), -1),
-        gp.blocks[0].members[1]), "case1")]), "sign-mismatch"),
+    (lambda gp: state_of(gp.pattern, [PartitionBlock("doubleton", gp.blocks[0].members, (
+        -1, gp.blocks[0].signs[1]), "case1")]), "sign-mismatch"),
     # same index in two blocks
     (lambda gp: state_of(gp.pattern, list(gp.blocks) + [
         block_of([(2, 2)], gp.pattern)]), "duplicate-member"),
@@ -450,8 +456,8 @@ def test_audit_rejects_tampered_created_block():
     gp = build_good_partition((-1, 1))
     s = gp.trace[0]
     fat = block_of([(2, 2), (1, 2)], gp.pattern, prov="case1")
-    fat = PartitionBlock("doubleton", fat.members + (
-        SignedTerm(TermIndex(1, 1), -1),), "case1")
+    fat = PartitionBlock("doubleton", fat.members + (TermIndex(1, 1),),
+                         fat.signs + (-1,), "case1")
     r = audit_build(GoodPartition(gp.n, gp.pattern, gp.blocks,
                                   (BuildStep(1, s.pair, s.case, 1, s.consumed, fat),)))
     assert not r and "consumed members plus" in r.reason
@@ -459,7 +465,8 @@ def test_audit_rejects_tampered_created_block():
 
 def test_audit_rejects_final_mismatch():
     gp = build_good_partition((-1, 1))
-    relabeled = (PartitionBlock("doubleton", gp.blocks[0].members, "case2-op1"),)
+    relabeled = (PartitionBlock("doubleton", gp.blocks[0].members, gp.blocks[0].signs,
+                                "case2-op1"),)
     r = audit_build(GoodPartition(gp.n, gp.pattern, relabeled, gp.trace))
     assert not r and "final state" in r.reason
 
@@ -577,8 +584,8 @@ def test_domination_check_pattern_mismatch():
 
 def test_domination_check_rejects_undominated_block():
     # (1,2)- alone is not dominated: 1 - 0.5*(-0.5) = 1.25 > 1 - 0.25
-    pos = PartitionBlock("singleton", (SignedTerm(TermIndex(1, 1), 1),), "initial")
-    neg = PartitionBlock("singleton", (SignedTerm(TermIndex(1, 2), -1),), "initial")
+    pos = PartitionBlock("singleton", (TermIndex(1, 1),), (1,), "initial")
+    neg = PartitionBlock("singleton", (TermIndex(1, 2),), (-1,), "initial")
     r = domination_check((0.5, -0.5), GoodPartition(2, (1, -1), (pos, neg)))
     assert not r
     assert r.reason == "block-domination-failed: 1.25 > 0.75"
@@ -636,6 +643,19 @@ GOLDEN = """\
 
 def test_certificate_golden_bytes():
     assert certificate_to_json(build_good_partition((-1, 1))) == GOLDEN
+
+
+def test_certificate_bytes_pinned():
+    """The certificates of every pattern for n = 1..10, concatenated in
+    pattern_from_index order, hash to one fixed digest: a change to the
+    bytes of any certificate fails here."""
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        for idx in range(2 ** n):
+            gp = build_good_partition(pattern_from_index(n, idx))
+            digest.update(certificate_to_json(gp).encode())
+    assert digest.hexdigest() == (
+        "f42064bfa6de04813217235ff6e61106a7425a890140725bdf7a94a73aff0ae6")
 
 
 def test_certificate_round_trip_identity():

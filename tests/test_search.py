@@ -3,6 +3,7 @@ domination sampler."""
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -167,6 +168,20 @@ def test_eval_f_batch_accepts_single_row():
     assert eval_f_batch(np.array([-1.0, 0.0, -1.0])).tolist() == [4.0]
 
 
+def test_eval_f_batch_peak_memory():
+    """The result is built in place: at most the result, the running
+    product and one term are alive at once, about three row-sized arrays."""
+    X = np.random.default_rng(29).uniform(-1.0, 1.0, size=(200_000, 7))
+    row_bytes = 200_000 * 8
+    tracemalloc.start()
+    try:
+        eval_f_batch(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * row_bytes
+
+
 @pytest.mark.parametrize("n,expected", [(1, 2.0), (2, 2.0), (3, 4.0)])
 def test_maximize_frozen(n, expected):
     res = maximize_f(n)
@@ -226,8 +241,10 @@ def test_sample_blockwise_domination_accepts():
 
 
 def _singletons(pattern):
-    members = sorted(noncanonical_set(pattern).members, key=lambda m: prec_key(m.index))
-    blocks = tuple(PartitionBlock("singleton", (m,), "initial") for m in members)
+    J = noncanonical_set(pattern)
+    members = sorted(J.members, key=prec_key)
+    blocks = tuple(PartitionBlock("singleton", (m,), (J.sign_of(m),), "initial")
+                   for m in members)
     return GoodPartition(len(pattern), tuple(pattern), blocks)
 
 
@@ -240,10 +257,10 @@ def _first_block_failure(n, samples, seed):
                     if pattern_from_index(n, idx) == tuple(np.where(x > 0, 1, -1))]
             for b in _singletons(pattern_from_index(n, idx)).blocks:
                 for r in rows:
-                    lhs = math.prod(eval_term(X[r], t) for t in b.indices)
-                    rhs = math.prod(eval_term(negate_abs(X[r]), t) for t in b.indices)
+                    lhs = math.prod(eval_term(X[r], t) for t in b.members)
+                    rhs = math.prod(eval_term(negate_abs(X[r]), t) for t in b.members)
                     if not leq_with_tol(lhs, rhs):
-                        return b.indices, offset + r, tuple(X[r])
+                        return b.members, offset + r, tuple(X[r])
     return None
 
 
