@@ -1,9 +1,9 @@
 """Command line front end.
 
 Subcommands: verify (exhaustive pattern sweep for one n), certify
-(emit the certificate of one pattern), check (re-validate a stored
-certificate), maximize (numeric maximization of f_n), sample (seeded
-domination sampling), bound (regulator-discriminant bounds).
+(emit the validated certificate of one pattern), check (re-validate a
+stored certificate), maximize (numeric maximization of f_n), sample
+(seeded domination sampling), bound (regulator-discriminant bounds).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error.
 JSON output is canonical (sorted keys, two-space indent), so identical
@@ -95,6 +95,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         gp = build_good_partition(pattern)
     except ConstructionFailure as e:
         print(f"construction failed: {e}", file=sys.stderr)
+        return 1
+    result = validate_partition(gp)   # the factory re-checks what it writes
+    if not result:
+        print(f"certificate rejected: {result.reason}", file=sys.stderr)
         return 1
     _write(certificate_to_json(gp), args.out)
     return 0
@@ -207,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("certify", help="emit the good-partition certificate of a pattern")
+    p = sub.add_parser("certify", help="build, validate and emit the "
+                                       "good-partition certificate of a pattern")
     p.add_argument("--pattern", required=True,
                    help="comma-separated +/- tokens, e.g. -,+,-")
     p.add_argument("--out", default=None, metavar="FILE")

@@ -149,13 +149,23 @@ class ConstructionFailure(Exception):
 
 
 def horizontal_list(t: TermIndex, J: NonCanonicalSet) -> list[TermIndex]:
-    """Members of J in row j with first index >= i, ascending by first index."""
+    """Members of J in row j with first index >= i, ascending by first index.
+
+    The paper's readable reference for Case 1, pinned by its tests.  The
+    builder reads Case 1 from a per-row sing mask instead: one int per
+    row whose set bits are the sing positives of this list.
+    """
     i, j = t
     return [TermIndex(i2, j) for i2 in range(i, j + 1) if (i2, j) in J.members]
 
 
 def vertical_list(t: TermIndex, J: NonCanonicalSet) -> list[TermIndex]:
-    """Members of J in column i with second index <= j, ascending by second index."""
+    """Members of J in column i with second index <= j, ascending by second index.
+
+    The paper's readable reference, pinned by its tests; the builder's
+    Case 2 scans it, while Case 1 reads the per-row sing mask rather
+    than horizontal_list.
+    """
     i, j = t
     return [TermIndex(i, j2) for j2 in range(i, j + 1) if (i, j2) in J.members]
 
@@ -175,7 +185,12 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
     J = noncanonical_set(pat)
     signs = J.signs
     owner: dict[TermIndex, PartitionBlock] = {}
-    failed: set[TermIndex] = set()   # negatives whose Case 1 did not apply
+    # sing[j] has bit i set while (i, j) is a sing positive: set for each
+    # initial singleton, cleared by absorb when a singleton is consumed.
+    # Case 1 reads it in place of horizontal_list, which stays the
+    # paper's readable reference.
+    sing: dict[int, int] = {}
+    first_failed: dict[int, TermIndex] = {}   # each row's first Case-1 failure
     steps: list[BuildStep] = []
 
     def put(members: Iterable[TermIndex], provenance: str) -> PartitionBlock:
@@ -191,6 +206,10 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
         """Merge the blocks owning keys with neg: operation 1 for one key,
         operation 2 (a rectangle) for two."""
         consumed = tuple(owner[t] for t in keys)
+        for b in consumed:
+            if len(b.members) == 1:
+                i, j = b.members[0]
+                sing[j] &= ~(1 << i)
         members = [m for b in consumed for m in b.members] + [neg]
         op = len(keys)
         created = put(members, case if case == "case1" else f"{case}-op{op}")
@@ -200,7 +219,8 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
         return ConstructionFailure(k, neg, reason, tuple(steps))
 
     def is_sing(idx: TermIndex) -> bool:
-        return len(owner[idx].members) == 1
+        """Whether a positive pair is still a singleton."""
+        return sing.get(idx[1], 0) >> idx[0] & 1 == 1
 
     def rectangle_corner(pos: TermIndex, j: int) -> TermIndex | None:
         """The sing positive corner (left, j) that completes a rectangle,
@@ -216,24 +236,27 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
 
     for p in J.positives:
         put((p,), "initial")
+        sing[p[1]] = sing.get(p[1], 0) | 1 << p[0]
 
     for k, neg in enumerate(sorted(J.negatives, key=prec_key), start=1):
         i, j = neg
-        right = horizontal_list(neg, J)[1:]   # neg heads its own list
 
         # Case 1: prec-maximal sing positive to the right in row j,
-        # i.e. the one with the smallest first index.
-        target = next((t for t in right if signs[t] == 1 and is_sing(t)), None)
-        if target is not None:
-            absorb(k, neg, "case1", target)
+        # i.e. the one with the smallest first index: the lowest bit of
+        # sing[j] above bit i.
+        right = sing.get(j, 0) >> (i + 1)
+        if right:
+            absorb(k, neg, "case1", TermIndex((right & -right).bit_length() + i, j))
             continue
-        failed.add(neg)
 
         # Anchor: prec-minimal Case-1 failure in the row segment, which
-        # is the failed pair with the largest first index.
-        anchor = next((t for t in reversed(right) if t in failed), None)
+        # is the failed pair with the largest first index.  Rows are
+        # processed right to left, so that is the row's first failure;
+        # without one, neg becomes it.
+        anchor = first_failed.get(j)
 
         if anchor is None:
+            first_failed[j] = neg
             # Case 2: exactly one positive in the column segment below
             # is usable, either directly (sing) or through a rectangle.
             found = []
@@ -329,6 +352,10 @@ def classify(t: TermIndex, gp: GoodPartition) -> Configuration:
 # Independent validator
 
 
+#: Block kinds and their sizes, as the validator reads them.
+_SHAPE_SIZES = {"singleton": 1, "doubleton": 2, "quadrupleton": 4}
+
+
 def validate_partition(gp: GoodPartition) -> CheckResult:
     """Check a partition against the block-shape definition alone.
 
@@ -352,7 +379,7 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
     for b in gp.blocks:
         if b.kind not in ("singleton", "doubleton", "quadrupleton"):
             return CheckResult(False, f"bad-kind: {b.kind!r}", b)
-        if len(b.members) != {"singleton": 1, "doubleton": 2, "quadrupleton": 4}[b.kind]:
+        if len(b.members) != _SHAPE_SIZES[b.kind]:
             return CheckResult(False, f"bad-kind: {b.kind} with {len(b.members)} members", b)
         if len(b.signs) != len(b.members):
             return CheckResult(False, f"bad-signs: {len(b.signs)} signs for "
@@ -369,36 +396,36 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
                 return CheckResult(False, f"duplicate-member: {(i, j)}", b)
             seen.add((i, j))
 
-        idx = [(i, j) for i, j in b.members]
-        sgn = dict(zip(idx, b.signs))
+        # From here on the members of b are distinct and each claimed
+        # sign is the true sign (-1)^(i+j) of its member.
         if b.kind == "singleton":
-            if sgn[idx[0]] != 1:
+            if b.signs[0] != 1:
                 return CheckResult(False, "bad-singleton: negative sign", b)
         elif b.kind == "doubleton":
-            pos = [t for t in idx if sgn[t] > 0]
-            neg = [t for t in idx if sgn[t] < 0]
-            if len(pos) != 1 or len(neg) != 1:
+            (s0, s1), (m0, m1) = b.signs, b.members
+            if s0 > 0 > s1:
+                (pi, pj), (ni, nj) = m0, m1
+            elif s1 > 0 > s0:
+                (pi, pj), (ni, nj) = m1, m0
+            else:
                 return CheckResult(False, "bad-doubleton: must pair one + with one -", b)
-            (pi, pj), (ni, nj) = pos[0], neg[0]
             horizontal = nj == pj and ni < pi
             vertical = ni == pi and nj > pj
             if not (horizontal or vertical):
                 return CheckResult(False, "bad-doubleton: negative must sit left in the "
                                    "row or above in the column", b)
         else:
-            cols = sorted({t[0] for t in idx})
-            rows = sorted({t[1] for t in idx})
+            cols = sorted({t[0] for t in b.members})
+            rows = sorted({t[1] for t in b.members})
+            # Four distinct members on two columns and two rows are
+            # exactly the four corners of the rectangle.
             if len(cols) != 2 or len(rows) != 2:
                 return CheckResult(False, "bad-quadrupleton: not a rectangle", b)
-            corners = {(c, r) for c in cols for r in rows}
-            if set(idx) != corners:
-                return CheckResult(False, "bad-quadrupleton: not a rectangle", b)
-            want = {(cols[1], rows[0]): 1, (cols[0], rows[1]): 1,
-                    (cols[0], rows[0]): -1, (cols[1], rows[1]): -1}
-            for t, s in want.items():
-                if sgn[t] != s:
-                    return CheckResult(False, f"bad-quadrupleton: corner {t} must have "
-                                       f"sign {s:+d}", b)
+            (c0, c1), (r0, r1) = cols, rows
+            for c, r, want in ((c1, r0, 1), (c0, r1, 1), (c0, r0, -1), (c1, r1, -1)):
+                if (1 if (c + r) % 2 == 0 else -1) != want:
+                    return CheckResult(False, f"bad-quadrupleton: corner {(c, r)} must "
+                                       f"have sign {want:+d}", b)
 
     # seen holds distinct members of J, so the cover is complete iff
     # |seen| = |J|.  With r_k = (-1)^k prefix[k], the member test above
@@ -741,9 +768,37 @@ def canonical_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+# The layout json.dumps(sort_keys=True, indent=2) gives the certificate
+# schema, one template per level.  Members and signs are ints.
+_CERT = '{\n  "blocks": %s,\n  "n": %d,\n  "pattern": %s,\n  "version": %s\n}\n'
+_BLOCK = ('    {\n      "kind": %s,\n      "members": %s,\n'
+          '      "provenance": %s,\n      "signs": %s\n    }')
+_MEMBER = "        [\n          %d,\n          %d\n        ]"
+
+
+def _array(items: list[str], indent: str) -> str:
+    """A JSON array of items already laid out one level below indent."""
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+
+
 def certificate_to_json(gp: GoodPartition) -> str:
-    """Canonical JSON text of a certificate."""
-    return canonical_json(certificate_payload(gp))
+    """Canonical JSON text of a certificate: the bytes of
+    canonical_json(certificate_payload(gp)), written from the fixed
+    schema because json.dumps uses its pure-Python encoder whenever
+    indent is set."""
+    # A few distinct strings recur across many blocks.
+    strings = {s for b in gp.blocks for s in (b.kind, b.provenance)}
+    quoted = {s: json.dumps(s) for s in strings}
+    blocks = [_BLOCK % (quoted[b.kind],
+                        _array([_MEMBER % m for m in b.members], "      "),
+                        quoted[b.provenance],
+                        _array(["        %d" % s for s in b.signs], "      "))
+              for b in gp.blocks]
+    return _CERT % (_array(blocks, "  "), gp.n,
+                    _array(["    %d" % s for s in gp.pattern], "  "),
+                    json.dumps(CERTIFICATE_VERSION))
 
 
 def certificate_from_json(text: str) -> GoodPartition:

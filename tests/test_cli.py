@@ -1,11 +1,13 @@
 """Command-line contract: exit codes, canonical JSON, round trips."""
 
+import dataclasses
 import json
 
 import pytest
 
+import pohst.cli as cli
 from pohst.cli import main
-from pohst.partition import build_good_partition, certificate_to_json
+from pohst.partition import build_good_partition, certificate_to_json, validate_partition
 
 
 def run(capsys, argv):
@@ -74,6 +76,21 @@ def test_certify_stdout(capsys):
     rc, out, _ = run(capsys, ["certify", "--pattern", "-,-,+,-"])
     assert rc == 0
     assert out == certificate_to_json(build_good_partition((-1, -1, 1, -1)))
+
+
+def test_certify_validates_before_writing(capsys, tmp_path, monkeypatch):
+    """A built partition that fails validation is reported on stderr,
+    exits 1 and writes no file."""
+    good = build_good_partition((-1, 1))
+    broken = dataclasses.replace(good, blocks=good.blocks[1:])   # drop a block
+    monkeypatch.setattr(cli, "build_good_partition", lambda pattern: broken)
+    cert = tmp_path / "cert.json"
+    rc, out, err = run(capsys, ["certify", "--pattern", "-,+", "--out", str(cert)])
+    assert rc == 1 and out == ""
+    assert not cert.exists()
+    reason = validate_partition(broken).reason
+    assert reason.startswith("incomplete-cover")
+    assert err == f"certificate rejected: {reason}\n"
 
 
 def test_certify_rejects_bad_pattern(capsys):

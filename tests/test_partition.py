@@ -23,6 +23,7 @@ from pohst.partition import (
     PartitionBlock,
     audit_build,
     build_good_partition,
+    canonical_json,
     certificate_from_json,
     certificate_payload,
     certificate_to_json,
@@ -656,6 +657,42 @@ def test_certificate_bytes_pinned():
             digest.update(certificate_to_json(gp).encode())
     assert digest.hexdigest() == (
         "f42064bfa6de04813217235ff6e61106a7425a890140725bdf7a94a73aff0ae6")
+
+
+def test_build_trace_pinned():
+    """The build traces of every pattern for n = 1..10, as repr text in
+    pattern_from_index order, hash to one fixed digest: a change to any
+    step, case, operation or block of any trace fails here."""
+    digest = hashlib.sha256()
+    for n in range(1, 11):
+        for idx in range(2 ** n):
+            digest.update(repr(build_good_partition(pattern_from_index(n, idx)).trace).encode())
+    assert digest.hexdigest() == (
+        "6fd2590ff8a6c6658f5c7c7c6d676aad422fd9fda9c80c6c35897ead22c9c8bf")
+
+
+def _odd_strings_certificate():
+    """A parsed certificate whose strings need escaping, with an empty block."""
+    payload = json.loads(GOLDEN)
+    payload["blocks"][0]["kind"] = 'double"ton\u00e9'
+    payload["blocks"][0]["provenance"] = 'case1 "\u03c0" \\ \u20ac'
+    payload["blocks"].append({"kind": "x", "members": [], "signs": [], "provenance": ""})
+    return certificate_from_json(json.dumps(payload))
+
+
+def test_certificate_emitter_matches_reference():
+    """certificate_to_json writes exactly the bytes of canonical_json over
+    certificate_payload, the reference layout."""
+    rng = np.random.default_rng(96)
+    gps = [build_good_partition(p) for n in range(1, 9) for p in all_patterns(n)]
+    gps.append(build_good_partition((-1,) * 6))
+    gps += [build_good_partition(tuple(rng.choice((1, -1), size=96).tolist()))
+            for _ in range(5)]
+    gps.append(_odd_strings_certificate())
+    assert gps[-7].blocks == ()
+    assert 'double\\"ton' in certificate_to_json(gps[-1])
+    for gp in gps:
+        assert certificate_to_json(gp) == canonical_json(certificate_payload(gp))
 
 
 def test_certificate_round_trip_identity():

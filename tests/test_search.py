@@ -164,6 +164,18 @@ def test_eval_f_batch_matches_scalar():
             assert eval_f(row) == expected
 
 
+def test_eval_f_batch_matches_scalar_across_row_slices():
+    """A batch that ends in a partial row slice, with zero entries, gives
+    the scalar results exactly."""
+    rows = 2 * search._BATCH_ROWS + 123
+    X = np.random.default_rng(31).uniform(-1.0, 1.0, size=(rows, 4))
+    X[::7, 1] = 0.0
+    X[-1, :] = 0.0
+    batch = eval_f_batch(X)
+    assert batch.shape == (rows,)
+    assert batch.tolist() == [eval_f(row) for row in X]
+
+
 def test_eval_f_batch_accepts_single_row():
     assert eval_f_batch(np.array([-1.0, 0.0, -1.0])).tolist() == [4.0]
 
