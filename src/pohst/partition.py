@@ -17,11 +17,13 @@ The builder processes negative members of J in the total order
 
   (i,j) < (i',j')  iff  j' > j, or j' = j and i' < i
 
-(lower rows first, right to left inside a row), starting from the
-partition of all positive members into singletons.  Each negative pair
-is absorbed by one of three cases; the case analysis is a constructive
-proof, so every "some block must exist here" claim is asserted at run
-time and a violation raises ConstructionFailure with the full trace.
+(lower rows first, right to left inside a row), one row at a time
+(BuildState.row): row j puts its positive members into singletons, then
+absorbs its negatives.  Each negative pair is absorbed by one of three
+cases; the case analysis is a constructive proof, so every "some block
+must exist here" claim is asserted at run time and a violation raises
+ConstructionFailure with the full trace.  Row j reads only x_1..x_j,
+which lets a sweep share the rows of a common prefix.
 
 The validator is written against the block-shape definition only and
 shares no shape logic with the builder, so a certificate produced by
@@ -162,9 +164,10 @@ def horizontal_list(t: TermIndex, J: NonCanonicalSet) -> list[TermIndex]:
 def vertical_list(t: TermIndex, J: NonCanonicalSet) -> list[TermIndex]:
     """Members of J in column i with second index <= j, ascending by second index.
 
-    The paper's readable reference, pinned by its tests; the builder's
-    Case 2 scans it, while Case 1 reads the per-row sing mask rather
-    than horizontal_list.
+    The paper's readable reference, pinned by its tests.  The builder's
+    Case 2 scans the same column segment, reading membership from the
+    prefix classes, and Case 1 reads the per-row sing mask rather than
+    horizontal_list.
     """
     i, j = t
     return [TermIndex(i, j2) for j2 in range(i, j + 1) if (i, j2) in J.members]
@@ -174,133 +177,176 @@ def vertical_list(t: TermIndex, J: NonCanonicalSet) -> list[TermIndex]:
 # Builder
 
 
-def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
-    """Construct a good partition of the non-canonical set of a pattern.
+def _row_columns(q: Sequence[int], j: int) -> list[int]:
+    """First indices i, ascending, of the members (i, j) of J in row j,
+    from the prefix classes q_0..q_j: (i, j) is in J iff q[i-1] != q[j]."""
+    qj = q[j]
+    return [i for i in range(1, j + 1) if q[i - 1] != qj]
 
-    Returns the finished partition together with the full build trace.
-    Raises ConstructionFailure when a case's existence or uniqueness
-    assertion fails; the exception carries the trace up to that point.
+
+class BuildState:
+    """The builder's state after rows 1..j of a pattern.
+
+    owner maps each member of J in rows <= j to the block that holds it;
+    sing[r] has bit i set while (i, r) is a sing positive, so Case 1
+    reads it in place of horizontal_list, which stays the paper's
+    readable reference; steps is the trace so far.  Row j reads only
+    x_1..x_j, so every pattern with the same prefix shares this state.
     """
-    pat = as_sign_pattern(pattern)
-    J = noncanonical_set(pat)
-    signs = J.signs
-    owner: dict[TermIndex, PartitionBlock] = {}
-    # sing[j] has bit i set while (i, j) is a sing positive: set for each
-    # initial singleton, cleared by absorb when a singleton is consumed.
-    # Case 1 reads it in place of horizontal_list, which stays the
-    # paper's readable reference.
-    sing: dict[int, int] = {}
-    first_failed: dict[int, TermIndex] = {}   # each row's first Case-1 failure
-    steps: list[BuildStep] = []
 
-    def put(members: Iterable[TermIndex], provenance: str) -> PartitionBlock:
-        """Build one block and make it the owner of each of its members."""
-        ordered = tuple(sorted(members, key=prec_key))
-        block = PartitionBlock(BLOCK_KINDS[len(ordered)], ordered,
-                               tuple(signs[m] for m in ordered), provenance)
-        for m in ordered:
-            owner[m] = block
-        return block
+    __slots__ = ("owner", "sing", "steps")
 
-    def absorb(k: int, neg: TermIndex, case: str, *keys: TermIndex) -> None:
+    def __init__(self, n: int):
+        self.owner: dict[TermIndex, PartitionBlock] = {}
+        self.sing = [0] * (n + 1)
+        self.steps: list[BuildStep] = []
+
+    def copy(self) -> BuildState:
+        c = BuildState.__new__(BuildState)
+        c.owner, c.sing, c.steps = self.owner.copy(), self.sing[:], self.steps[:]
+        return c
+
+    def row(self, q: Sequence[int], j: int) -> None:
+        """Apply row j: put its positive members of J as initial
+        singletons, then absorb its negatives right to left.
+
+        J-membership comes from the prefix classes q_0..q_j alone:
+        (i, r) is in J iff q[i-1] != q[r], with sign (-1)^(i+r).  Raises
+        ConstructionFailure when a case's existence or uniqueness
+        assertion fails; the exception carries the trace up to that point.
+        """
+        owner, sing, steps = self.owner, self.sing, self.steps
+        cols = _row_columns(q, j)
+        mask = 0
+        for i in cols:
+            if (i + j) % 2 == 0:
+                p = TermIndex(i, j)
+                owner[p] = PartitionBlock("singleton", (p,), (1,), "initial")
+                mask |= 1 << i
+        sing[j] = mask
+        anchor = None   # the row's first Case-1 failure
+
+        for i in reversed(cols):
+            if (i + j) % 2 == 0:
+                continue
+            neg = TermIndex(i, j)
+            k = len(steps) + 1
+
+            # Case 1: prec-maximal sing positive to the right in row j,
+            # i.e. the one with the smallest first index: the lowest bit
+            # of sing[j] above bit i.
+            right = sing[j] >> (i + 1)
+            if right:
+                self._absorb(k, neg, "case1", TermIndex((right & -right).bit_length() + i, j))
+                continue
+
+            # Anchor: prec-minimal Case-1 failure in the row segment, which
+            # is the failed pair with the largest first index.  Rows are
+            # processed right to left, so that is the row's first failure;
+            # without one, neg becomes it.
+            if anchor is None:
+                anchor = neg
+                # Case 2: exactly one positive in the column segment below
+                # (vertical_list without neg itself) is usable, either
+                # directly (sing) or through a rectangle.
+                found = []
+                for r in range(i, j):
+                    if q[i - 1] == q[r] or (i + r) % 2:
+                        continue
+                    pos = TermIndex(i, r)
+                    if sing[r] >> i & 1:
+                        found.append((pos,))
+                        continue
+                    corner = self._rectangle_corner(q, pos, j)
+                    if corner is not None:
+                        found.append((pos, corner))
+                if not found:
+                    raise self._fail(k, neg, "case2: no usable positive in the vertical list")
+                if len(found) > 1:
+                    raise self._fail(k, neg, "case2: usable positive not unique: "
+                                     f"{[tuple(keys[0]) for keys in found]}")
+                self._absorb(k, neg, "case2", *found[0])
+                continue
+
+            # Case 3: the anchor was absorbed vertically; mirror its drop.
+            j1 = None
+            for m, s in zip(owner[anchor].members, owner[anchor].signs):
+                if m[0] == anchor[0] and m[1] < j and s == 1:
+                    j1 = m[1]
+                    break
+            if j1 is None:
+                raise self._fail(k, neg, f"case3: anchor {tuple(anchor)} not in nvdoub "
+                                 "configuration")
+            pos = TermIndex(i, j1)
+            if q[i - 1] == q[j1] or (i + j1) % 2:
+                raise self._fail(k, neg, f"case3: expected positive pair {tuple(pos)} not in J")
+            if sing[j1] >> i & 1:
+                self._absorb(k, neg, "case3", pos)
+                continue
+            corner = self._rectangle_corner(q, pos, j)
+            if corner is None:
+                raise self._fail(k, neg, f"case3: positive pair {tuple(pos)} neither sing "
+                                 "nor in an hdoub usable for operation 2")
+            self._absorb(k, neg, "case3", pos, corner)
+
+    def _absorb(self, k: int, neg: TermIndex, case: str, *keys: TermIndex) -> None:
         """Merge the blocks owning keys with neg: operation 1 for one key,
         operation 2 (a rectangle) for two."""
+        owner, sing = self.owner, self.sing
         consumed = tuple(owner[t] for t in keys)
         for b in consumed:
             if len(b.members) == 1:
                 i, j = b.members[0]
                 sing[j] &= ~(1 << i)
-        members = [m for b in consumed for m in b.members] + [neg]
+        ordered = tuple(sorted([m for b in consumed for m in b.members] + [neg],
+                               key=prec_key))
         op = len(keys)
-        created = put(members, case if case == "case1" else f"{case}-op{op}")
-        steps.append(BuildStep(k, neg, case, op, consumed, created))
+        created = PartitionBlock(BLOCK_KINDS[len(ordered)], ordered,
+                                 tuple(1 if (i + j) % 2 == 0 else -1 for i, j in ordered),
+                                 case if case == "case1" else f"{case}-op{op}")
+        for m in ordered:
+            owner[m] = created
+        self.steps.append(BuildStep(k, neg, case, op, consumed, created))
 
-    def fail(k: int, neg: TermIndex, reason: str) -> ConstructionFailure:
-        return ConstructionFailure(k, neg, reason, tuple(steps))
-
-    def is_sing(idx: TermIndex) -> bool:
-        """Whether a positive pair is still a singleton."""
-        return sing.get(idx[1], 0) >> idx[0] & 1 == 1
-
-    def rectangle_corner(pos: TermIndex, j: int) -> TermIndex | None:
+    def _rectangle_corner(self, q: Sequence[int], pos: TermIndex, j: int) -> TermIndex | None:
         """The sing positive corner (left, j) that completes a rectangle,
         when pos sits in a horizontal doubleton with negative partner left."""
-        mem = owner[pos].members
+        mem = self.owner[pos].members
         if len(mem) != 2:
             return None
         left = mem[0] if mem[1] == pos else mem[1]
         if left[1] != pos[1] or left[0] >= pos[0]:
             return None
-        corner = TermIndex(left[0], j)
-        return corner if signs.get(corner) == 1 and is_sing(corner) else None
+        c = left[0]
+        if q[c - 1] == q[j] or (c + j) % 2 or not self.sing[j] >> c & 1:
+            return None
+        return TermIndex(c, j)
 
-    for p in J.positives:
-        put((p,), "initial")
-        sing[p[1]] = sing.get(p[1], 0) | 1 << p[0]
+    def _fail(self, k: int, neg: TermIndex, reason: str) -> ConstructionFailure:
+        return ConstructionFailure(k, neg, reason, tuple(self.steps))
 
-    for k, neg in enumerate(sorted(J.negatives, key=prec_key), start=1):
-        i, j = neg
+    def partition(self, pattern: tuple[int, ...]) -> GoodPartition:
+        """The finished partition, each block listed once, under its
+        first member, in prec order."""
+        final = sorted((b for t, b in self.owner.items() if b.members[0] == t),
+                       key=lambda b: prec_key(b.members[0]))
+        return GoodPartition(len(pattern), pattern, tuple(final), tuple(self.steps))
 
-        # Case 1: prec-maximal sing positive to the right in row j,
-        # i.e. the one with the smallest first index: the lowest bit of
-        # sing[j] above bit i.
-        right = sing.get(j, 0) >> (i + 1)
-        if right:
-            absorb(k, neg, "case1", TermIndex((right & -right).bit_length() + i, j))
-            continue
 
-        # Anchor: prec-minimal Case-1 failure in the row segment, which
-        # is the failed pair with the largest first index.  Rows are
-        # processed right to left, so that is the row's first failure;
-        # without one, neg becomes it.
-        anchor = first_failed.get(j)
+def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
+    """Construct a good partition of the non-canonical set of a pattern.
 
-        if anchor is None:
-            first_failed[j] = neg
-            # Case 2: exactly one positive in the column segment below
-            # is usable, either directly (sing) or through a rectangle.
-            found = []
-            for pos in vertical_list(neg, J)[:-1]:   # neg ends its own list
-                if signs[pos] != 1:
-                    continue
-                if is_sing(pos):
-                    found.append((pos,))
-                    continue
-                corner = rectangle_corner(pos, j)
-                if corner is not None:
-                    found.append((pos, corner))
-            if not found:
-                raise fail(k, neg, "case2: no usable positive in the vertical list")
-            if len(found) > 1:
-                raise fail(k, neg, "case2: usable positive not unique: "
-                           f"{[tuple(keys[0]) for keys in found]}")
-            absorb(k, neg, "case2", *found[0])
-            continue
-
-        # Case 3: the anchor was absorbed vertically; mirror its drop.
-        j1 = None
-        for m, s in zip(owner[anchor].members, owner[anchor].signs):
-            if m[0] == anchor[0] and m[1] < j and s == 1:
-                j1 = m[1]
-                break
-        if j1 is None:
-            raise fail(k, neg, f"case3: anchor {tuple(anchor)} not in nvdoub configuration")
-        pos = TermIndex(i, j1)
-        if signs.get(pos) != 1:
-            raise fail(k, neg, f"case3: expected positive pair {tuple(pos)} not in J")
-        if is_sing(pos):
-            absorb(k, neg, "case3", pos)
-            continue
-        corner = rectangle_corner(pos, j)
-        if corner is None:
-            raise fail(k, neg, f"case3: positive pair {tuple(pos)} neither sing "
-                       "nor in an hdoub usable for operation 2")
-        absorb(k, neg, "case3", pos, corner)
-
-    # Each block is listed once, under its first member.
-    final = sorted((b for t, b in owner.items() if b.members[0] == t),
-                   key=lambda b: prec_key(b.members[0]))
-    return GoodPartition(len(pat), pat, tuple(final), tuple(steps))
+    A fold of BuildState.row over rows 1..n.  Returns the finished
+    partition together with the full build trace.  Raises
+    ConstructionFailure when a case's existence or uniqueness assertion
+    fails; the exception carries the trace up to that point.
+    """
+    pat = as_sign_pattern(pattern)
+    q = prefix_classes(pat)
+    state = BuildState(len(pat))
+    for j in range(1, len(pat) + 1):
+        state.row(q, j)
+    return state.partition(pat)
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +512,13 @@ class _RowState:
         self.nv: dict[int, list[tuple[int, int]]] = {}
         self.vd: dict[int, list[int]] = {}
 
+    def copy(self) -> _RowState:
+        c = _RowState(self.negatives_by_row.copy())
+        c.nh = {r: v[:] for r, v in self.nh.items()}
+        c.nv = {r: v[:] for r, v in self.nv.items()}
+        c.vd = {r: v[:] for r, v in self.vd.items()}
+        return c
+
     def _entries(self, idx: tuple[TermIndex, ...]):
         """(structure, row, payload) contributions of one block.
 
@@ -580,33 +633,41 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
     return state.check_rows(sorted(rows), anchors)
 
 
-def audit_build(gp: GoodPartition) -> CheckResult:
-    """Replay a build trace and re-check the structural invariants.
+class AuditState:
+    """The audit's replay state: the live blocks (members -> provenance),
+    their per-row view and the Case-2 anchors so far.
 
-    After each step: the absorbed pair is the next negative in prec
-    order, the created block is exactly the consumed members plus that
-    pair (so coverage grows by one and no later negative sneaks in),
-    and no affected row shows an impossible configuration.
+    audit_build seeds every initial singleton up front and replays a
+    whole trace; the sweep seeds and replays one row at a time (row).
+    Both run each step through step, the one per-step check.
     """
-    J = noncanonical_set(gp.pattern)
-    negatives = sorted(J.negatives, key=prec_key)
-    if len(gp.trace) != len(negatives):
-        return CheckResult(False, f"trace has {len(gp.trace)} steps for "
-                           f"{len(negatives)} negative pairs")
 
-    live: dict[frozenset, str] = {frozenset([t]): "initial" for t in J.positives}
-    rows = _RowState(_negatives_by_row(J))
-    anchors: set[TermIndex] = set()
+    __slots__ = ("live", "rows", "anchors")
 
-    for k, step in enumerate(gp.trace, start=1):
+    def __init__(self, live: dict[frozenset, str], negatives_by_row: dict[int, list[int]]):
+        self.live = live
+        self.rows = _RowState(negatives_by_row)
+        self.anchors: set[TermIndex] = set()
+
+    def copy(self) -> AuditState:
+        c = AuditState.__new__(AuditState)
+        c.live, c.rows, c.anchors = self.live.copy(), self.rows.copy(), self.anchors.copy()
+        return c
+
+    def step(self, k: int, step: BuildStep, expected: TermIndex) -> CheckResult:
+        """Check step k, which must absorb expected: its numbering, its
+        pair, that its consumed blocks are live, that it creates exactly
+        their members plus the pair, and that no affected row shows an
+        impossible configuration."""
         if step.k != k:
             return CheckResult(False, f"step {k}: trace numbered {step.k}")
         pair = TermIndex(*step.pair)
-        if pair != TermIndex(*negatives[k - 1]):
+        if pair != TermIndex(*expected):
             return CheckResult(False, f"step {k} absorbed {tuple(pair)}, expected "
-                               f"{tuple(negatives[k - 1])} next in prec order")
+                               f"{tuple(expected)} next in prec order")
+        live, rows = self.live, self.rows
         if step.case == "case2":
-            anchors.add(pair)
+            self.anchors.add(pair)
         union: set[TermIndex] = set()
         for blk in step.consumed:
             key = frozenset(blk.members)
@@ -621,14 +682,59 @@ def audit_build(gp: GoodPartition) -> CheckResult:
                                "members plus the absorbed pair")
         live[frozenset(created)] = step.created.provenance
         touched = rows.add(step.created.members)
-        r = rows.check_rows(touched, anchors)
+        r = rows.check_rows(touched, self.anchors)
         if not r:
             return CheckResult(False, f"step {k}: {r.reason}", r.witness, r.code)
+        return ACCEPT
 
-    final = {(frozenset(b.members), b.provenance) for b in gp.blocks}
-    if final != set(live.items()):
-        return CheckResult(False, "final state of the replay differs from gp.blocks")
-    return ACCEPT
+    def row(self, q: Sequence[int], j: int, steps: Sequence[BuildStep],
+            k0: int) -> CheckResult:
+        """Seed row j's initial singletons and negatives from the prefix
+        classes q_0..q_j, then check steps[k0:], which must absorb row
+        j's negatives right to left, one step each."""
+        negatives = []
+        for i in _row_columns(q, j):
+            if (i + j) % 2 == 0:
+                self.live[frozenset([TermIndex(i, j)])] = "initial"
+            else:
+                negatives.append(i)
+        self.rows.negatives_by_row[j] = negatives
+        if len(steps) - k0 != len(negatives):
+            return CheckResult(False, f"row {j}: {len(steps) - k0} steps for "
+                               f"{len(negatives)} negative pairs")
+        for k, i in enumerate(reversed(negatives), start=k0 + 1):
+            r = self.step(k, steps[k - 1], TermIndex(i, j))
+            if not r:
+                return r
+        return ACCEPT
+
+    def final(self, blocks: Iterable[PartitionBlock]) -> CheckResult:
+        """The replay must end in exactly the given blocks."""
+        if {(frozenset(b.members), b.provenance) for b in blocks} != set(self.live.items()):
+            return CheckResult(False, "final state of the replay differs from gp.blocks")
+        return ACCEPT
+
+
+def audit_build(gp: GoodPartition) -> CheckResult:
+    """Replay a build trace and re-check the structural invariants.
+
+    After each step (AuditState.step): the absorbed pair is the next
+    negative in prec order, the created block is exactly the consumed
+    members plus that pair (so coverage grows by one and no later
+    negative sneaks in), and no affected row shows an impossible
+    configuration.  The replay must end in gp.blocks.
+    """
+    J = noncanonical_set(gp.pattern)
+    negatives = sorted(J.negatives, key=prec_key)
+    if len(gp.trace) != len(negatives):
+        return CheckResult(False, f"trace has {len(gp.trace)} steps for "
+                           f"{len(negatives)} negative pairs")
+    state = AuditState({frozenset([t]): "initial" for t in J.positives}, _negatives_by_row(J))
+    for k, (step, expected) in enumerate(zip(gp.trace, negatives), start=1):
+        r = state.step(k, step, expected)
+        if not r:
+            return r
+    return state.final(gp.blocks)
 
 
 # ---------------------------------------------------------------------------

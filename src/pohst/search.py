@@ -6,6 +6,12 @@ The sweep is the heart of the verification: for every one of the 2^n
 sign patterns it builds a good partition, validates it independently,
 audits every intermediate construction state, and (for even n with an
 odd number of negative signs) checks the border parity identity.
+Row j of the build and of the audit reads only x_1..x_j, so the sweep
+walks the pattern tree depth first and applies each row once per tree
+node, not once per pattern; the validator and the parity check run on
+each leaf's materialized partition.  Any failure below a node is re-run
+through verify_pattern, the one-pattern reference.  With jobs > 1 the
+tree is split by prefix into 2^k subtrees, 2^k >= 4 jobs.
 
 Numeric maximization reproduces the bound 2^floor((n+1)/2) without
 assuming it: a lattice search over the cube followed by per-coordinate
@@ -27,6 +33,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .partition import (
+    AuditState,
+    BuildState,
     CheckResult,
     ConstructionFailure,
     audit_build,
@@ -98,18 +106,85 @@ def verify_pattern(pattern: Sequence[int]) -> str | None:
     return None
 
 
-def _sweep_range(args: tuple[int, int, int]) -> list[tuple[int, str]]:
-    n, start, stop = args
-    failures = []
-    for idx in range(start, stop):
-        reason = verify_pattern(pattern_from_index(n, idx))
+def _verify_leaves(n: int, depth: int, idx: int) -> list[tuple[int, str]]:
+    """verify_pattern on every leaf below the node (depth, idx)."""
+    found = []
+    for high in range(2 ** (n - depth)):
+        leaf = idx | high << depth
+        reason = verify_pattern(pattern_from_index(n, leaf))
         if reason is not None:
-            failures.append((idx, reason))
-    return failures
+            found.append((leaf, reason))
+    return found
+
+
+def _apply_row(build: BuildState, audit: AuditState, q: list[int], j: int) -> bool:
+    """Row j of the build and of the audit; False when either fails."""
+    k0 = len(build.steps)
+    try:
+        build.row(q, j)
+    except ConstructionFailure:
+        return False
+    return bool(audit.row(q, j, build.steps, k0))
+
+
+def _leaf_ok(n: int, idx: int, build: BuildState, audit: AuditState) -> bool:
+    """validate_partition, the audit's final-state check and border
+    parity on the materialized partition of a leaf."""
+    pat = pattern_from_index(n, idx)
+    gp = build.partition(pat)
+    if not validate_partition(gp) or not audit.final(gp.blocks):
+        return False
+    if n % 2 == 0 and pat.count(-1) % 2 == 1:
+        b_plus, b_minus = parity_counts(pat)
+        return b_plus == b_minus
+    return True
+
+
+def _descend(n: int, j: int, idx: int, q: list[int], build: BuildState,
+             audit: AuditState, found: list[tuple[int, str]]) -> None:
+    """Walk the subtree of the node whose states hold rows 1..j of the
+    patterns with low bits idx.  The first child works on a copy of the
+    node's states, the second on the states themselves."""
+    if j == n:
+        if not _leaf_ok(n, idx, build, audit):
+            found += _verify_leaves(n, n, idx)
+        return
+    for bit in (0, 1):
+        b, a = (build.copy(), audit.copy()) if bit == 0 else (build, audit)
+        q[j + 1] = q[j] if bit else -q[j]   # q_{j+1} = -q_j x_{j+1}
+        child = idx | bit << j
+        if _apply_row(b, a, q, j + 1):
+            _descend(n, j + 1, child, q, b, a, found)
+        else:
+            found += _verify_leaves(n, j + 1, child)
+
+
+def _sweep_subtree(args: tuple[int, int, int]) -> list[tuple[int, str]]:
+    """Failures (pattern index, reason) among the patterns whose low k
+    bits are prefix."""
+    n, k, prefix = args
+    q = [1] * (n + 1)
+    build, audit = BuildState(n), AuditState({}, {})
+    for j in range(1, k + 1):
+        q[j] = q[j - 1] if prefix >> (j - 1) & 1 else -q[j - 1]
+        if not _apply_row(build, audit, q, j):
+            return _verify_leaves(n, k, prefix)
+    found: list[tuple[int, str]] = []
+    _descend(n, k, prefix, q, build, audit, found)
+    return found
 
 
 def sweep_patterns(n: int, jobs: int = 1) -> SweepReport:
-    """Verify all 2^n sign patterns; failures are collected, not raised."""
+    """Verify all 2^n sign patterns; failures are collected, not raised.
+
+    Walks the pattern tree depth first: the node for x_1..x_j applies
+    row j of the build and of the audit to a copy of its parent's
+    states, and each leaf validates its materialized partition, ends the
+    audit and checks border parity.  Whatever fails below a node is
+    re-run through verify_pattern, pattern by pattern, so the report is
+    the per-pattern loop's.  With jobs > 1 the tree is split by prefix
+    into 2^k subtrees, 2^k >= 4 jobs, over a pool of worker processes.
+    """
     if not 1 <= n <= 24:
         raise ValueError("n must be between 1 and 24")
     if jobs < 1:
@@ -118,12 +193,12 @@ def sweep_patterns(n: int, jobs: int = 1) -> SweepReport:
     total = 2 ** n
     t0 = time.perf_counter()
     if jobs <= 1 or total < 256:
-        found = _sweep_range((n, 0, total))
+        found = _sweep_subtree((n, 0, 0))
     else:
-        chunk = max(1, total // (4 * jobs))
-        tasks = [(n, s, min(s + chunk, total)) for s in range(0, total, chunk)]
+        k = min(n, (4 * jobs - 1).bit_length())
+        tasks = [(n, k, prefix) for prefix in range(2 ** k)]
         with get_context("fork").Pool(jobs) as pool:
-            found = [f for part in pool.map(_sweep_range, tasks) for f in part]
+            found = [f for part in pool.map(_sweep_subtree, tasks) for f in part]
     found.sort()
     failures = tuple((pattern_from_index(n, idx), reason) for idx, reason in found)
     return SweepReport(n, total, failures, time.perf_counter() - t0)

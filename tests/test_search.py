@@ -10,7 +10,19 @@ import pytest
 
 import pohst.search as search
 from pohst.cli import main
-from pohst.partition import GoodPartition, PartitionBlock, prec_key
+from pohst.partition import (
+    AuditState,
+    BuildState,
+    CheckResult,
+    ConstructionFailure,
+    GoodPartition,
+    PartitionBlock,
+    audit_build,
+    build_good_partition,
+    parity_counts,
+    prec_key,
+    validate_partition,
+)
 from pohst.search import (
     RNG_NAME,
     _sample_batches,
@@ -24,6 +36,7 @@ from pohst.search import (
     verify_pattern,
 )
 from pohst.triangle import (
+    TermIndex,
     eval_f,
     eval_term,
     leq_with_tol,
@@ -99,6 +112,117 @@ def test_sweep_patterns_rejects_jobs_below_one(monkeypatch, jobs):
 def test_sweep_patterns_rejects_bad_n(n):
     with pytest.raises(ValueError):
         sweep_patterns(n)
+
+
+def test_sweep_walk_leaves_match_per_pattern_build(monkeypatch):
+    """Every leaf of the prefix-sharing walk, n <= 10, materializes the
+    partition build_good_partition gives its pattern, trace included,
+    and the walk's audit verdict is audit_build's; so does every leaf of
+    the eight prefix subtrees that jobs=2 splits n=10 into."""
+    seen = []
+    leaf_ok = search._leaf_ok
+
+    def record(n, idx, build, audit):
+        gp = build.partition(pattern_from_index(n, idx))
+        seen.append((n, idx, gp, bool(audit.final(gp.blocks))))
+        return leaf_ok(n, idx, build, audit)
+
+    monkeypatch.setattr(search, "_leaf_ok", record)
+    for n in range(1, 11):
+        assert sweep_patterns(n).failures == ()
+    for prefix in range(8):
+        assert search._sweep_subtree((10, 3, prefix)) == []
+    assert len(seen) == 2 ** 11 - 2 + 2 ** 10
+    for n, idx, gp, audited in seen:
+        ref = build_good_partition(pattern_from_index(n, idx))
+        assert gp == ref and repr(gp.trace) == repr(ref.trace)
+        assert audited == bool(audit_build(ref))
+
+
+_TARGET = pattern_from_index(8, 0b10110010)   # four negative signs
+
+
+def _inject_construction_failure(monkeypatch):
+    row = BuildState.row
+
+    def failing(self, q, j):   # fails at row 3 below the prefix x = (-, +, -)
+        if j == 3 and tuple(q[:4]) == (1, 1, -1, -1):
+            raise ConstructionFailure(len(self.steps) + 1, TermIndex(1, 3), "injected",
+                                      tuple(self.steps))
+        row(self, q, j)
+
+    monkeypatch.setattr(BuildState, "row", failing)
+
+
+def _inject_dropped_step(monkeypatch):
+    row = BuildState.row
+
+    def dropping(self, q, j):   # row 4 below the prefix x_1 = + loses its last step
+        row(self, q, j)
+        if j == 4 and q[1] == -1 and self.steps and self.steps[-1].pair[1] == 4:
+            self.steps.pop()
+
+    monkeypatch.setattr(BuildState, "row", dropping)
+
+
+def _inject_invalid_leaf(monkeypatch):
+    def validate(gp):
+        return CheckResult(False, "injected") if gp.pattern == _TARGET else validate_partition(gp)
+
+    monkeypatch.setattr(search, "validate_partition", validate)
+
+
+def _inject_audit_rejection(monkeypatch):
+    step = AuditState.step
+
+    def rejecting(self, k, s, expected):   # every Case-2 step on (1, 4)
+        r = step(self, k, s, expected)   # the replay state stays consistent
+        if s.pair == (1, 4) and s.case == "case2":
+            return CheckResult(False, f"step {k}: injected")
+        return r
+
+    monkeypatch.setattr(AuditState, "step", rejecting)
+
+
+def _inject_final_mismatch(monkeypatch):
+    final = AuditState.final
+    blocks = build_good_partition(_TARGET).blocks
+
+    def mismatch(self, bs):
+        return CheckResult(False, "injected") if tuple(bs) == blocks else final(self, bs)
+
+    monkeypatch.setattr(AuditState, "final", mismatch)
+
+
+def _inject_parity_mismatch(monkeypatch):
+    flipped = pattern_from_index(8, 0b10110011)   # five negative signs
+
+    def parity(pattern):
+        return (0, 1) if tuple(pattern) == flipped else parity_counts(pattern)
+
+    monkeypatch.setattr(search, "parity_counts", parity)
+
+
+@pytest.mark.parametrize("inject", [
+    _inject_construction_failure,
+    _inject_dropped_step,
+    _inject_invalid_leaf,
+    _inject_audit_rejection,
+    _inject_final_mismatch,
+    _inject_parity_mismatch,
+])
+def test_sweep_failures_match_per_pattern_loop(monkeypatch, inject):
+    """A failure anywhere in the walk reports exactly what verify_pattern
+    reports pattern by pattern, serially and over the worker pool."""
+    inject(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    n = 8
+    expected = tuple((p, r) for p in map(lambda i: pattern_from_index(n, i), range(2 ** n))
+                     if (r := verify_pattern(p)) is not None)
+    assert 0 < len(expected) < 2 ** n
+    for jobs in (1, 2):
+        report = sweep_patterns(n, jobs=jobs)
+        assert (report.patterns_checked, report.failures) == (2 ** n, expected)
 
 
 # ---------------------------------------------------------------------------
