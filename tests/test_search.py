@@ -217,8 +217,8 @@ def test_sweep_failures_match_per_pattern_loop(monkeypatch, inject):
     inject(monkeypatch)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     n = 8
-    expected = tuple((p, r) for p in map(lambda i: pattern_from_index(n, i), range(2 ** n))
-                     if (r := verify_pattern(p)) is not None)
+    patterns = [pattern_from_index(n, idx) for idx in range(2 ** n)]
+    expected = tuple((p, r) for p in patterns if (r := verify_pattern(p)) is not None)
     assert 0 < len(expected) < 2 ** n
     for jobs in (1, 2):
         report = sweep_patterns(n, jobs=jobs)
