@@ -15,9 +15,12 @@ tree is split by prefix into 2^k subtrees, 2^k >= 4 jobs.
 
 Numeric maximization reproduces the bound 2^floor((n+1)/2) without
 assuming it: a lattice search over the cube followed by per-coordinate
-golden-section ascent.  The known maximizers are 0/-1 vectors, which
-every grid with integer corners contains, so the interesting assertion
-is that nothing anywhere else climbs higher.
+golden-section ascent.  The lattice is filled by slices of a head and a
+tail lattice, and every start's ascent is polished in lockstep with the
+others: one eval_f_batch call evaluates the probes of all live ascents.
+The known maximizers are 0/-1 vectors, which every grid with integer
+corners contains, so the interesting assertion is that nothing anywhere
+else climbs higher.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Iterator, Sequence
+from typing import Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +55,8 @@ _COARSE_STEP = 0.5
 _SCREEN_KEEP = 32
 _RANDOM_STARTS = 64
 _MULTISTART_SEED = 42
+#: Most lattice points a grid search may screen: the default n=8 grid.
+_LATTICE_CAP = 9 ** 8
 #: Rows per slice of eval_f_batch: a slice's contiguous columns, running
 #: product and term stay in cache (2^14 rows hold 128 KiB per column).
 _BATCH_ROWS = 16_384
@@ -239,31 +244,62 @@ def eval_f_batch(X: np.ndarray) -> np.ndarray:
     return f
 
 
-def _axis_points(grid_step: float) -> np.ndarray:
+def _axis_points(grid_step: float, n: int) -> np.ndarray:
+    """The grid's points on [-1, 1], once the step is known to divide 2
+    and the lattice, their n-th power, to hold at most _LATTICE_CAP points."""
+    if not 2.0 / _LATTICE_CAP <= grid_step <= 2.0:   # also NaN and infinities
+        raise ValueError(f"grid_step must lie in [2/{_LATTICE_CAP}, 2], got {grid_step}")
     k = round(2.0 / grid_step)
     if abs(k * grid_step - 2.0) > 1e-12:
         raise ValueError("grid_step must divide the interval length 2 evenly")
+    if (k + 1) ** n > _LATTICE_CAP:
+        raise ValueError(f"grid_step {grid_step} at n={n} asks for {k + 1}^{n} "
+                         f"lattice points, more than {_LATTICE_CAP} (9^8)")
     return np.linspace(-1.0, 1.0, k + 1)
+
+
+def _lattice(points: np.ndarray, k: int) -> np.ndarray:
+    """points^k in mixed-radix order (last column fastest), one row each."""
+    m = len(points)
+    L = np.empty((m ** k, k))
+    for c in range(k):
+        L.reshape(m ** c, m, m ** (k - 1 - c), k)[:, :, :, c] = points[:, None]
+    return L
 
 
 def _lattice_batches(points: np.ndarray, n: int,
                      batch_rows: int = 500_000) -> Iterator[np.ndarray]:
-    """The full lattice points^n in mixed-radix order, in row batches."""
-    m = len(points)
-    total = m ** n
+    """The full lattice points^n in mixed-radix order, in row batches.
+
+    Row h * len(tail) + t is head row h beside tail row t, where head and
+    tail are the lattices of the first n - r and last r = ceil(n/2)
+    coordinates.  Each run of rows under one head row is filled by two
+    slice copies.  Every batch is a view of one buffer that the next
+    batch overwrites, so a caller copies the rows it keeps."""
+    r = (n + 1) // 2
+    head, tail = _lattice(points, n - r), _lattice(points, r)
+    period = len(tail)
+    total = len(head) * period
+    buf = np.empty((min(batch_rows, total), n))
     for start in range(0, total, batch_rows):
         stop = min(start + batch_rows, total)
-        idx = np.arange(start, stop, dtype=np.int64)
-        X = np.empty((stop - start, n))
-        for c in range(n - 1, -1, -1):
-            X[:, c] = points[idx % m]
-            idx //= m
+        X = buf[:stop - start]
+        row = start
+        while row < stop:
+            h, t = divmod(row, period)
+            end = min(stop, (h + 1) * period)
+            X[row - start:end - start, :n - r] = head[h]
+            X[row - start:end - start, n - r:] = tail[t:t + end - row]
+            row = end
         yield X
 
 
-def _golden_ascent(x: np.ndarray, value: float, radius: float,
-                   rounds: int) -> tuple[np.ndarray, float, int]:
-    """Per-coordinate golden-section ascent around x; never descends."""
+def _golden_ascent(x: np.ndarray, value: float, radius: float, rounds: int
+                   ) -> Generator[np.ndarray, float, tuple[np.ndarray, float, int]]:
+    """Per-coordinate golden-section ascent around x; never descends.
+
+    Yields each probe point and is sent f there; returns
+    (x, value, evals).  _polish drives it."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x = x.copy()
     evals = 0
@@ -273,30 +309,31 @@ def _golden_ascent(x: np.ndarray, value: float, radius: float,
             lo = max(-1.0, x[k] - radius)
             hi = min(1.0, x[k] + radius)
 
-            def g(t: float) -> float:
+            def g(t: float) -> Generator[np.ndarray, float, float]:
                 x[k] = t
-                return eval_f(x)
+                return (yield x)
 
             best_t, best_v = x[k], value
             for t in (lo, hi):
-                v = g(t)
+                v = yield from g(t)
                 evals += 1
                 if v > best_v:
                     best_t, best_v = t, v
             a, b = lo, hi
             c = b - inv * (b - a)
             d = a + inv * (b - a)
-            gc, gd = g(c), g(d)
+            gc = yield from g(c)
+            gd = yield from g(d)
             evals += 2
             for _ in range(48):
                 if gc > gd:
                     b, d, gd = d, c, gc
                     c = b - inv * (b - a)
-                    gc = g(c)
+                    gc = yield from g(c)
                 else:
                     a, c, gc = c, d, gd
                     d = a + inv * (b - a)
-                    gd = g(d)
+                    gd = yield from g(d)
                 evals += 1
             for t, v in ((c, gc), (d, gd)):
                 if v > best_v:
@@ -306,14 +343,46 @@ def _golden_ascent(x: np.ndarray, value: float, radius: float,
     return x, value, evals
 
 
+def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
+            rounds: int) -> list[tuple[np.ndarray, float, int]]:
+    """_golden_ascent from every (value, point) start, in lockstep; the
+    results in start order.  While two or more ascents live, each step
+    evaluates all their probes with one eval_f_batch call.  A lone ascent
+    is driven with eval_f, which gives the same bits at less cost."""
+    ascents = [_golden_ascent(x, v, radius, rounds) for v, x in starts]
+    results: list = [None] * len(ascents)
+    live = list(range(len(ascents)))
+    values: list = [None] * len(live)   # send(None) starts an ascent
+    while len(live) > 1:
+        probes, still = [], []
+        for i, v in zip(live, values):
+            try:
+                probes.append(ascents[i].send(v))
+                still.append(i)
+            except StopIteration as done:
+                results[i] = done.value
+        live = still
+        values = eval_f_batch(np.array(probes)).tolist() if probes else []
+    for i, v in zip(live, values):
+        try:
+            while True:
+                v = eval_f(ascents[i].send(v))
+        except StopIteration as done:
+            results[i] = done.value
+    return results
+
+
 def maximize_f(n: int, grid_step: float = 0.25,
                refine_iters: int = 3) -> MaximizeResult:
     """Numerically maximize f_n over [-1,1]^n.
 
-    n <= 8: exhaustive grid at grid_step, then golden-section ascent.
-    Larger n: coarse 0.5-step lattice screen plus seeded random
-    multistarts, each polished by the same coordinate ascent.  The
-    screen visits 5^n points, so n is capped at 12.
+    n <= 8: exhaustive grid at grid_step, then golden-section ascent;
+    the grid may hold at most _LATTICE_CAP = 9^8 points.  Larger n:
+    coarse 0.5-step lattice screen plus seeded random multistarts, all
+    polished in lockstep by the same coordinate ascent, with one
+    eval_f_batch call per golden step.  The best is the first strict
+    improvement in start order.  The screen visits 5^n points, so n is
+    capped at 12.
     """
     if not 1 <= n <= 12:
         raise ValueError("n must be between 1 and 12")
@@ -321,7 +390,7 @@ def maximize_f(n: int, grid_step: float = 0.25,
     evaluations = 0
 
     if n <= 8:
-        points = _axis_points(grid_step)
+        points = _axis_points(grid_step, n)
         best_v = -np.inf
         best_x: np.ndarray | None = None
         for X in _lattice_batches(points, n):
@@ -332,14 +401,14 @@ def maximize_f(n: int, grid_step: float = 0.25,
                 best_v = float(vals[top])
                 best_x = X[top].copy()
         assert best_x is not None
-        x, v, used = _golden_ascent(best_x, best_v, grid_step, refine_iters)
+        [(x, v, used)] = _polish([(best_v, best_x)], grid_step, refine_iters)
         evaluations += used
         method = f"grid(step={grid_step})+golden-ascent(rounds={refine_iters})"
         return MaximizeResult(n, v, tuple(float(c) for c in x), bound,
                               method, evaluations)
 
     starts: list[tuple[float, np.ndarray]] = []
-    points = _axis_points(_COARSE_STEP)
+    points = np.linspace(-1.0, 1.0, round(2.0 / _COARSE_STEP) + 1)
     for X in _lattice_batches(points, n):
         vals = eval_f_batch(X)
         evaluations += len(vals)
@@ -354,8 +423,7 @@ def maximize_f(n: int, grid_step: float = 0.25,
         evaluations += 1
 
     best_x, best_v = None, -np.inf
-    for v0, x0 in starts:
-        x, v, used = _golden_ascent(x0, v0, _COARSE_STEP, refine_iters)
+    for x, v, used in _polish(starts, _COARSE_STEP, refine_iters):
         evaluations += used
         if v > best_v:
             best_v, best_x = v, x

@@ -142,8 +142,9 @@ def test_maximize_text_shows_gap(capsys):
 
 
 def test_maximize_rejects_bad_grid(capsys):
-    rc, _, err = run(capsys, ["maximize", "--n", "2", "--grid-step", "0.3"])
-    assert rc == 2 and "grid_step" in err
+    for step in ("0.3", "0", "-0.5", "nan", "inf"):
+        rc, _, err = run(capsys, ["maximize", "--n", "2", "--grid-step", step])
+        assert rc == 2 and "grid_step" in err, step
 
 
 def test_sample(capsys):

@@ -1,6 +1,8 @@
 """Sweeps, maximizer enumeration, numeric maximization, and the seeded
 domination sampler."""
 
+import hashlib
+import itertools
 import math
 import os
 import tracemalloc
@@ -348,6 +350,76 @@ def test_maximize_rejects_bad_arguments():
         maximize_f(0)
     with pytest.raises(ValueError):
         maximize_f(3, grid_step=0.3)
+    for step in (0.0, -0.5, math.nan, math.inf, -math.inf, 5e-324):
+        with pytest.raises(ValueError, match="grid_step"):
+            maximize_f(3, grid_step=step)
+
+
+#: SHA-256 of repr(maximize_f(*args)), recorded before the ascents were
+#: polished in lockstep and the lattice filled by slices.
+MAXIMIZE_DIGESTS = {
+    (1,): "2225e50533aa79687bd1d597be977728e6e84db6ebd0a8dd756c5fb07e987a15",
+    (2,): "7453ae18f0c9c6426f21ca8239c671e051d77b224b40b757d5c4efe085f1f723",
+    (3,): "996911ec8ee990aaae6d0c2859ce5228cb3140fee18d9daac53aa2ee9cc0f279",
+    (4,): "523a92944279826a81fa98c4b2ae848ff66c9ad498be44a96bc27d04b612410f",
+    (5,): "c8c7a7bc06b40a8c4b6f65647ee04339abf7f6524599a197030e89469b68ed45",
+    (6,): "a1f9dd0f382a52228ee1699bea5d0caaa1e2bc951724d1c601a318da60812d5e",
+    (7,): "03a1a198dc8aba2864d0536b8ad2caa7772e1fd3742ce075e689af4e985aa11c",
+    (9,): "3a72bbe90804ba85bbe82ddde22d5d6a3b9f13a82a9bb3b1e1767bb67e435789",
+    (4, 0.5): "ec99bd98020ad1c84ddd99da3b51823e60f34c84debd4d7b7dbdbc69a214d109",
+    (4, 0.125): "3684548c0b5875f5598bda10a3dd14795bb17142d616e22f896681cd1cd03b0f",
+}
+
+
+def test_maximize_results_pinned():
+    """Value, point, evaluation count and method, bit for bit, on both
+    paths and for non-default grid steps."""
+    got = {args: hashlib.sha256(repr(maximize_f(*args)).encode()).hexdigest()
+           for args in MAXIMIZE_DIGESTS}
+    assert got == MAXIMIZE_DIGESTS
+
+
+def test_polish_together_matches_one_by_one():
+    """Random, lattice and +-1-clipped starts give the same ascents whether
+    polished in one lockstep batch or one at a time through eval_f."""
+    rng = np.random.default_rng(5)
+    points = [rng.uniform(-1.0, 1.0, size=5) for _ in range(6)]
+    points += [np.array(p, dtype=float) for p in
+               ([-1, 0, -1, 0, -1], [0, -1, 0, -1, 0], [0.5, -0.5, 0, 1, -1])]
+    points += [np.clip(rng.uniform(-1.5, 1.5, size=5), -1.0, 1.0) for _ in range(4)]
+    starts = [(eval_f(x), x) for x in points]
+    for radius, rounds in ((0.5, 2), (0.25, 1)):
+        together = search._polish(starts, radius, rounds)
+        for (v0, x0), (x, v, used) in zip(starts, together):
+            [(x1, v1, used1)] = search._polish([(v0, x0)], radius, rounds)
+            assert np.array_equal(x, x1) and v == v1 and used == used1
+            assert v >= v0 and used == rounds * 5 * 52
+    assert search._polish([], 0.5, 1) == []
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lattice_batches_match_product(n):
+    """Mixed-radix order and batch boundaries; 7 rows per batch divides
+    no tail period (3^ceil(n/2)), so runs straddle batches."""
+    points = np.array([-1.0, -0.25, 0.5])
+    batches = [X.copy() for X in search._lattice_batches(points, n, batch_rows=7)]
+    assert [len(X) for X in batches] == [min(7, 3 ** n - s) for s in range(0, 3 ** n, 7)]
+    expected = np.array(list(itertools.product(points, repeat=n)))
+    assert np.array_equal(np.concatenate(batches), expected)
+
+
+def test_maximize_rejects_large_lattice_before_screening(monkeypatch, capsys):
+    def no_lattice(*args, **kwargs):
+        raise AssertionError("the lattice screen was started")
+
+    monkeypatch.setattr(search, "_lattice_batches", no_lattice)
+    with pytest.raises(ValueError, match="grid_step 0.001 at n=8"):
+        maximize_f(8, grid_step=0.001)
+    assert main(["maximize", "--n", "8", "--grid-step", "0.001"]) == 2
+    assert "9^8" in capsys.readouterr().err
+    assert len(search._axis_points(0.25, 8)) == 9   # the default n=8 grid: 9^8 points
+    with pytest.raises(ValueError, match="11\\^8"):
+        search._axis_points(0.2, 8)
 
 
 def test_maximize_rejects_large_n_before_screening(monkeypatch, capsys):
