@@ -22,7 +22,7 @@ for n in range(1, 11):
 print(f"all {total} patterns certified")
 print()
 
-print("random domination, 100000 samples per n, seeded:")
+print("random domination, seeded: 100000 samples per n globally, 20000 block-wise:")
 for n in (2, 4, 6, 8):
     whole = sample_domination(n, samples=100_000, seed=42)
     block = sample_blockwise_domination(n, samples=20_000, seed=42)

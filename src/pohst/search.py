@@ -21,6 +21,14 @@ others: one eval_f_batch call evaluates the probes of all live ascents.
 The known maximizers are 0/-1 vectors, which every grid with integer
 corners contains, so the interesting assertion is that nothing anywhere
 else climbs higher.
+
+Domination sampling checks a seeded stream of samples against the
+mirror -|v|, globally and block by block.  The block-wise check forms
+the terms of a row chunk once, as a matrix with one column per term in
+running_terms order and a column of ones.  Each pattern's partition
+becomes a small table of its blocks' term columns, padded with the ones
+column to four members, and every block product of the chunk is one
+gather from the matrix.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ from .partition import (
     CheckResult,
     ConstructionFailure,
     audit_build,
-    block_products,
     build_good_partition,
     parity_counts,
     validate_partition,
@@ -60,6 +67,11 @@ _LATTICE_CAP = 9 ** 8
 #: Rows per slice of eval_f_batch: a slice's contiguous columns, running
 #: product and term stay in cache (2^14 rows hold 128 KiB per column).
 _BATCH_ROWS = 16_384
+#: Elements of a term matrix per row chunk of the block-wise sampler, so
+#: that its term matrices and gathers keep their size as n grows.
+_GATHER_ELEMENTS = 1 << 16
+#: Largest n of a sweep or a sampling campaign.
+_MAX_N = 24
 
 
 @dataclass(frozen=True)
@@ -190,8 +202,8 @@ def sweep_patterns(n: int, jobs: int = 1) -> SweepReport:
     the per-pattern loop's.  With jobs > 1 the tree is split by prefix
     into 2^k subtrees, 2^k >= 4 jobs, over a pool of worker processes.
     """
-    if not 1 <= n <= 24:
-        raise ValueError("n must be between 1 and 24")
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"n must be between 1 and {_MAX_N}")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     jobs = min(jobs, os.cpu_count() or 1)  # the report does not depend on jobs
@@ -244,14 +256,21 @@ def eval_f_batch(X: np.ndarray) -> np.ndarray:
     return f
 
 
-def _axis_points(grid_step: float, n: int) -> np.ndarray:
-    """The grid's points on [-1, 1], once the step is known to divide 2
-    and the lattice, their n-th power, to hold at most _LATTICE_CAP points."""
+def _grid_intervals(grid_step: float) -> int:
+    """The number of grid intervals on [-1, 1], once the step is known to
+    lie in [2/_LATTICE_CAP, 2] and to divide 2."""
     if not 2.0 / _LATTICE_CAP <= grid_step <= 2.0:   # also NaN and infinities
         raise ValueError(f"grid_step must lie in [2/{_LATTICE_CAP}, 2], got {grid_step}")
     k = round(2.0 / grid_step)
     if abs(k * grid_step - 2.0) > 1e-12:
         raise ValueError("grid_step must divide the interval length 2 evenly")
+    return k
+
+
+def _axis_points(grid_step: float, n: int) -> np.ndarray:
+    """The grid's points on [-1, 1], once the step is known to divide 2
+    and the lattice, their n-th power, to hold at most _LATTICE_CAP points."""
+    k = _grid_intervals(grid_step)
     if (k + 1) ** n > _LATTICE_CAP:
         raise ValueError(f"grid_step {grid_step} at n={n} asks for {k + 1}^{n} "
                          f"lattice points, more than {_LATTICE_CAP} (9^8)")
@@ -382,10 +401,12 @@ def maximize_f(n: int, grid_step: float = 0.25,
     polished in lockstep by the same coordinate ascent, with one
     eval_f_batch call per golden step.  The best is the first strict
     improvement in start order.  The screen visits 5^n points, so n is
-    capped at 12.
+    capped at 12.  A grid_step outside [2/9^8, 2] or not dividing 2 is
+    refused for every n, before any screen.
     """
     if not 1 <= n <= 12:
         raise ValueError("n must be between 1 and 12")
+    _grid_intervals(grid_step)
     bound = pohst_bound(n)
     evaluations = 0
 
@@ -459,14 +480,21 @@ def _sample_batches(n: int, samples: int, seed: int,
         produced += m
 
 
+def _check_sampling(n: int, samples: int) -> None:
+    """Refuse a sampling campaign before it draws a sample: n is capped
+    as in sweep_patterns, whose 2^n patterns bound the partitions that
+    the block-wise sampler may build."""
+    if not 1 <= n <= _MAX_N or samples < 1:
+        raise ValueError(f"need 1 <= n <= {_MAX_N} and samples >= 1")
+
+
 def sample_domination(n: int, samples: int = 100_000, seed: int = 42) -> CheckResult:
     """Seeded random check of f(v) <= f(-|v|) <= 2^floor((n+1)/2).
 
     Deterministic given (n, samples, seed).  On failure the witness is
     (sample index, vector).
     """
-    if n < 1 or samples < 1:
-        raise ValueError("need n >= 1 and samples >= 1")
+    _check_sampling(n, samples)
     bound = pohst_bound(n)
     for offset, X in _sample_batches(n, samples, seed):
         fv = eval_f_batch(X)
@@ -481,36 +509,102 @@ def sample_domination(n: int, samples: int = 100_000, seed: int = 42) -> CheckRe
     return CheckResult(True)
 
 
+def _term_column(n: int, i: int, j: int) -> int:
+    """The column of the term (i, j) in running_terms order."""
+    return (i - 1) * n - (i - 1) * (i - 2) // 2 + j - i
+
+
+def _term_matrix(X: np.ndarray) -> np.ndarray:
+    """The terms of every row of X, one column each in running_terms
+    order, then a column of ones."""
+    n = X.shape[1]
+    T = np.empty((len(X), n * (n + 1) // 2 + 1))
+    T[:, -1] = 1.0
+    for k, (_, _, t) in enumerate(running_terms(np.ascontiguousarray(X.T))):
+        T[:, k] = t
+    return T
+
+
+def _pattern_tables(n: int, keys: Sequence[int],
+                    cache: dict[int, tuple[list, np.ndarray]]) -> np.ndarray:
+    """The member tables of the patterns keys, stacked to shape
+    (len(keys), most blocks, 4).
+
+    Row b of a pattern's table holds the term columns of its block b's
+    members in member order; unused entries and the rows past its last
+    block name the ones column.  cache maps a pattern index to (its
+    blocks' members, its table); each pattern missing from it is built
+    with build_good_partition, in the order of keys."""
+    ones = n * (n + 1) // 2
+    for key in keys:
+        if key not in cache:
+            gp = build_good_partition(pattern_from_index(n, key))
+            blocks = [b.members for b in gp.blocks]
+            table = np.full((len(blocks), 4), ones, dtype=np.intp)
+            for b, members in enumerate(blocks):
+                table[b, :len(members)] = [_term_column(n, i, j) for i, j in members]
+            cache[key] = blocks, table
+    tables = [cache[key][1] for key in keys]
+    stacked = np.full((len(tables), max(len(t) for t in tables), 4), ones, dtype=np.intp)
+    for u, table in enumerate(tables):
+        stacked[u, :len(table)] = table
+    return stacked
+
+
+def _gathered_block_products(X: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Row r, column b: the product of block b's terms at X[r] in member
+    order, where cols[r] is the member table of row r's pattern.  The
+    ones column pads every block to four members, so each product is
+    bit-identical to block_products'."""
+    m, blocks, _ = cols.shape
+    g = np.take_along_axis(_term_matrix(X), cols.reshape(m, 4 * blocks), axis=1)
+    g = g.reshape(m, blocks, 4)
+    a = g[:, :, 0] * g[:, :, 1]
+    a *= g[:, :, 2]
+    a *= g[:, :, 3]
+    return a
+
+
 def sample_blockwise_domination(n: int, samples: int = 100_000,
                                 seed: int = 42) -> CheckResult:
     """Block-level domination on the same sample stream as
     sample_domination: for every sample, every block of the certificate
-    of its sign pattern dominates under the mirror vector.  A failure
-    names the lowest failing pattern_from_index index, its first failing
-    block in block order, and that block's first failing row.
+    of its sign pattern dominates under the mirror vector.
+
+    Each batch builds the partitions of its new patterns first, in
+    ascending pattern_from_index index, so a ConstructionFailure is
+    raised before any of that batch's domination verdicts.  The batch's
+    rows are then checked in chunks of _GATHER_ELEMENTS // (n(n+1)/2)
+    rows: one term matrix per chunk for the sample and one for its
+    mirror, and every block product gathered from it.  A failure names
+    the lowest failing pattern index of the first failing batch, its
+    first failing block in block order, and that block's first failing
+    row.
     """
-    if n < 1 or samples < 1:
-        raise ValueError("need n >= 1 and samples >= 1")
-    cache: dict[int, list[tuple]] = {}
+    _check_sampling(n, samples)
+    chunk = max(1, _GATHER_ELEMENTS // (n * (n + 1) // 2))
+    cache: dict[int, tuple[list, np.ndarray]] = {}
     bits = 1 << np.arange(n, dtype=np.int64)
     for offset, X in _sample_batches(n, samples, seed):
-        index = (X < 0) @ bits
-        order = np.argsort(index, kind="stable")
-        keys, starts = np.unique(index[order], return_index=True)
-        for key, rows in zip(keys.tolist(), np.split(order, starts[1:])):
-            blocks = cache.get(key)
-            if blocks is None:
-                gp = build_good_partition(pattern_from_index(n, key))
-                blocks = cache[key] = [b.members for b in gp.blocks]
-            G = X[rows]
-            lhs = block_products(G.T, blocks)
-            rhs = block_products(-np.abs(G.T), blocks)
-            for indices, a, b in zip(blocks, lhs, rhs):
-                ok = leq_with_tol(a, b)
-                if not ok.all():
-                    bad = int(np.argmin(ok))
-                    return CheckResult(
-                        False, f"block {[tuple(t) for t in indices]} failed "
-                        f"domination at sample {offset + int(rows[bad])}",
-                        (offset + int(rows[bad]), tuple(G[bad])))
+        keys, inverse = np.unique((X < 0) @ bits, return_inverse=True)
+        keys = keys.tolist()
+        stacked = _pattern_tables(n, keys, cache)
+        first = None   # (pattern slot, block, row) of the batch's first failure
+        for s in range(0, len(X), chunk):
+            C, cols = X[s:s + chunk], stacked[inverse[s:s + chunk]]
+            ok = leq_with_tol(_gathered_block_products(C, cols),
+                              _gathered_block_products(-np.abs(C), cols))
+            rows, blocks = np.nonzero(~ok)
+            if len(rows):
+                slots = inverse[s + rows]
+                k = np.lexsort((rows, blocks, slots))[0]
+                found = (int(slots[k]), int(blocks[k]), s + int(rows[k]))
+                first = found if first is None else min(first, found)
+        if first is not None:
+            slot, block, row = first
+            members = cache[keys[slot]][0][block]
+            return CheckResult(
+                False, f"block {[tuple(t) for t in members]} failed "
+                f"domination at sample {offset + row}",
+                (offset + row, tuple(X[row])))
     return CheckResult(True)

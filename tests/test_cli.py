@@ -142,9 +142,10 @@ def test_maximize_text_shows_gap(capsys):
 
 
 def test_maximize_rejects_bad_grid(capsys):
-    for step in ("0.3", "0", "-0.5", "nan", "inf"):
-        rc, _, err = run(capsys, ["maximize", "--n", "2", "--grid-step", step])
-        assert rc == 2 and "grid_step" in err, step
+    for n in ("2", "9"):
+        for step in ("0.3", "0", "-0.5", "nan", "inf"):
+            rc, _, err = run(capsys, ["maximize", "--n", n, "--grid-step", step])
+            assert rc == 2 and "grid_step" in err, (n, step)
 
 
 def test_sample(capsys):

@@ -20,6 +20,7 @@ from pohst.partition import (
     GoodPartition,
     PartitionBlock,
     audit_build,
+    block_products,
     build_good_partition,
     parity_counts,
     prec_key,
@@ -353,6 +354,9 @@ def test_maximize_rejects_bad_arguments():
     for step in (0.0, -0.5, math.nan, math.inf, -math.inf, 5e-324):
         with pytest.raises(ValueError, match="grid_step"):
             maximize_f(3, grid_step=step)
+    for step in (0.0, math.nan, math.inf, -0.5, 0.3):   # n > 8 does not read it
+        with pytest.raises(ValueError, match="grid_step"):
+            maximize_f(9, grid_step=step)
 
 
 #: SHA-256 of repr(maximize_f(*args)), recorded before the ascents were
@@ -456,14 +460,14 @@ def _singletons(pattern):
     return GoodPartition(len(pattern), tuple(pattern), blocks)
 
 
-def _first_block_failure(n, samples, seed):
+def _first_block_failure(n, samples, seed, partition=_singletons):
     """Reference witness: per batch, patterns in ascending index, blocks
     in order, rows in order; terms from eval_term."""
     for offset, X in _sample_batches(n, samples, seed):
         for idx in range(2 ** n):
             rows = [r for r, x in enumerate(X)
                     if pattern_from_index(n, idx) == tuple(np.where(x > 0, 1, -1))]
-            for b in _singletons(pattern_from_index(n, idx)).blocks:
+            for b in partition(pattern_from_index(n, idx)).blocks:
                 for r in rows:
                     lhs = math.prod(eval_term(X[r], t) for t in b.members)
                     rhs = math.prod(eval_term(negate_abs(X[r]), t) for t in b.members)
@@ -479,6 +483,88 @@ def test_sample_blockwise_domination_reports_failing_block(monkeypatch):
     assert not r
     assert r.reason == f"block {[tuple(t) for t in block]} failed domination at sample {sample}"
     assert r.witness == (sample, vec)
+
+
+@pytest.mark.parametrize("planted,chunk_rows,pattern", [
+    ({6}, 4, 6),      # pattern 6 first fails at row 8, in the third chunk
+    ({1, 2}, 4, 1),   # pattern 2 fails at row 0, pattern 1 only at row 7
+    ({1, 2}, 1, 1),
+])
+def test_sample_blockwise_domination_planted_failure_matches_reference(
+        monkeypatch, planted, chunk_rows, pattern):
+    """Singletons planted on some patterns of n=3, good partitions on the
+    rest, rows checked in chunks of chunk_rows: the report is the
+    reference's, the lowest failing pattern of the batch, even when a
+    higher one fails at an earlier row or in an earlier chunk; each new
+    pattern is built once, in ascending index order."""
+    def partition(pat):
+        idx = sum(1 << b for b, s in enumerate(pat) if s < 0)
+        return _singletons(pat) if idx in planted else build_good_partition(pat)
+
+    built = []
+    monkeypatch.setattr(search, "build_good_partition",
+                        lambda pat: built.append(pat) or partition(pat))
+    monkeypatch.setattr(search, "_GATHER_ELEMENTS", 6 * chunk_rows)
+    r = sample_blockwise_domination(3, samples=400, seed=42)
+    block, sample, vec = _first_block_failure(3, 400, 42, partition)
+    assert not r
+    assert r.reason == f"block {[tuple(t) for t in block]} failed domination at sample {sample}"
+    assert r.witness == (sample, vec)
+    assert pattern_from_index(3, pattern) == tuple(np.where(np.array(vec) > 0, 1, -1))
+    assert built == [pattern_from_index(3, idx) for idx in range(8)]
+
+
+def test_sample_blockwise_domination_builds_each_pattern_once(monkeypatch):
+    built = []
+    monkeypatch.setattr(search, "build_good_partition",
+                        lambda pat: built.append(pat) or build_good_partition(pat))
+    assert sample_blockwise_domination(3, samples=45_000, seed=42)   # three batches
+    assert built == [pattern_from_index(3, idx) for idx in range(8)]
+
+
+def test_gathered_block_products_equal_block_products():
+    """Every block product of every pattern with n <= 8, for the samples
+    and their mirrors, is == block_products'; padding blocks read 1.0."""
+    for n in range(1, 9):
+        X = next(_sample_batches(n, 20_000, 17))[1]
+        bits = 1 << np.arange(n)
+        keys, inverse = np.unique((X < 0) @ bits, return_inverse=True)
+        assert len(keys) == 2 ** n
+        tables = search._pattern_tables(n, keys.tolist(), {})
+        for V in (X, -np.abs(X)):
+            P = search._gathered_block_products(V, tables[inverse])
+            for key in keys.tolist():
+                rows = np.flatnonzero(inverse == key)
+                members = [b.members for b in
+                           build_good_partition(pattern_from_index(n, key)).blocks]
+                for b, ref in enumerate(block_products(V[rows].T, members)):
+                    assert np.array_equal(P[rows, b], ref), (n, key, b)
+                assert (P[rows, len(members):] == 1.0).all()
+
+
+def test_sample_blockwise_domination_memory_is_bounded():
+    """Row chunks of _GATHER_ELEMENTS term-matrix entries keep the term
+    matrices, member tables and gathers of n=10 small."""
+    tracemalloc.start()
+    try:
+        assert sample_blockwise_domination(10, 25_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16_000_000
+
+
+def test_sampling_rejects_large_n_before_sampling(monkeypatch, capsys):
+    def no_samples(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(search, "_sample_batches", no_samples)
+    for call in (sample_domination, sample_blockwise_domination):
+        for n in (25, 100_000_000):
+            with pytest.raises(ValueError, match="n <= 24"):
+                call(n, 1)
+    assert main(["sample", "--n", "25", "--samples", "1"]) == 2
+    assert "n <= 24" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("call", [
