@@ -108,7 +108,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValueError(f"cannot read certificate: {e}")
     try:
         gp = certificate_from_json(text)

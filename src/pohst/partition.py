@@ -913,9 +913,11 @@ def certificate_from_json(text: str) -> GoodPartition:
     Raises CertificateFormatError on malformed JSON or schema breaks;
     semantic validity is validate_partition's job.
     """
+    # ValueError covers JSONDecodeError and integers past CPython's digit
+    # limit; deep nesting raises RecursionError.
     try:
         data = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:  # deep nesting recurses
+    except (ValueError, RecursionError) as e:
         raise CertificateFormatError(f"not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise CertificateFormatError("certificate must be a JSON object")

@@ -16,8 +16,9 @@ tree is split by prefix into 2^k subtrees, 2^k >= 4 jobs.
 Numeric maximization reproduces the bound 2^floor((n+1)/2) without
 assuming it: a lattice search over the cube followed by per-coordinate
 golden-section ascent.  The lattice is filled by slices of a head and a
-tail lattice, and every start's ascent is polished in lockstep with the
-others: one eval_f_batch call evaluates the probes of all live ascents.
+tail lattice.  Every ascent makes the same number of probes, so the
+starts are polished together as the rows of one array, and each golden
+step evaluates one probe per start.
 The known maximizers are 0/-1 vectors, which every grid with integer
 corners contains, so the interesting assertion is that nothing anywhere
 else climbs higher.
@@ -39,7 +40,7 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Generator, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -313,96 +314,66 @@ def _lattice_batches(points: np.ndarray, n: int,
         yield X
 
 
-def _golden_ascent(x: np.ndarray, value: float, radius: float, rounds: int
-                   ) -> Generator[np.ndarray, float, tuple[np.ndarray, float, int]]:
-    """Per-coordinate golden-section ascent around x; never descends.
-
-    Yields each probe point and is sent f there; returns
-    (x, value, evals).  _polish drives it."""
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    x = x.copy()
-    evals = 0
-    n = len(x)
-    for _ in range(rounds):
-        for k in range(n):
-            lo = max(-1.0, x[k] - radius)
-            hi = min(1.0, x[k] + radius)
-
-            def g(t: float) -> Generator[np.ndarray, float, float]:
-                x[k] = t
-                return (yield x)
-
-            best_t, best_v = x[k], value
-            for t in (lo, hi):
-                v = yield from g(t)
-                evals += 1
-                if v > best_v:
-                    best_t, best_v = t, v
-            a, b = lo, hi
-            c = b - inv * (b - a)
-            d = a + inv * (b - a)
-            gc = yield from g(c)
-            gd = yield from g(d)
-            evals += 2
-            for _ in range(48):
-                if gc > gd:
-                    b, d, gd = d, c, gc
-                    c = b - inv * (b - a)
-                    gc = yield from g(c)
-                else:
-                    a, c, gc = c, d, gd
-                    d = a + inv * (b - a)
-                    gd = yield from g(d)
-                evals += 1
-            for t, v in ((c, gc), (d, gd)):
-                if v > best_v:
-                    best_t, best_v = t, v
-            x[k] = best_t
-            value = best_v
-    return x, value, evals
-
-
 def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
             rounds: int) -> list[tuple[np.ndarray, float, int]]:
-    """_golden_ascent from every (value, point) start, in lockstep; the
-    results in start order.  While two or more ascents live, each step
-    evaluates all their probes with one eval_f_batch call.  A lone ascent
-    is driven with eval_f, which gives the same bits at less cost."""
-    ascents = [_golden_ascent(x, v, radius, rounds) for v, x in starts]
-    results: list = [None] * len(ascents)
-    live = list(range(len(ascents)))
-    values: list = [None] * len(live)   # send(None) starts an ascent
-    while len(live) > 1:
-        probes, still = [], []
-        for i, v in zip(live, values):
-            try:
-                probes.append(ascents[i].send(v))
-                still.append(i)
-            except StopIteration as done:
-                results[i] = done.value
-        live = still
-        values = eval_f_batch(np.array(probes)).tolist() if probes else []
-    for i, v in zip(live, values):
-        try:
-            while True:
-                v = eval_f(ascents[i].send(v))
-        except StopIteration as done:
-            results[i] = done.value
-    return results
+    """Per-coordinate golden-section ascent from every (value, point)
+    start; never descends.  Returns (x, value, evals) per start, in start
+    order.
+
+    Each coordinate probes the two ends of its bracket, two golden points
+    and 48 golden steps, so every ascent makes rounds * n * 52 probes and
+    only the branch of a step differs between starts.  The starts are
+    the rows of one array, and each probe evaluates every row: with
+    eval_f_batch, or with eval_f for a lone start, which gives the same
+    bits at less cost."""
+    if not starts:
+        return []
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    X = np.array([x for _, x in starts], dtype=float)
+    value = np.array([v for v, _ in starts], dtype=float)
+    S, n = X.shape
+
+    def f(k: int, t: np.ndarray) -> np.ndarray:
+        X[:, k] = t
+        return eval_f_batch(X) if S > 1 else np.array([eval_f(X[0])])
+
+    for _ in range(rounds):
+        for k in range(n):
+            x_k = X[:, k].copy()
+            lo = np.maximum(-1.0, x_k - radius)
+            hi = np.minimum(1.0, x_k + radius)
+            g_lo, g_hi = f(k, lo), f(k, hi)
+            a, b = lo, hi
+            w = inv * (b - a)
+            c, d = b - w, a + w
+            gc, gd = f(k, c), f(k, d)
+            for _ in range(48):
+                m = gc > gd
+                a, b = np.where(m, a, c), np.where(m, d, b)
+                w = inv * (b - a)
+                c, d = np.where(m, b - w, d), np.where(m, c, a + w)
+                v = f(k, np.where(m, c, d))
+                gc, gd = np.where(m, v, gd), np.where(m, gc, v)
+            for t, v in ((lo, g_lo), (hi, g_hi), (c, gc), (d, gd)):
+                up = v > value   # the first strict improvement wins
+                x_k, value = np.where(up, t, x_k), np.where(up, v, value)
+            X[:, k] = x_k
+    evals = rounds * n * 52
+    return [(x, float(v), evals) for x, v in zip(X, value)]
 
 
 def maximize_f(n: int, grid_step: float = 0.25,
                refine_iters: int = 3) -> MaximizeResult:
     """Numerically maximize f_n over [-1,1]^n.
 
-    n <= 8: exhaustive grid at grid_step, then golden-section ascent;
-    the grid may hold at most _LATTICE_CAP = 9^8 points.  Larger n:
-    coarse 0.5-step lattice screen plus seeded random multistarts, all
-    polished in lockstep by the same coordinate ascent, with one
-    eval_f_batch call per golden step.  The best is the first strict
-    improvement in start order.  The screen visits 5^n points, so n is
-    capped at 12.  A grid_step outside [2/9^8, 2] or not dividing 2 is
-    refused for every n, before any screen.
+    n <= 8: exhaustive grid at grid_step, then _polish's golden-section
+    ascent from the grid's best point, the one start; the grid may hold
+    at most _LATTICE_CAP = 9^8 points.  Larger n: the _SCREEN_KEEP best
+    points of a coarse 0.5-step lattice screen and _RANDOM_STARTS seeded
+    random points, polished together by the same ascent.  The best is
+    the first strict improvement in start order.  The screen visits 5^n
+    points, so n is capped at 12.  A grid_step outside [2/9^8, 2] or not
+    dividing 2 is refused for every n, before any screen.
     """
     if not 1 <= n <= 12:
         raise ValueError("n must be between 1 and 12")
@@ -553,16 +524,23 @@ def _pattern_tables(n: int, keys: Sequence[int],
 
 def _gathered_block_products(X: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Row r, column b: the product of block b's terms at X[r] in member
-    order, where cols[r] is the member table of row r's pattern.  The
-    ones column pads every block to four members, so each product is
-    bit-identical to block_products'."""
+    order, where cols[r] is the member table of row r's pattern.  X may
+    also be a stack of such samples that share the tables, a chunk and
+    its mirror: the flat indices cols[r] + r * width into a term matrix
+    are formed once for all of them.  The ones column pads every block
+    to four members, so each product is bit-identical to
+    block_products'."""
     m, blocks, _ = cols.shape
-    g = np.take_along_axis(_term_matrix(X), cols.reshape(m, 4 * blocks), axis=1)
-    g = g.reshape(m, blocks, 4)
-    a = g[:, :, 0] * g[:, :, 1]
-    a *= g[:, :, 2]
-    a *= g[:, :, 3]
-    return a
+    n = X.shape[-1]
+    width = n * (n + 1) // 2 + 1   # the term matrix's columns
+    flat = cols.reshape(m, 4 * blocks) + (np.arange(m) * width)[:, None]
+    P = np.empty(X.shape[:-1] + (blocks,))
+    for V, a in zip(X.reshape(-1, m, n), P.reshape(-1, m, blocks)):
+        g = _term_matrix(V).take(flat).reshape(m, blocks, 4)
+        np.multiply(g[:, :, 0], g[:, :, 1], out=a)
+        a *= g[:, :, 2]
+        a *= g[:, :, 3]
+    return P
 
 
 def sample_blockwise_domination(n: int, samples: int = 100_000,
@@ -592,8 +570,8 @@ def sample_blockwise_domination(n: int, samples: int = 100_000,
         first = None   # (pattern slot, block, row) of the batch's first failure
         for s in range(0, len(X), chunk):
             C, cols = X[s:s + chunk], stacked[inverse[s:s + chunk]]
-            ok = leq_with_tol(_gathered_block_products(C, cols),
-                              _gathered_block_products(-np.abs(C), cols))
+            P = _gathered_block_products(np.stack((C, -np.abs(C))), cols)
+            ok = leq_with_tol(P[0], P[1])
             rows, blocks = np.nonzero(~ok)
             if len(rows):
                 slots = inverse[s + rows]

@@ -127,6 +127,24 @@ def test_check_rejects_missing_file(capsys, tmp_path):
     assert rc == 2 and "cannot read" in err
 
 
+def test_check_rejects_non_utf8_file(capsys, tmp_path):
+    cert = tmp_path / "latin1.json"
+    cert.write_bytes(b'{"n": 1, "kind": "\xff"}')
+    rc, _, err = run(capsys, ["check", str(cert)])
+    assert rc == 2 and "cannot read certificate" in err
+
+
+def test_check_rejects_oversized_integer(capsys, tmp_path):
+    cert = tmp_path / "long.json"
+    run(capsys, ["certify", "--pattern", "+", "--out", str(cert)])
+    payload = json.loads(cert.read_text())
+    payload["blocks"][0]["members"][0][0] = 123456789
+    # 5000 digits: past CPython's 4300-digit limit for int parsing.
+    cert.write_text(json.dumps(payload).replace("123456789", "9" * 5000))
+    rc, _, err = run(capsys, ["check", str(cert)])
+    assert rc == 2 and "malformed certificate" in err
+
+
 def test_maximize_json(capsys):
     rc, out, _ = run(capsys, ["maximize", "--n", "3", "--format", "json"])
     assert rc == 0

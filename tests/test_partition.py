@@ -709,6 +709,10 @@ def test_certificate_round_trip_identity():
 @pytest.mark.parametrize("text,fragment", [
     ("not json", "not valid JSON"),
     pytest.param("[" * 100_000, "not valid JSON", id="deep-nesting"),
+    pytest.param('{"n": 1, "pattern": [1], "blocks": [{"kind": "singleton", '
+                 '"members": [[1, ' + "9" * 5000 + ']], "signs": [1], '
+                 '"provenance": "initial"}], "version": "1"}', "not valid JSON",
+                 id="long-int"),
     ("[]", "JSON object"),
     ("{}", "missing key"),
     ('{"n": "2", "pattern": [-1, 1], "blocks": [], "version": "1"}', "positive integer"),

@@ -383,21 +383,38 @@ def test_maximize_results_pinned():
     assert got == MAXIMIZE_DIGESTS
 
 
+#: SHA-256 of every ascent's (x, value, evals) in
+#: test_polish_together_matches_one_by_one, recorded with a generator per
+#: start, before the ascent became one array-form loop.
+POLISH_DIGEST = "9b693642fd6fb638b9a62ea642d28c906ba5abff3ad498859982c76e1118b4d8"
+
+
 def test_polish_together_matches_one_by_one():
-    """Random, lattice and +-1-clipped starts give the same ascents whether
-    polished in one lockstep batch or one at a time through eval_f."""
+    """Random, lattice and +-1-clipped starts, n = 1 starts (an (S, 1)
+    array), two identical starts and n = 9 starts give the same ascents
+    whether polished together through eval_f_batch or one at a time
+    through eval_f."""
     rng = np.random.default_rng(5)
     points = [rng.uniform(-1.0, 1.0, size=5) for _ in range(6)]
     points += [np.array(p, dtype=float) for p in
                ([-1, 0, -1, 0, -1], [0, -1, 0, -1, 0], [0.5, -0.5, 0, 1, -1])]
     points += [np.clip(rng.uniform(-1.5, 1.5, size=5), -1.0, 1.0) for _ in range(4)]
-    starts = [(eval_f(x), x) for x in points]
-    for radius, rounds in ((0.5, 2), (0.25, 1)):
-        together = search._polish(starts, radius, rounds)
-        for (v0, x0), (x, v, used) in zip(starts, together):
-            [(x1, v1, used1)] = search._polish([(v0, x0)], radius, rounds)
-            assert np.array_equal(x, x1) and v == v1 and used == used1
-            assert v >= v0 and used == rounds * 5 * 52
+    twin = rng.uniform(-1.0, 1.0, size=5)
+    groups = [points,
+              [np.array([t]) for t in (-1.0, -0.6, 0.0, 0.3, 1.0)],
+              [twin, twin.copy()],
+              [rng.uniform(-1.0, 1.0, size=9) for _ in range(3)]]
+    digest = hashlib.sha256()
+    for points in groups:
+        starts = [(eval_f(x), x) for x in points]
+        for radius, rounds in ((0.5, 2), (0.25, 1)):
+            together = search._polish(starts, radius, rounds)
+            for (v0, x0), (x, v, used) in zip(starts, together):
+                [(x1, v1, used1)] = search._polish([(v0, x0)], radius, rounds)
+                assert np.array_equal(x, x1) and v == v1 and used == used1
+                assert v >= v0 and used == rounds * len(x0) * 52
+                digest.update(repr((x.tolist(), v, used)).encode())
+    assert digest.hexdigest() == POLISH_DIGEST
     assert search._polish([], 0.5, 1) == []
 
 
