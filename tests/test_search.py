@@ -405,8 +405,8 @@ def test_polish_together_matches_one_by_one():
               [twin, twin.copy()],
               [rng.uniform(-1.0, 1.0, size=9) for _ in range(3)]]
     digest = hashlib.sha256()
-    for points in groups:
-        starts = [(eval_f(x), x) for x in points]
+    for group in groups:
+        starts = [(eval_f(x), x) for x in group]
         for radius, rounds in ((0.5, 2), (0.25, 1)):
             together = search._polish(starts, radius, rounds)
             for (v0, x0), (x, v, used) in zip(starts, together):
