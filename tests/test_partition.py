@@ -671,6 +671,52 @@ def test_build_trace_pinned():
         "6fd2590ff8a6c6658f5c7c7c6d676aad422fd9fda9c80c6c35897ead22c9c8bf")
 
 
+def _mutated_traces(trace):
+    """The trace itself, then per step: dropped, dropped with the rest
+    renumbered, duplicated, swapped with the next, its case relabeled,
+    and its first consumed block dropped."""
+    def renumber(steps):
+        return tuple(BuildStep(k, s.pair, s.case, s.operation, s.consumed, s.created)
+                     for k, s in enumerate(steps, start=1))
+
+    yield trace
+    for a, s in enumerate(trace):
+        yield trace[:a] + trace[a + 1:]
+        yield renumber(trace[:a] + trace[a + 1:])
+        yield trace[:a + 1] + trace[a:]
+        if a + 1 < len(trace):
+            yield renumber(trace[:a] + (trace[a + 1], s) + trace[a + 2:])
+        case = "case2" if s.case != "case2" else "case1"
+        yield trace[:a] + (BuildStep(s.k, s.pair, case, s.operation, s.consumed,
+                                     s.created),) + trace[a + 1:]
+        if s.consumed:
+            yield trace[:a] + (BuildStep(s.k, s.pair, s.case, s.operation,
+                                         s.consumed[1:], s.created),) + trace[a + 1:]
+
+
+def test_audit_reasons_pinned():
+    """For every pattern with n <= 6, in pattern_from_index order:
+    audit_build over every mutated trace, and
+    check_impossible_configurations of its blocks and trace read under
+    every pattern of the same n.  The (ok, reason, code) of each hash to
+    one fixed digest: a change to any verdict, reason text or code fails
+    here."""
+    digest, results = hashlib.sha256(), []
+    for n in range(1, 7):
+        gps = [build_good_partition(pattern_from_index(n, idx)) for idx in range(2 ** n)]
+        for gp in gps:
+            results += [audit_build(GoodPartition(n, gp.pattern, gp.blocks, trace))
+                        for trace in _mutated_traces(gp.trace)]
+            results += [check_impossible_configurations(
+                GoodPartition(n, other.pattern, gp.blocks, gp.trace)) for other in gps]
+    for r in results:
+        digest.update(repr((r.ok, r.reason, r.code)).encode())
+    # codes 3 and 5 read the row's negatives and the Case-2 anchors
+    assert {r.code for r in results} == {None, 3, 5}
+    assert digest.hexdigest() == (
+        "60d93077aa2d38d1873bb622a2ff3ded876efc31295e69466f25fd0421464bf6")
+
+
 def _odd_strings_certificate():
     """A parsed certificate whose strings need escaping, with an empty block."""
     payload = json.loads(GOLDEN)
