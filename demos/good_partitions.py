@@ -21,7 +21,6 @@ from pohst import (
     certificate_from_json,
     certificate_to_json,
     check_impossible_configurations,
-    classify,
     domination_check,
     ideal_case_factorization,
     noncanonical_set,
@@ -42,10 +41,10 @@ for s in gp.trace:
           f" -> {s.created.kind} {[tuple(m) for m in s.created.members]}")
 print()
 
-print("final blocks (each member with its stored sign and its configuration):")
+print("final blocks (each member with its stored sign):")
 for b in gp.blocks:
-    tags = {tuple(m): f"{s:+d} {classify(m, gp).tag}" for m, s in zip(b.members, b.signs)}
-    print(f"  {b.kind:13s} {tags}   [{b.provenance}]")
+    members = ", ".join(f"{tuple(m)}{s:+d}" for m, s in zip(b.members, b.signs))
+    print(f"  {b.kind:13s} {members}   [{b.provenance}]")
 print()
 
 assert validate_partition(gp)

@@ -19,7 +19,6 @@ from .numbertheory import (
 from .partition import (
     BuildStep,
     CheckResult,
-    Configuration,
     ConstructionFailure,
     GoodPartition,
     PartitionBlock,
@@ -28,15 +27,11 @@ from .partition import (
     certificate_from_json,
     certificate_to_json,
     check_impossible_configurations,
-    classify,
     domination_check,
-    horizontal_list,
     ideal_case_factorization,
     parity_counts,
-    prec_less,
     sign_rectangle_relation,
     validate_partition,
-    vertical_list,
 )
 from .search import (
     MaximizeResult,

@@ -60,11 +60,11 @@ def _resolve(m: int, regulator: float,
              hermite: float | None) -> tuple[float, str]:
     if not isinstance(m, int) or m < 2:
         raise ValueError("degree m must be an integer >= 2")
-    if not regulator > 0:
-        raise ValueError("regulator must be positive")
+    if not 0 < regulator < math.inf:
+        raise ValueError("regulator must be positive and finite")
     if hermite is not None:
-        if not hermite > 0:
-            raise ValueError("hermite constant must be positive")
+        if not 0 < hermite < math.inf:
+            raise ValueError("hermite constant must be positive and finite")
         return float(hermite), "user"
     return hermite_constant(m - 1)
 
@@ -86,10 +86,15 @@ def compare_bounds(m: int, regulator: float,
                    hermite: float | None = None) -> BoundResult:
     """Both bounds side by side.  The improvement m log m - floor(m/2) log 4
     is independent of the regulator, nonnegative for m >= 2, and zero
-    exactly at m = 2."""
-    gamma, source = _resolve(m, regulator, hermite)
-    term = math.sqrt(gamma * (m ** 3 - m) / 3.0) * (
-        math.sqrt(m) * regulator) ** (1.0 / (m - 1))
+    exactly at m = 2.  Raises ValueError when a term overflows a float."""
+    try:
+        gamma, source = _resolve(m, regulator, hermite)
+        term = math.sqrt(gamma * (m ** 3 - m) / 3.0) * (
+            math.sqrt(m) * regulator) ** (1.0 / (m - 1))
+        if not math.isfinite(term):
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"the bound overflows a float for m={m}, R={regulator}") from None
     remak = m * math.log(m) + term
     improved = (m // 2) * math.log(4.0) + term
     return BoundResult(m, regulator, remak, improved, remak - improved,

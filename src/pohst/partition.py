@@ -13,17 +13,18 @@ Block-wise, each shape forces the product of its terms under v to be
 dominated by the product under the mirror -|v|; a good partition of J
 therefore certifies f_n(v) <= f_n(-|v|) <= 2^floor((n+1)/2).
 
-The builder processes negative members of J in the total order
+The builder processes negative members of J in the total order of
+prec_key (lower rows first, right to left inside a row), one row at a
+time (BuildState.row): row j puts its positive members into singletons,
+then absorbs its negatives.  Each negative pair is absorbed by one of
+three cases; the case analysis is a constructive proof, so every "some
+block must exist here" claim is asserted at run time and a violation
+raises ConstructionFailure with the full trace.  Row j reads only
+x_1..x_j, which lets a sweep share the rows of a common prefix.
 
-  (i,j) < (i',j')  iff  j' > j, or j' = j and i' < i
-
-(lower rows first, right to left inside a row), one row at a time
-(BuildState.row): row j puts its positive members into singletons, then
-absorbs its negatives.  Each negative pair is absorbed by one of three
-cases; the case analysis is a constructive proof, so every "some block
-must exist here" claim is asserted at run time and a violation raises
-ConstructionFailure with the full trace.  Row j reads only x_1..x_j,
-which lets a sweep share the rows of a common prefix.
+The audit (AuditState) seeds each row from the prefix classes, as the
+builder does, and replays the trace against the five impossible
+configurations; _RowState._entries is the one reader of corner roles.
 
 The validator is written against the block-shape definition only and
 shares no shape logic with the builder, so a certificate produced by
@@ -41,14 +42,12 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .triangle import (
-    NonCanonicalSet,
     TermIndex,
     as_sign_pattern,
     as_vector,
     eval_f,
     leq_with_tol,
     negate_abs,
-    noncanonical_set,
     prefix_classes,
     product_sign,
     running_terms,
@@ -61,15 +60,10 @@ CERTIFICATE_VERSION = "1"
 BLOCK_KINDS = {1: "singleton", 2: "doubleton", 4: "quadrupleton"}
 
 
-def prec_less(a: TermIndex, b: TermIndex) -> bool:
-    """Processing order: lower rows first, right to left within a row."""
-    ai, aj = a
-    bi, bj = b
-    return bj > aj or (bj == aj and bi < ai)
-
-
 def prec_key(t: TermIndex) -> tuple[int, int]:
-    """Sort key realizing prec_less (ascending)."""
+    """Sort key of the processing order, lower rows first and right to
+    left within a row: (i, j) comes before (i', j') iff j < j', or
+    j = j' and i > i'."""
     return (t[1], -t[0])
 
 
@@ -110,21 +104,6 @@ class GoodPartition:
 
 
 @dataclass(frozen=True)
-class Configuration:
-    """How one term currently sits inside a partition.
-
-    Positive terms: sing, hdoub, vdoub, iquad (bottom-right corner of a
-    rectangle), tquad (top-left corner).  Negative terms: nhdoub when a
-    positive block-mate sits to the right in the same row, nvdoub when
-    one sits below in the same column.  Terms in no block: unassigned.
-    """
-
-    tag: str
-    partner: TermIndex | None = None
-    block: PartitionBlock | None = None
-
-
-@dataclass(frozen=True)
 class CheckResult:
     ok: bool
     reason: str | None = None
@@ -150,29 +129,6 @@ class ConstructionFailure(Exception):
         super().__init__(f"step {step}, pair {tuple(pair)}: {reason}")
 
 
-def horizontal_list(t: TermIndex, J: NonCanonicalSet) -> list[TermIndex]:
-    """Members of J in row j with first index >= i, ascending by first index.
-
-    The paper's readable reference for Case 1, pinned by its tests.  The
-    builder reads Case 1 from a per-row sing mask instead: one int per
-    row whose set bits are the sing positives of this list.
-    """
-    i, j = t
-    return [TermIndex(i2, j) for i2 in range(i, j + 1) if (i2, j) in J.members]
-
-
-def vertical_list(t: TermIndex, J: NonCanonicalSet) -> list[TermIndex]:
-    """Members of J in column i with second index <= j, ascending by second index.
-
-    The paper's readable reference, pinned by its tests.  The builder's
-    Case 2 scans the same column segment, reading membership from the
-    prefix classes, and Case 1 reads the per-row sing mask rather than
-    horizontal_list.
-    """
-    i, j = t
-    return [TermIndex(i, j2) for j2 in range(i, j + 1) if (i, j2) in J.members]
-
-
 # ---------------------------------------------------------------------------
 # Builder
 
@@ -188,9 +144,8 @@ class BuildState:
     """The builder's state after rows 1..j of a pattern.
 
     owner maps each member of J in rows <= j to the block that holds it;
-    sing[r] has bit i set while (i, r) is a sing positive, so Case 1
-    reads it in place of horizontal_list, which stays the paper's
-    readable reference; steps is the trace so far.  Row j reads only
+    sing[r] has bit i set while (i, r) is a singleton positive, which
+    is what Case 1 reads; steps is the trace so far.  Row j reads only
     x_1..x_j, so every pattern with the same prefix shares this state.
     """
 
@@ -246,9 +201,9 @@ class BuildState:
             # without one, neg becomes it.
             if anchor is None:
                 anchor = neg
-                # Case 2: exactly one positive in the column segment below
-                # (vertical_list without neg itself) is usable, either
-                # directly (sing) or through a rectangle.
+                # Case 2: exactly one positive in the column segment
+                # (i, i..j-1) below neg is usable, either directly (sing)
+                # or through a rectangle.
                 found = []
                 for r in range(i, j):
                     if q[i - 1] == q[r] or (i + r) % 2:
@@ -347,51 +302,6 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
     for j in range(1, len(pat) + 1):
         state.row(q, j)
     return state.partition(pat)
-
-
-# ---------------------------------------------------------------------------
-# Configuration taxonomy
-
-
-def classify(t: TermIndex, gp: GoodPartition) -> Configuration:
-    """Configuration of one term inside a partition (possibly intermediate)."""
-    idx = TermIndex(*t)
-    sign = product_sign(gp.pattern, idx)
-    block = next((b for b in gp.blocks if idx in b.members), None)
-    if block is None:
-        return Configuration("unassigned")
-    mem = block.members
-    i, j = idx
-    if len(mem) == 1:
-        return Configuration("sing", None, block)
-    if len(mem) == 2:
-        other = mem[0] if mem[1] == idx else mem[1]
-        if sign > 0:
-            if other[1] == j and other[0] < i:
-                return Configuration("hdoub", other, block)
-            if other[0] == i and other[1] > j:
-                return Configuration("vdoub", other, block)
-        else:
-            if other[1] == j and other[0] > i:
-                return Configuration("nhdoub", other, block)
-            if other[0] == i and other[1] < j:
-                return Configuration("nvdoub", other, block)
-        raise ValueError(f"malformed doubleton {mem}")
-    if len(mem) == 4:
-        cols = sorted({m[0] for m in mem})
-        rows = sorted({m[1] for m in mem})
-        if sign > 0:
-            if (i, j) == (cols[1], rows[0]):
-                return Configuration("iquad", None, block)
-            if (i, j) == (cols[0], rows[1]):
-                return Configuration("tquad", None, block)
-        else:
-            if (i, j) == (cols[0], rows[0]):
-                return Configuration("nhdoub", TermIndex(cols[1], rows[0]), block)
-            if (i, j) == (cols[1], rows[1]):
-                return Configuration("nvdoub", TermIndex(cols[1], rows[0]), block)
-        raise ValueError(f"term {tuple(idx)} in unexpected corner of {mem}")
-    raise ValueError(f"block of size {len(mem)} is not a partition shape")
 
 
 # ---------------------------------------------------------------------------
@@ -499,21 +409,23 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
 class _RowState:
     """Per-row view of a partition state, for the impossible-configuration
     scan.  All five forbidden patterns live inside a single row, so both
-    the one-shot checker and the step-by-step audit reduce to _check_row.
+    the one-shot checker and the step-by-step audit reduce to check_row.
 
+    negatives_by_row: row -> first indices of the row's negatives in J
     nh: row -> list of (neg first index, positive partner first index)
     nv: row -> list of (neg first index, drop length)
     vd: row -> first indices of positives sitting in vertical doubletons
     """
 
-    def __init__(self, negatives_by_row: dict[int, list[int]]):
-        self.negatives_by_row = negatives_by_row
+    def __init__(self) -> None:
+        self.negatives_by_row: dict[int, list[int]] = {}
         self.nh: dict[int, list[tuple[int, int]]] = {}
         self.nv: dict[int, list[tuple[int, int]]] = {}
         self.vd: dict[int, list[int]] = {}
 
     def copy(self) -> _RowState:
-        c = _RowState(self.negatives_by_row.copy())
+        c = _RowState()
+        c.negatives_by_row = self.negatives_by_row.copy()
         c.nh = {r: v[:] for r, v in self.nh.items()}
         c.nv = {r: v[:] for r, v in self.nv.items()}
         c.vd = {r: v[:] for r, v in self.vd.items()}
@@ -611,42 +523,40 @@ class _RowState:
         return ACCEPT
 
 
-def _negatives_by_row(J: NonCanonicalSet) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for t in J.negatives:
-        out.setdefault(t[1], []).append(t[0])
-    return out
-
-
 def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
     """Scan one (possibly intermediate) partition state for the five
     configurations ruled out by the construction.
 
+    Each row's negatives come from the prefix classes, as in the audit.
     Case-2 history is read from gp.trace; for states assembled by hand
     pass a trace whose steps carry the intended cases.
     """
-    state = _RowState(_negatives_by_row(noncanonical_set(gp.pattern)))
+    state = AuditState()
+    q = prefix_classes(gp.pattern)
+    for j in range(1, len(q)):
+        state.seed(q, j)
     rows: set[int] = set()
     for b in gp.blocks:
-        rows |= state.add(b.members)
+        rows |= state.rows.add(b.members)
     anchors = {TermIndex(*s.pair) for s in gp.trace if s.case == "case2"}
-    return state.check_rows(sorted(rows), anchors)
+    return state.rows.check_rows(sorted(rows), anchors)
 
 
 class AuditState:
     """The audit's replay state: the live blocks (members -> provenance),
     their per-row view and the Case-2 anchors so far.
 
-    audit_build seeds every initial singleton up front and replays a
-    whole trace; the sweep seeds and replays one row at a time (row).
-    Both run each step through step, the one per-step check.
+    Each row is seeded from the prefix classes (seed).  audit_build
+    seeds every row, then replays the whole trace; the sweep seeds and
+    replays one row at a time (row).  Both run each step through step,
+    the one per-step check.
     """
 
     __slots__ = ("live", "rows", "anchors")
 
-    def __init__(self, live: dict[frozenset, str], negatives_by_row: dict[int, list[int]]):
-        self.live = live
-        self.rows = _RowState(negatives_by_row)
+    def __init__(self) -> None:
+        self.live: dict[frozenset, str] = {}
+        self.rows = _RowState()
         self.anchors: set[TermIndex] = set()
 
     def copy(self) -> AuditState:
@@ -687,11 +597,10 @@ class AuditState:
             return CheckResult(False, f"step {k}: {r.reason}", r.witness, r.code)
         return ACCEPT
 
-    def row(self, q: Sequence[int], j: int, steps: Sequence[BuildStep],
-            k0: int) -> CheckResult:
-        """Seed row j's initial singletons and negatives from the prefix
-        classes q_0..q_j, then check steps[k0:], which must absorb row
-        j's negatives right to left, one step each."""
+    def seed(self, q: Sequence[int], j: int) -> list[int]:
+        """Put row j's positive members of J, from the prefix classes
+        q_0..q_j, in as initial singletons; return the first indices of
+        its negatives, ascending."""
         negatives = []
         for i in _row_columns(q, j):
             if (i + j) % 2 == 0:
@@ -699,6 +608,13 @@ class AuditState:
             else:
                 negatives.append(i)
         self.rows.negatives_by_row[j] = negatives
+        return negatives
+
+    def row(self, q: Sequence[int], j: int, steps: Sequence[BuildStep],
+            k0: int) -> CheckResult:
+        """Seed row j, then check steps[k0:], which must absorb row j's
+        negatives right to left, one step each."""
+        negatives = self.seed(q, j)
         if len(steps) - k0 != len(negatives):
             return CheckResult(False, f"row {j}: {len(steps) - k0} steps for "
                                f"{len(negatives)} negative pairs")
@@ -718,18 +634,21 @@ class AuditState:
 def audit_build(gp: GoodPartition) -> CheckResult:
     """Replay a build trace and re-check the structural invariants.
 
-    After each step (AuditState.step): the absorbed pair is the next
-    negative in prec order, the created block is exactly the consumed
-    members plus that pair (so coverage grows by one and no later
-    negative sneaks in), and no affected row shows an impossible
-    configuration.  The replay must end in gp.blocks.
+    Every row is seeded from the prefix classes first (AuditState.seed),
+    which lists the negatives in prec order.  After each step
+    (AuditState.step): the absorbed pair is the next negative in prec
+    order, the created block is exactly the consumed members plus that
+    pair (so coverage grows by one and no later negative sneaks in), and
+    no affected row shows an impossible configuration.  The replay must
+    end in gp.blocks.
     """
-    J = noncanonical_set(gp.pattern)
-    negatives = sorted(J.negatives, key=prec_key)
+    q = prefix_classes(gp.pattern)
+    state = AuditState()
+    negatives = [TermIndex(i, j) for j in range(1, len(q))
+                 for i in reversed(state.seed(q, j))]
     if len(gp.trace) != len(negatives):
         return CheckResult(False, f"trace has {len(gp.trace)} steps for "
                            f"{len(negatives)} negative pairs")
-    state = AuditState({frozenset([t]): "initial" for t in J.positives}, _negatives_by_row(J))
     for k, (step, expected) in enumerate(zip(gp.trace, negatives), start=1):
         r = state.step(k, step, expected)
         if not r:

@@ -54,7 +54,8 @@ from .partition import (
     parity_counts,
     validate_partition,
 )
-from .triangle import as_sign_pattern, eval_f, leq_with_tol, pohst_bound, running_terms
+from .triangle import (as_sign_pattern, eval_f, leq_with_tol, pohst_bound, prefix_classes,
+                       running_terms)
 
 #: PRNG used for every sampling campaign, recorded in reports.
 RNG_NAME = "numpy-PCG64"
@@ -181,10 +182,10 @@ def _sweep_subtree(args: tuple[int, int, int]) -> list[tuple[int, str]]:
     """Failures (pattern index, reason) among the patterns whose low k
     bits are prefix."""
     n, k, prefix = args
-    q = [1] * (n + 1)
-    build, audit = BuildState(n), AuditState({}, {})
+    # Entries above k are overwritten by _descend before they are read.
+    q = list(prefix_classes(pattern_from_index(n, prefix)))
+    build, audit = BuildState(n), AuditState()
     for j in range(1, k + 1):
-        q[j] = q[j - 1] if prefix >> (j - 1) & 1 else -q[j - 1]
         if not _apply_row(build, audit, q, j):
             return _verify_leaves(n, k, prefix)
     found: list[tuple[int, str]] = []

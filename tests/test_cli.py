@@ -202,6 +202,9 @@ def test_bound_user_gamma(capsys):
 def test_bound_rejects_bad_inputs(capsys):
     assert run(capsys, ["bound", "--m", "1", "--R", "1"])[0] == 2
     assert run(capsys, ["bound", "--m", "2", "--R", "-1"])[0] == 2
+    for bad in (["--R", "inf"], ["--R", "1", "--gamma", "inf"], ["--R", "1e308"]):
+        rc, out, err = run(capsys, ["bound", "--m", "6", *bad, "--format", "json"])
+        assert rc == 2 and out == "" and err.startswith("error: ")
 
 
 def test_usage_errors(capsys):

@@ -130,6 +130,14 @@ def test_compare_bounds_reports_sources():
     (2, -1.0, None),
     (2, 1.0, 0.0),       # supplied gamma must be positive
     (2, 1.0, -2.0),
+    (2, math.nan, None),  # non-finite regulator or gamma
+    (6, math.inf, None),
+    (6, 1.0, math.inf),
+    (6, 1.0, math.nan),
+    (6, 1e308, None),     # the regulator term overflows
+    (6, 1.0, 1e308),
+    (10 ** 103, 1.0, 1.0),
+    (10 ** 400, 1.0, None),  # so does gamma_{m-1}
 ])
 def test_bounds_reject_bad_inputs(m, R, gamma):
     with pytest.raises(ValueError):

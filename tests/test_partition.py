@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pohst.partition import (
+    AuditState,
     BuildStep,
     CertificateFormatError,
     CheckResult,
@@ -28,16 +29,14 @@ from pohst.partition import (
     certificate_payload,
     certificate_to_json,
     check_impossible_configurations,
-    classify,
     domination_check,
-    horizontal_list,
     ideal_case_factorization,
     parity_counts,
     prec_key,
-    prec_less,
     sign_rectangle_relation,
     validate_partition,
-    vertical_list,
+    _row_columns,
+    _RowState,
 )
 from pohst.search import pattern_from_index
 from pohst.triangle import (
@@ -45,6 +44,7 @@ from pohst.triangle import (
     eval_f,
     eval_term,
     noncanonical_set,
+    prefix_classes,
     product_sign,
     term_indices,
 )
@@ -77,46 +77,37 @@ def state_of(pattern, blocks, trace=()):
     ((1, 5), (2, 5), False),
 ])
 def test_prec_less_frozen(a, b, expected):
-    assert prec_less(TermIndex(*a), TermIndex(*b)) is expected
+    """a precedes b: lower rows first, right to left within a row."""
+    assert (prec_key(TermIndex(*a)) < prec_key(TermIndex(*b))) is expected
 
 
 @given(st.tuples(st.integers(1, 9), st.integers(1, 9)),
        st.tuples(st.integers(1, 9), st.integers(1, 9)))
 def test_prec_total_order(a, b):
+    """prec_key is one-to-one, so the order it gives is total."""
     a, b = TermIndex(*a), TermIndex(*b)
-    # trichotomy, antisymmetry, and agreement with the sort key
-    assert (prec_less(a, b) + prec_less(b, a) + (a == b)) == 1
-    assert prec_less(a, b) == (prec_key(a) < prec_key(b))
-
-
-def test_prec_transitive_exhaustive():
-    pts = [TermIndex(i, j) for j in range(1, 5) for i in range(1, j + 1)]
-    for a, b, c in itertools.product(pts, repeat=3):
-        if prec_less(a, b) and prec_less(b, c):
-            assert prec_less(a, c)
+    assert (prec_key(a) < prec_key(b)) + (prec_key(b) < prec_key(a)) + (a == b) == 1
 
 
 # ---------------------------------------------------------------------------
-# horizontal / vertical lists
+# rows of J from the prefix classes
 
 
-def test_horizontal_list_frozen():
-    J = noncanonical_set((-1, 1))
-    got = horizontal_list(TermIndex(1, 2), J)
-    assert [(tuple(t), J.sign_of(t)) for t in got] == [((1, 2), -1), ((2, 2), 1)]
-    J = noncanonical_set((1, 1))
-    got = horizontal_list(TermIndex(1, 1), J)
-    assert [(tuple(t), J.sign_of(t)) for t in got] == [((1, 1), 1)]
-
-
-def test_vertical_list_frozen():
-    J = noncanonical_set((-1, 1))
-    got = vertical_list(TermIndex(1, 2), J)
-    assert [(tuple(t), J.sign_of(t)) for t in got] == [((1, 2), -1)]
+def test_row_columns_frozen():
+    assert _row_columns(prefix_classes((-1, 1)), 2) == [1, 2]
+    assert _row_columns(prefix_classes((1, 1)), 1) == [1]
     # (1,1) is a member, (1,2) is not
-    J = noncanonical_set((1, 1, 1, 1))
-    got = vertical_list(TermIndex(1, 2), J)
-    assert [(tuple(t), J.sign_of(t)) for t in got] == [((1, 1), 1)]
+    assert _row_columns(prefix_classes((1, 1, 1, 1)), 2) == [2]
+
+
+def test_row_columns_match_noncanonical_set():
+    """Row by row, and so column by column, the prefix classes give
+    exactly the members of J."""
+    for n in range(1, 7):
+        for pat in all_patterns(n):
+            q = prefix_classes(pat)
+            rows = {TermIndex(i, j) for j in range(1, n + 1) for i in _row_columns(q, j)}
+            assert rows == noncanonical_set(pat).members
 
 
 # ---------------------------------------------------------------------------
@@ -219,43 +210,46 @@ def test_trace_absorbs_negatives_in_prec_order():
         assert [TermIndex(*s.pair) for s in gp.trace] == negs
 
 
+def _row_view(gp):
+    rows = _RowState()
+    for b in gp.blocks:
+        rows.add(b.members)
+    return rows
+
+
 def test_case1_failures_end_vertically():
-    """A pair absorbed by case 1 ends in nhdoub, any other in nvdoub."""
+    """A pair absorbed by case 1 ends in nhdoub, any other in nvdoub: in
+    the row view of the final blocks, a Case-1 pair sits in nh of its
+    row and any other pair in nv."""
     for n in range(1, 7):
         for pat in all_patterns(n):
             gp = build_good_partition(pat)
+            rows = _row_view(gp)
             for s in gp.trace:
-                tag = classify(s.pair, gp).tag
-                assert tag == ("nhdoub" if s.case == "case1" else "nvdoub")
+                i, j = s.pair
+                in_nh = i in {a for a, _ in rows.nh.get(j, ())}
+                in_nv = i in {a for a, _ in rows.nv.get(j, ())}
+                assert (in_nh, in_nv) == (s.case == "case1", s.case != "case1")
 
 
 # ---------------------------------------------------------------------------
-# classify
+# corner roles, as the row view reads them
 
 
-def test_classify_frozen():
-    gp = build_good_partition((-1, 1))
-    assert classify(TermIndex(2, 2), gp).tag == "hdoub"
-    assert classify(TermIndex(1, 2), gp).tag == "nhdoub"
-    assert classify(TermIndex(1, 2), gp).partner == (2, 2)
-    assert classify(TermIndex(1, 1), gp).tag == "unassigned"
+def test_row_view_frozen():
+    # (1,2)- pairs horizontally with (2,2)+; (1,1) is in no block
+    rows = _row_view(build_good_partition((-1, 1)))
+    assert (rows.nh, rows.nv, rows.vd) == ({2: [(1, 2)]}, {}, {})
 
 
-def test_classify_quadrupleton_corners():
-    gp = build_good_partition((-1, -1, 1, -1))
-    assert classify(TermIndex(3, 3), gp).tag == "iquad"
-    assert classify(TermIndex(2, 4), gp).tag == "tquad"
-    assert classify(TermIndex(2, 3), gp).tag == "nhdoub"
-    assert classify(TermIndex(3, 4), gp).tag == "nvdoub"
-    assert classify(TermIndex(1, 3), gp).tag == "vdoub"
-    assert classify(TermIndex(1, 4), gp).tag == "nvdoub"
-
-
-def test_classify_rejects_malformed_block():
-    pat = (1, 1, 1, 1, 1, -1)
-    gp = state_of(pat, [block_of([(3, 3), (1, 6)], pat)])  # diagonal pair
-    with pytest.raises(ValueError):
-        classify(TermIndex(3, 3), gp)
+def test_row_view_quadrupleton_corners():
+    # the rectangle's bottom-left negative (2,3) pairs horizontally with
+    # (3,3), its top-right negative (3,4) drops by one; (1,4)- drops by
+    # one onto the vdoub positive (1,3)
+    rows = _row_view(build_good_partition((-1, -1, 1, -1)))
+    assert rows.nh == {3: [(2, 3)]}
+    assert rows.nv == {4: [(3, 1), (1, 1)]}
+    assert rows.vd == {3: [1]}
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +456,17 @@ def test_audit_rejects_tampered_created_block():
     r = audit_build(GoodPartition(gp.n, gp.pattern, gp.blocks,
                                   (BuildStep(1, s.pair, s.case, 1, s.consumed, fat),)))
     assert not r and "consumed members plus" in r.reason
+
+
+def test_audit_row_fails_at_a_row_with_too_few_or_too_many_steps():
+    """The sweep's row-by-row replay counts each row's steps exactly."""
+    pat = (-1, -1, 1, -1)
+    q, trace = prefix_classes(pat), build_good_partition(pat).trace
+    for steps in (trace[:-1], trace + trace[-1:]):
+        audit = AuditState()
+        assert all(audit.row(q, j, trace[:k], 0) for j, k in ((1, 0), (2, 0), (3, 1)))
+        r = audit.row(q, 4, steps, 1)
+        assert not r and r.reason == f"row 4: {len(steps) - 1} steps for 2 negative pairs"
 
 
 def test_audit_rejects_final_mismatch():
