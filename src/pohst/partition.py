@@ -22,9 +22,10 @@ block must exist here" claim is asserted at run time and a violation
 raises ConstructionFailure with the full trace.  Row j reads only
 x_1..x_j, which lets a sweep share the rows of a common prefix.
 
-The audit (AuditState) seeds each row from the prefix classes, as the
-builder does, and replays the trace against the five impossible
-configurations; _RowState._entries is the one reader of corner roles.
+The audit (AuditState) is a fold over rows in the same way: it seeds
+each row from the prefix classes just before that row's steps and
+replays them against the five impossible configurations;
+AuditState._entries is the one reader of corner roles.
 
 The validator is written against the block-shape definition only and
 shares no shape logic with the builder, so a certificate produced by
@@ -406,26 +407,35 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
 # Impossible configurations
 
 
-class _RowState:
-    """Per-row view of a partition state, for the impossible-configuration
-    scan.  All five forbidden patterns live inside a single row, so both
-    the one-shot checker and the step-by-step audit reduce to check_row.
+class AuditState:
+    """The audit's replay state: the live blocks (members -> provenance),
+    the Case-2 anchors so far, and the per-row view that the five
+    impossible configurations read.  All five live inside one row, so
+    the one-shot scan and the replay both reduce to check_row.
 
-    negatives_by_row: row -> first indices of the row's negatives in J
+    negatives: row -> first indices of the row's negatives in J
     nh: row -> list of (neg first index, positive partner first index)
     nv: row -> list of (neg first index, drop length)
     vd: row -> first indices of positives sitting in vertical doubletons
+
+    seed puts a row in from the prefix classes just before its steps,
+    as BuildState.row does; step is the one per-step check.
     """
 
+    __slots__ = ("live", "anchors", "negatives", "nh", "nv", "vd")
+
     def __init__(self) -> None:
-        self.negatives_by_row: dict[int, list[int]] = {}
+        self.live: dict[frozenset, str] = {}
+        self.anchors: set[TermIndex] = set()
+        self.negatives: dict[int, list[int]] = {}
         self.nh: dict[int, list[tuple[int, int]]] = {}
         self.nv: dict[int, list[tuple[int, int]]] = {}
         self.vd: dict[int, list[int]] = {}
 
-    def copy(self) -> _RowState:
-        c = _RowState()
-        c.negatives_by_row = self.negatives_by_row.copy()
+    def copy(self) -> AuditState:
+        c = AuditState.__new__(AuditState)
+        c.live, c.anchors, c.negatives = (self.live.copy(), self.anchors.copy(),
+                                          self.negatives.copy())
         c.nh = {r: v[:] for r, v in self.nh.items()}
         c.nv = {r: v[:] for r, v in self.nv.items()}
         c.vd = {r: v[:] for r, v in self.vd.items()}
@@ -453,20 +463,14 @@ class _RowState:
             yield self.nv, rows[1], (cols[1], rows[1] - rows[0])
 
     def add(self, idx: tuple[TermIndex, ...]) -> set[int]:
+        """Put one block in the row view; return the rows it touches."""
         touched = set()
         for struct, row, payload in self._entries(idx):
             struct.setdefault(row, []).append(payload)
             touched.add(row)
         return touched
 
-    def remove(self, idx: tuple[TermIndex, ...]) -> set[int]:
-        touched = set()
-        for struct, row, payload in self._entries(idx):
-            struct[row].remove(payload)
-            touched.add(row)
-        return touched
-
-    def check_row(self, row: int, anchors: set[TermIndex]) -> CheckResult:
+    def check_row(self, row: int) -> CheckResult:
         spans = sorted(self.nh.get(row, ()))
         drops = sorted(self.nv.get(row, ()))
         for a in range(len(spans)):
@@ -488,8 +492,7 @@ class _RowState:
         vd_here = self.vd.get(row, ())
         if vd_here:
             nh_negs = {i for i, _ in spans}
-            not_nh = [i for i in self.negatives_by_row.get(row, ())
-                      if i not in nh_negs]
+            not_nh = [i for i in self.negatives.get(row, ()) if i not in nh_negs]
             if not_nh:
                 leftmost = min(not_nh)
                 for ip in vd_here:
@@ -508,61 +511,12 @@ class _RowState:
                     f"{la} and {lb} from row {row}", ((ia, row), (ib, row)), 4)
             for a in range(len(drops) - 1):
                 i1 = drops[a][0]
-                if TermIndex(i1, row) in anchors:
+                if TermIndex(i1, row) in self.anchors:
                     i2 = drops[a + 1][0]
                     return CheckResult(
                         False, f"impossible-configuration-5: Case-2 pair {(i1, row)} "
                         f"left of nvdoub {(i2, row)}", ((i1, row), (i2, row)), 5)
         return ACCEPT
-
-    def check_rows(self, rows: Iterable[int], anchors: set[TermIndex]) -> CheckResult:
-        for row in rows:
-            r = self.check_row(row, anchors)
-            if not r:
-                return r
-        return ACCEPT
-
-
-def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
-    """Scan one (possibly intermediate) partition state for the five
-    configurations ruled out by the construction.
-
-    Each row's negatives come from the prefix classes, as in the audit.
-    Case-2 history is read from gp.trace; for states assembled by hand
-    pass a trace whose steps carry the intended cases.
-    """
-    state = AuditState()
-    q = prefix_classes(gp.pattern)
-    for j in range(1, len(q)):
-        state.seed(q, j)
-    rows: set[int] = set()
-    for b in gp.blocks:
-        rows |= state.rows.add(b.members)
-    anchors = {TermIndex(*s.pair) for s in gp.trace if s.case == "case2"}
-    return state.rows.check_rows(sorted(rows), anchors)
-
-
-class AuditState:
-    """The audit's replay state: the live blocks (members -> provenance),
-    their per-row view and the Case-2 anchors so far.
-
-    Each row is seeded from the prefix classes (seed).  audit_build
-    seeds every row, then replays the whole trace; the sweep seeds and
-    replays one row at a time (row).  Both run each step through step,
-    the one per-step check.
-    """
-
-    __slots__ = ("live", "rows", "anchors")
-
-    def __init__(self) -> None:
-        self.live: dict[frozenset, str] = {}
-        self.rows = _RowState()
-        self.anchors: set[TermIndex] = set()
-
-    def copy(self) -> AuditState:
-        c = AuditState.__new__(AuditState)
-        c.live, c.rows, c.anchors = self.live.copy(), self.rows.copy(), self.anchors.copy()
-        return c
 
     def step(self, k: int, step: BuildStep, expected: TermIndex) -> CheckResult:
         """Check step k, which must absorb expected: its numbering, its
@@ -575,26 +529,26 @@ class AuditState:
         if pair != TermIndex(*expected):
             return CheckResult(False, f"step {k} absorbed {tuple(pair)}, expected "
                                f"{tuple(expected)} next in prec order")
-        live, rows = self.live, self.rows
         if step.case == "case2":
             self.anchors.add(pair)
         union: set[TermIndex] = set()
         for blk in step.consumed:
             key = frozenset(blk.members)
-            if live.pop(key, None) is None:
+            if self.live.pop(key, None) is None:
                 return CheckResult(False, f"step {k}: consumed block "
                                    f"{sorted(key)} is not present")
-            rows.remove(blk.members)
+            for struct, row, payload in self._entries(blk.members):
+                struct[row].remove(payload)
             union |= key
         created = set(step.created.members)
         if created != union | {pair}:
             return CheckResult(False, f"step {k}: created block is not the consumed "
                                "members plus the absorbed pair")
-        live[frozenset(created)] = step.created.provenance
-        touched = rows.add(step.created.members)
-        r = rows.check_rows(touched, self.anchors)
-        if not r:
-            return CheckResult(False, f"step {k}: {r.reason}", r.witness, r.code)
+        self.live[frozenset(created)] = step.created.provenance
+        for row in self.add(step.created.members):
+            r = self.check_row(row)
+            if not r:
+                return CheckResult(False, f"step {k}: {r.reason}", r.witness, r.code)
         return ACCEPT
 
     def seed(self, q: Sequence[int], j: int) -> list[int]:
@@ -607,7 +561,7 @@ class AuditState:
                 self.live[frozenset([TermIndex(i, j)])] = "initial"
             else:
                 negatives.append(i)
-        self.rows.negatives_by_row[j] = negatives
+        self.negatives[j] = negatives
         return negatives
 
     def row(self, q: Sequence[int], j: int, steps: Sequence[BuildStep],
@@ -631,11 +585,36 @@ class AuditState:
         return ACCEPT
 
 
+def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
+    """Scan one (possibly intermediate) partition state for the five
+    configurations ruled out by the construction.
+
+    Each row's negatives come from the prefix classes, as in the audit.
+    Case-2 history is read from gp.trace; for states assembled by hand
+    pass a trace whose steps carry the intended cases.
+    """
+    state = AuditState()
+    q = prefix_classes(gp.pattern)
+    for j in range(1, len(q)):
+        state.seed(q, j)
+    rows: set[int] = set()
+    for b in gp.blocks:
+        rows |= state.add(b.members)
+    state.anchors = {TermIndex(*s.pair) for s in gp.trace if s.case == "case2"}
+    for row in sorted(rows):
+        r = state.check_row(row)
+        if not r:
+            return r
+    return ACCEPT
+
+
 def audit_build(gp: GoodPartition) -> CheckResult:
     """Replay a build trace and re-check the structural invariants.
 
-    Every row is seeded from the prefix classes first (AuditState.seed),
-    which lists the negatives in prec order.  After each step
+    A fold over rows 1..n, as build_good_partition folds BuildState.row:
+    each row is seeded from the prefix classes (AuditState.seed) just
+    before its steps, which absorb its negatives right to left, so a
+    step sees only the blocks of rows up to its own.  After each step
     (AuditState.step): the absorbed pair is the next negative in prec
     order, the created block is exactly the consumed members plus that
     pair (so coverage grows by one and no later negative sneaks in), and
@@ -643,16 +622,17 @@ def audit_build(gp: GoodPartition) -> CheckResult:
     end in gp.blocks.
     """
     q = prefix_classes(gp.pattern)
-    state = AuditState()
-    negatives = [TermIndex(i, j) for j in range(1, len(q))
-                 for i in reversed(state.seed(q, j))]
-    if len(gp.trace) != len(negatives):
+    total = sum((i + j) % 2 for j in range(1, len(q)) for i in _row_columns(q, j))
+    if len(gp.trace) != total:
         return CheckResult(False, f"trace has {len(gp.trace)} steps for "
-                           f"{len(negatives)} negative pairs")
-    for k, (step, expected) in enumerate(zip(gp.trace, negatives), start=1):
-        r = state.step(k, step, expected)
-        if not r:
-            return r
+                           f"{total} negative pairs")
+    state, k = AuditState(), 0
+    for j in range(1, len(q)):
+        for i in reversed(state.seed(q, j)):
+            k += 1
+            r = state.step(k, gp.trace[k - 1], TermIndex(i, j))
+            if not r:
+                return r
     return state.final(gp.blocks)
 
 

@@ -62,6 +62,7 @@ RNG_NAME = "numpy-PCG64"
 
 _COARSE_STEP = 0.5
 _SCREEN_KEEP = 32
+_POLISH_ROUNDS = 3
 _RANDOM_STARTS = 64
 _MULTISTART_SEED = 42
 #: Most lattice points a grid search may screen: the default n=8 grid.
@@ -363,8 +364,7 @@ def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
     return [(x, float(v), evals) for x, v in zip(X, value)]
 
 
-def maximize_f(n: int, grid_step: float = 0.25,
-               refine_iters: int = 3) -> MaximizeResult:
+def maximize_f(n: int, grid_step: float = 0.25) -> MaximizeResult:
     """Numerically maximize f_n over [-1,1]^n.
 
     n <= 8: exhaustive grid at grid_step, then _polish's golden-section
@@ -394,9 +394,9 @@ def maximize_f(n: int, grid_step: float = 0.25,
                 best_v = float(vals[top])
                 best_x = X[top].copy()
         assert best_x is not None
-        [(x, v, used)] = _polish([(best_v, best_x)], grid_step, refine_iters)
+        [(x, v, used)] = _polish([(best_v, best_x)], grid_step, _POLISH_ROUNDS)
         evaluations += used
-        method = f"grid(step={grid_step})+golden-ascent(rounds={refine_iters})"
+        method = f"grid(step={grid_step})+golden-ascent(rounds={_POLISH_ROUNDS})"
         return MaximizeResult(n, v, tuple(float(c) for c in x), bound,
                               method, evaluations)
 
@@ -405,7 +405,7 @@ def maximize_f(n: int, grid_step: float = 0.25,
     for X in _lattice_batches(points, n):
         vals = eval_f_batch(X)
         evaluations += len(vals)
-        order = np.argsort(vals)[-_SCREEN_KEEP:]
+        order = np.argsort(vals, kind="stable")[-_SCREEN_KEEP:]
         starts.extend((float(vals[i]), X[i].copy()) for i in order)
     starts.sort(key=lambda s: -s[0])
     starts = starts[:_SCREEN_KEEP]
@@ -416,13 +416,13 @@ def maximize_f(n: int, grid_step: float = 0.25,
         evaluations += 1
 
     best_x, best_v = None, -np.inf
-    for x, v, used in _polish(starts, _COARSE_STEP, refine_iters):
+    for x, v, used in _polish(starts, _COARSE_STEP, _POLISH_ROUNDS):
         evaluations += used
         if v > best_v:
             best_v, best_x = v, x
     assert best_x is not None
     method = (f"coarse-screen(step={_COARSE_STEP},keep={_SCREEN_KEEP})"
-              f"+multistart({_RANDOM_STARTS})+golden-ascent(rounds={refine_iters})")
+              f"+multistart({_RANDOM_STARTS})+golden-ascent(rounds={_POLISH_ROUNDS})")
     return MaximizeResult(n, best_v, tuple(float(c) for c in best_x), bound,
                           method, evaluations)
 

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every module-level private name is read somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -18,4 +19,32 @@ def test_every_import_is_used():
                     getattr(node, "module", None) != "__future__"):
                 unused += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in used]
+    assert unused == []
+
+
+def test_every_private_name_is_used():
+    """Every module-level private name (_x) defined in the package is
+    read somewhere in the package outside the statement that defines it."""
+    defined, reads = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.ImportFrom):
+                    names |= {alias.name for alias in node.names}
+            reads.append((stmt, names))
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                targets = [stmt.name]
+            elif isinstance(stmt, ast.Assign):
+                targets = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+            elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                targets = [stmt.target.id]
+            else:
+                targets = []
+            defined += [(path.name, stmt, name) for name in targets
+                        if name.startswith("_") and not name.startswith("__")]
+    unused = [f"{file}:{stmt.lineno} {name}" for file, stmt, name in defined
+              if not any(name in names for other, names in reads if other is not stmt)]
     assert unused == []

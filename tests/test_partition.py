@@ -36,7 +36,6 @@ from pohst.partition import (
     sign_rectangle_relation,
     validate_partition,
     _row_columns,
-    _RowState,
 )
 from pohst.search import pattern_from_index
 from pohst.triangle import (
@@ -211,10 +210,10 @@ def test_trace_absorbs_negatives_in_prec_order():
 
 
 def _row_view(gp):
-    rows = _RowState()
+    state = AuditState()
     for b in gp.blocks:
-        rows.add(b.members)
-    return rows
+        state.add(b.members)
+    return state
 
 
 def test_case1_failures_end_vertically():
@@ -467,6 +466,22 @@ def test_audit_row_fails_at_a_row_with_too_few_or_too_many_steps():
         assert all(audit.row(q, j, trace[:k], 0) for j, k in ((1, 0), (2, 0), (3, 1)))
         r = audit.row(q, 4, steps, 1)
         assert not r and r.reason == f"row 4: {len(steps) - 1} steps for 2 negative pairs"
+
+
+def test_audit_seeds_each_row_before_its_steps():
+    """A row-2 step of (-1, 1, 1) that also consumes (3, 3)'s initial
+    singleton: audit_build rejects it as the row-by-row replay does,
+    because row 3 is not seeded before row 2's steps."""
+    pat = (-1, 1, 1)
+    singles = [block_of([t], pat) for t in ((2, 2), (3, 3))]
+    fat = block_of([(2, 2), (1, 2), (3, 3)], pat, "tripleton", "case1")
+    trace = (BuildStep(1, TermIndex(1, 2), "case1", 1, tuple(singles), fat),)
+    q, audit = prefix_classes(pat), AuditState()
+    assert audit.row(q, 1, (), 0)
+    by_row = audit.row(q, 2, trace, 0)
+    r = audit_build(GoodPartition(3, pat, (fat,), trace))
+    assert not r and r.reason == by_row.reason == (
+        "step 1: consumed block [TermIndex(i=3, j=3)] is not present")
 
 
 def test_audit_rejects_final_mismatch():

@@ -5,7 +5,10 @@ import hashlib
 import itertools
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,6 +384,30 @@ def test_maximize_results_pinned():
     got = {args: hashlib.sha256(repr(maximize_f(*args)).encode()).hexdigest()
            for args in MAXIMIZE_DIGESTS}
     assert got == MAXIMIZE_DIGESTS
+
+
+def _dispatched_cpu_features() -> set[str]:
+    try:
+        return set(np.show_config(mode="dicts")["SIMD Extensions"]["found"])
+    except (TypeError, KeyError):   # numpy without the dicts mode
+        return set()
+
+
+@pytest.mark.skipif(not {"X86_V3", "X86_V4"} & _dispatched_cpu_features(),
+                    reason="numpy dispatches neither X86_V3 nor X86_V4 here")
+def test_maximize_does_not_depend_on_simd_dispatch():
+    """The screen's ranking is a stable sort, so maximize_f(10) keeps its
+    result when numpy falls back to its baseline kernels, whose sort
+    breaks ties between equal values in another order."""
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR",
+               PYTHONPATH=str(Path(search.__file__).parents[1]))
+    code = ("import hashlib; from pohst.search import maximize_f; "
+            "print(hashlib.sha256(repr(maximize_f(10)).encode()).hexdigest())")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == (
+        "11b8238fc700036cb7409b005b775768da0e7607fe4e4b3ec9a39ec0f6405e4a")
 
 
 #: SHA-256 of every ascent's (x, value, evals) in
