@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import sys
 
@@ -192,7 +193,10 @@ def _cmd_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every main() call can share it."""
     parser = argparse.ArgumentParser(
         prog="pohst",
         description="Certified verification of Pohst's product inequality "

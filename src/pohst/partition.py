@@ -60,6 +60,13 @@ CERTIFICATE_VERSION = "1"
 
 BLOCK_KINDS = {1: "singleton", 2: "doubleton", 4: "quadrupleton"}
 
+#: The provenance a builder step writes, by case and operation, and the
+#: signs of a rectangle in prec order: hdoub positive, hdoub negative,
+#: absorbed negative, corner.
+_OP1_PROVENANCE = {"case1": "case1", "case2": "case2-op1", "case3": "case3-op1"}
+_OP2_PROVENANCE = {"case2": "case2-op2", "case3": "case3-op2"}
+_RECTANGLE_SIGNS = (1, -1, -1, 1)
+
 
 def prec_key(t: TermIndex) -> tuple[int, int]:
     """Sort key of the processing order, lower rows first and right to
@@ -148,6 +155,10 @@ class BuildState:
     sing[r] has bit i set while (i, r) is a singleton positive, which
     is what Case 1 reads; steps is the trace so far.  Row j reads only
     x_1..x_j, so every pattern with the same prefix shares this state.
+
+    A step writes its block in final form (_absorb): the case fixes the
+    kind, the prec order of the members and the signs, so none of them
+    is derived per member; only partition() sorts, to list the blocks.
     """
 
     __slots__ = ("owner", "sing", "steps")
@@ -245,24 +256,33 @@ class BuildState:
                                  "nor in an hdoub usable for operation 2")
             self._absorb(k, neg, "case3", pos, corner)
 
-    def _absorb(self, k: int, neg: TermIndex, case: str, *keys: TermIndex) -> None:
-        """Merge the blocks owning keys with neg: operation 1 for one key,
-        operation 2 (a rectangle) for two."""
-        owner, sing = self.owner, self.sing
-        consumed = tuple(owner[t] for t in keys)
-        for b in consumed:
-            if len(b.members) == 1:
-                i, j = b.members[0]
-                sing[j] &= ~(1 << i)
-        ordered = tuple(sorted([m for b in consumed for m in b.members] + [neg],
-                               key=prec_key))
-        op = len(keys)
-        created = PartitionBlock(BLOCK_KINDS[len(ordered)], ordered,
-                                 tuple(1 if (i + j) % 2 == 0 else -1 for i, j in ordered),
-                                 case if case == "case1" else f"{case}-op{op}")
-        for m in ordered:
-            owner[m] = created
-        self.steps.append(BuildStep(k, neg, case, op, consumed, created))
+    def _absorb(self, k: int, neg: TermIndex, case: str, pos: TermIndex,
+                corner: TermIndex | None = None) -> None:
+        """Merge neg with the sing positive pos (operation 1, and Case 1),
+        or with the hdoub of pos and the sing corner (operation 2).
+
+        The case fixes the created block's shape, so its members are
+        written in prec order and its signs taken from constants, with
+        no sort and no per-member parity: pos lies right of neg in row
+        j or in a lower row, and the hdoub of pos is (pos, (c, r)) with
+        c < pos[0] and corner (c, j).  The one singleton consumed has
+        its sing bit cleared at its known position.
+        """
+        owner = self.owner
+        if corner is None:
+            consumed = (owner[pos],)
+            self.sing[pos[1]] &= ~(1 << pos[0])
+            created = PartitionBlock("doubleton", (pos, neg), (1, -1), _OP1_PROVENANCE[case])
+            owner[pos] = owner[neg] = created
+        else:
+            hdoub = owner[pos]
+            consumed = (hdoub, owner[corner])
+            self.sing[corner[1]] &= ~(1 << corner[0])
+            created = PartitionBlock("quadrupleton", hdoub.members + (neg, corner),
+                                     _RECTANGLE_SIGNS, _OP2_PROVENANCE[case])
+            for m in created.members:
+                owner[m] = created
+        self.steps.append(BuildStep(k, neg, case, len(consumed), consumed, created))
 
     def _rectangle_corner(self, q: Sequence[int], pos: TermIndex, j: int) -> TermIndex | None:
         """The sing positive corner (left, j) that completes a rectangle,
@@ -521,8 +541,8 @@ class AuditState:
     def step(self, k: int, step: BuildStep, expected: TermIndex) -> CheckResult:
         """Check step k, which must absorb expected: its numbering, its
         pair, that its consumed blocks are live, that it creates exactly
-        their members plus the pair, and that no affected row shows an
-        impossible configuration."""
+        their members plus the pair, as a block of two or four members,
+        and that no affected row shows an impossible configuration."""
         if step.k != k:
             return CheckResult(False, f"step {k}: trace numbered {step.k}")
         pair = TermIndex(*step.pair)
@@ -544,6 +564,9 @@ class AuditState:
         if created != union | {pair}:
             return CheckResult(False, f"step {k}: created block is not the consumed "
                                "members plus the absorbed pair")
+        m = len(step.created.members)
+        if m != 2 and m != 4:
+            return CheckResult(False, f"step {k}: created block has {m} members")
         self.live[frozenset(created)] = step.created.provenance
         for row in self.add(step.created.members):
             r = self.check_row(row)
@@ -848,14 +871,18 @@ def certificate_from_json(text: str) -> GoodPartition:
         if (not isinstance(members, list) or not isinstance(signs, list)
                 or len(members) != len(signs)):
             raise CertificateFormatError("members and signs must be lists of equal length")
+        terms = []
         for m, s in zip(members, signs):
-            if (not isinstance(m, list) or len(m) != 2
-                    or not all(type(c) is int for c in m)):
+            if not isinstance(m, list) or len(m) != 2:
+                raise CertificateFormatError(f"bad member {m!r}")
+            i, j = m
+            if type(i) is not int or type(j) is not int:
                 raise CertificateFormatError(f"bad member {m!r}")
             if type(s) is not int or s not in (-1, 1):
                 raise CertificateFormatError(f"bad sign {s!r}")
+            terms.append(TermIndex(i, j))
         if not isinstance(raw["provenance"], str):
             raise CertificateFormatError("provenance must be a string")
-        blocks.append(PartitionBlock(str(raw["kind"]), tuple(TermIndex(*m) for m in members),
-                                     tuple(signs), raw["provenance"]))
+        blocks.append(PartitionBlock(str(raw["kind"]), tuple(terms), tuple(signs),
+                                     raw["provenance"]))
     return GoodPartition(n, tuple(pattern), tuple(blocks))

@@ -220,5 +220,23 @@ def test_usage_errors(capsys):
         assert rc == 2 and "error:" in err, argv
 
 
+def test_main_shares_one_parser(capsys, tmp_path):
+    """main() builds its parser once per process: certify, check and a
+    usage error through the shared parser exit and print as they do
+    through a freshly built one."""
+    cert = tmp_path / "cert.json"
+    cert.write_text(certificate_to_json(build_good_partition((-1, -1, 1, -1))))
+    calls = (["certify", "--pattern", "-,-,+,-"], ["check", str(cert), "--format", "json"],
+             ["check"])
+    shared = [run(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, argv))
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 0, 2]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_help_exits_cleanly(capsys):
     assert run(capsys, ["--help"])[0] == 0

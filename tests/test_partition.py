@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pohst.partition import (
+    BLOCK_KINDS,
     AuditState,
     BuildStep,
     CertificateFormatError,
@@ -186,6 +187,25 @@ def test_build_keeps_each_block_in_one_form():
                 assert id(b) not in consumed
                 assert id(b) in created_ids or (
                     b.kind == "singleton" and b.provenance == "initial")
+
+
+def test_build_writes_blocks_in_final_shape():
+    """The builder takes a created block's member order, signs, kind and
+    provenance from its case; check them against their definitions for
+    every pattern with n <= 8 and for 40 random patterns of the certify
+    benchmark's sizes, n = 24..96."""
+    rng = np.random.default_rng(13)
+    patterns = [p for n in range(1, 9) for p in all_patterns(n)]
+    patterns += [tuple(int(s) for s in rng.choice((-1, 1), size=int(n)))
+                 for n in rng.integers(24, 97, size=40)]
+    for pat in patterns:
+        for step in build_good_partition(pat).trace:
+            b = step.created
+            assert b.members == tuple(sorted(b.members, key=prec_key))
+            assert b.signs == tuple(1 if (i + j) % 2 == 0 else -1 for i, j in b.members)
+            assert b.kind == BLOCK_KINDS[len(b.members)]
+            assert b.provenance == (
+                "case1" if step.case == "case1" else f"{step.case}-op{step.operation}")
 
 
 def test_build_rejects_bad_pattern():
@@ -482,6 +502,21 @@ def test_audit_seeds_each_row_before_its_steps():
     r = audit_build(GoodPartition(3, pat, (fat,), trace))
     assert not r and r.reason == by_row.reason == (
         "step 1: consumed block [TermIndex(i=3, j=3)] is not present")
+
+
+def test_audit_rejects_tripleton():
+    """A step of (-1, -1, 1) that merges (2, 3) with the (1, 3) and (3, 3)
+    singletons of its own row into one three-member block, with gp.blocks
+    to match: the audit rejects the step by its size, not only the
+    validator by its kind."""
+    pat = (-1, -1, 1)
+    singles = tuple(block_of([t], pat) for t in ((3, 3), (1, 3)))
+    tri = block_of([(3, 3), (2, 3), (1, 3)], pat, "tripleton", "case1")
+    gp = GoodPartition(3, pat, (tri,), (BuildStep(1, TermIndex(2, 3), "case1", 2,
+                                                   singles, tri),))
+    assert validate_partition(gp).reason == "bad-kind: 'tripleton'"
+    r = audit_build(gp)
+    assert not r and r.reason == "step 1: created block has 3 members"
 
 
 def test_audit_rejects_final_mismatch():
@@ -798,24 +833,27 @@ def test_certificate_round_trip_identity():
      '"version": "1"}', "equal length"),
     ('{"n": 2, "pattern": [-1, 1], "blocks": [{"kind": "doubleton", '
      '"members": [[2], [1, 2]], "signs": [1, -1], "provenance": "case1"}], '
-     '"version": "1"}', "bad member"),
+     '"version": "1"}', "bad member [2]"),
     ('{"n": 1, "pattern": [1], "blocks": [{"kind": "singleton", '
      '"members": [[true, true]], "signs": [1], "provenance": "initial"}], '
-     '"version": "1"}', "bad member"),
+     '"version": "1"}', "bad member [True, True]"),
     ('{"n": 1, "pattern": [1], "blocks": [{"kind": "singleton", '
      '"members": [[1, 1]], "signs": [true], "provenance": "initial"}], '
-     '"version": "1"}', "bad sign"),
+     '"version": "1"}', "bad sign True"),
     ('{"n": 2, "pattern": [-1, 1], "blocks": [{"kind": "doubleton", '
      '"members": [[2, 2], [1, 2]], "signs": [1, 0], "provenance": "case1"}], '
-     '"version": "1"}', "bad sign"),
+     '"version": "1"}', "bad sign 0"),
     ('{"n": 2, "pattern": [-1, 1], "blocks": [{"kind": "doubleton", '
      '"members": [[2, 2], [1, 2]], "signs": [1, -1], "provenance": 3}], '
      '"version": "1"}', "provenance"),
 ])
 def test_certificate_from_json_rejects(text, fragment):
+    """fragment is part of the message; a bad member or bad sign message
+    must equal it whole, so the value it reports is pinned too."""
     with pytest.raises(CertificateFormatError) as exc:
         certificate_from_json(text)
-    assert fragment in str(exc.value)
+    msg = str(exc.value)
+    assert msg == fragment if msg.startswith("bad ") else fragment in msg
 
 
 # Seeds for the fuzzer: the golden certificate, and one with every block kind.
