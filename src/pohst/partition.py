@@ -201,10 +201,11 @@ class BuildState:
 
             # Case 1: prec-maximal sing positive to the right in row j,
             # i.e. the one with the smallest first index: the lowest bit
-            # of sing[j] above bit i.
+            # of sing[j] above bit i.  Its singleton holds its index.
             right = sing[j] >> (i + 1)
             if right:
-                self._absorb(k, neg, "case1", TermIndex((right & -right).bit_length() + i, j))
+                pos = owner[(right & -right).bit_length() + i, j].members[0]
+                self._absorb(k, neg, "case1", pos)
                 continue
 
             # Anchor: prec-minimal Case-1 failure in the row segment, which
@@ -215,18 +216,18 @@ class BuildState:
                 anchor = neg
                 # Case 2: exactly one positive in the column segment
                 # (i, i..j-1) below neg is usable, either directly (sing)
-                # or through a rectangle.
+                # or through a rectangle.  Either way it is the first
+                # member of its block.
                 found = []
                 for r in range(i, j):
                     if q[i - 1] == q[r] or (i + r) % 2:
                         continue
-                    pos = TermIndex(i, r)
                     if sing[r] >> i & 1:
-                        found.append((pos,))
+                        found.append((owner[i, r].members[0],))
                         continue
-                    corner = self._rectangle_corner(q, pos, j)
+                    corner = self._rectangle_corner(q, (i, r), j)
                     if corner is not None:
-                        found.append((pos, corner))
+                        found.append((owner[i, r].members[0], corner))
                 if not found:
                     raise self._fail(k, neg, "case2: no usable positive in the vertical list")
                 if len(found) > 1:
@@ -284,9 +285,11 @@ class BuildState:
                 owner[m] = created
         self.steps.append(BuildStep(k, neg, case, len(consumed), consumed, created))
 
-    def _rectangle_corner(self, q: Sequence[int], pos: TermIndex, j: int) -> TermIndex | None:
+    def _rectangle_corner(self, q: Sequence[int], pos: tuple[int, int],
+                          j: int) -> TermIndex | None:
         """The sing positive corner (left, j) that completes a rectangle,
-        when pos sits in a horizontal doubleton with negative partner left."""
+        when pos sits in a horizontal doubleton with negative partner left;
+        the corner's singleton holds its index."""
         mem = self.owner[pos].members
         if len(mem) != 2:
             return None
@@ -296,17 +299,18 @@ class BuildState:
         c = left[0]
         if q[c - 1] == q[j] or (c + j) % 2 or not self.sing[j] >> c & 1:
             return None
-        return TermIndex(c, j)
+        return self.owner[c, j].members[0]
 
     def _fail(self, k: int, neg: TermIndex, reason: str) -> ConstructionFailure:
         return ConstructionFailure(k, neg, reason, tuple(self.steps))
 
     def partition(self, pattern: tuple[int, ...]) -> GoodPartition:
         """The finished partition, each block listed once, under its
-        first member, in prec order."""
-        final = sorted((b for t, b in self.owner.items() if b.members[0] == t),
-                       key=lambda b: prec_key(b.members[0]))
-        return GoodPartition(len(pattern), pattern, tuple(final), tuple(self.steps))
+        first member, in prec order: sorted by the prec_key pairs
+        (j, -i) of the first members, which are distinct."""
+        heads = sorted(((t[1], -t[0]), b) for t, b in self.owner.items() if b.members[0] == t)
+        return GoodPartition(len(pattern), pattern, tuple(b for _, b in heads),
+                             tuple(self.steps))
 
 
 def build_good_partition(pattern: Sequence[int]) -> GoodPartition:

@@ -15,13 +15,21 @@ tree is split by prefix into 2^k subtrees, 2^k >= 4 jobs.
 
 Numeric maximization reproduces the bound 2^floor((n+1)/2) without
 assuming it: a lattice search over the cube followed by per-coordinate
-golden-section ascent.  The lattice is filled by slices of a head and a
-tail lattice.  Every ascent makes the same number of probes, so the
+golden-section ascent.  For n <= 8 the whole grid is screened by prefix
+extension: in mixed-radix order a point's value is its prefix's value
+times the terms whose runs end at its last coordinate, and the runs
+ending there are its prefix's times that coordinate, so a point costs
+O(n), not O(n^2).  The screen multiplies the same terms as eval_f_batch
+in another order, so the points within a relative 1e-12 of its maximum
+are re-evaluated with eval_f_batch, and the chosen point and value are
+the ones eval_f_batch alone would give.  For larger n the coarse
+lattice is filled by slices of a head and a tail lattice and evaluated
+with eval_f_batch.  Every ascent makes the same number of probes, so the
 starts are polished together as the rows of one array, and each golden
 step evaluates one probe per start.
-The known maximizers are 0/-1 vectors, which every grid with integer
-corners contains, so the interesting assertion is that nothing anywhere
-else climbs higher.
+The known maximizers are 0/-1 vectors, which every grid with an even
+number of intervals contains, so the interesting assertion is that
+nothing anywhere else climbs higher.
 
 Domination sampling checks a seeded stream of samples against the
 mirror -|v|, globally and block by block.  The block-wise check forms
@@ -70,6 +78,11 @@ _LATTICE_CAP = 9 ** 8
 #: Rows per slice of eval_f_batch: a slice's contiguous columns, running
 #: product and term stay in cache (2^14 rows hold 128 KiB per column).
 _BATCH_ROWS = 16_384
+#: Points per chunk of the grid screen of maximize_f.
+_SCREEN_ROWS = 1 << 16
+#: Relative band below the grid screen's maximum whose points
+#: eval_f_batch re-evaluates.
+_CONFIRM_REL = 1e-12
 #: Elements of a term matrix per row chunk of the block-wise sampler, so
 #: that its term matrices and gathers keep their size as n grows.
 _GATHER_ELEMENTS = 1 << 16
@@ -249,8 +262,26 @@ def enumerate_maximizers(n: int) -> list[tuple[int, ...]]:
 
 def eval_f_batch(X: np.ndarray) -> np.ndarray:
     """Vectorized f_n over the rows of X, in cache-sized row slices; the
-    numeric twin of eval_f."""
+    numeric twin of eval_f.  X is one vector or a 2-d array of them;
+    like eval_f, it refuses rows without entries and entries outside
+    [-1, 1], NaN included."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ValueError("X must be a vector or a 2-d array of vectors, each non-empty")
+    f = np.empty(len(X))
+    for s in range(0, len(X), _BATCH_ROWS):
+        rows = X[s:s + _BATCH_ROWS]
+        # min and max propagate NaN, make no temporary, and leave the
+        # slice in cache for the kernel
+        if not (rows.min() >= -1.0 and rows.max() <= 1.0):
+            raise ValueError("entries of X must lie in [-1, 1]")
+        f[s:s + _BATCH_ROWS] = _eval_f_batch(rows)
+    return f
+
+
+def _eval_f_batch(X: np.ndarray) -> np.ndarray:
+    """eval_f_batch without its input checks, for 2-d float arrays whose
+    entries are known to lie in [-1, 1]."""
     f = np.ones(len(X))
     for s in range(0, len(X), _BATCH_ROWS):
         out = f[s:s + _BATCH_ROWS]   # a view: terms multiply into f in place
@@ -316,6 +347,100 @@ def _lattice_batches(points: np.ndarray, n: int,
         yield X
 
 
+def _extend(f: np.ndarray, runs: np.ndarray, pts: np.ndarray,
+            keep_runs: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Extend each of P prefixes x_1..x_k by each of pts: the values
+    f_{k+1}, prefix-major, and with keep_runs the new runs, else None.
+
+    f[p] is f_k at prefix p and runs[i, p] its run product x_{i+1}..x_k.
+    Each run is multiplied by the new coordinate x_{k+1}, which also
+    starts a run of its own, and f_{k+1} = f_k * prod_i (1 - x_i..x_{k+1}).
+    Every run product is formed as in running_terms, so each term has
+    running_terms' bits; only the order in which f multiplies them
+    differs.  The work is laid out with the longer of the two axes last,
+    where numpy's inner loop runs, and transposed at the end."""
+    by_point = len(f) > len(pts)
+    if by_point:
+        x, f, runs = pts[:, None], f[None, :], runs[:, None, :]
+    else:
+        x, f, runs = pts[None, :], f[:, None], runs[:, :, None]
+    vals = f * (1.0 - x)
+    term = np.empty(vals.shape)
+    new = np.empty((len(runs) + 1,) + vals.shape) if keep_runs else None
+    for i, r in enumerate(runs):
+        run = new[i] if keep_runs else term
+        np.multiply(r, x, out=run)
+        np.subtract(1.0, run, out=term)
+        vals *= term
+    if keep_runs:
+        new[-1] = x
+        new = (new.transpose(0, 2, 1) if by_point else new).reshape(len(new), -1)
+    return (vals.T if by_point else vals).ravel(), new
+
+
+def _grid_values(points: np.ndarray, n: int,
+                 rows: int = _SCREEN_ROWS) -> Iterator[np.ndarray]:
+    """Screen values of f_n over points^n in mixed-radix order, as
+    consecutive chunks of at most rows values.
+
+    A walk of the prefix tree: each node extends its parent's prefixes
+    by one coordinate (_extend), which costs O(n) per point where
+    running_terms costs O(n^2).  Nodes whose subtrees fit in one chunk
+    are extended together, larger ones one prefix and a slice of points
+    at a time, so no level holds more than rows prefixes."""
+    m = len(points)
+
+    def walk(f: np.ndarray, runs: np.ndarray, k: int) -> Iterator[np.ndarray]:
+        if k == n:
+            yield f
+            return
+        below = m ** (n - k - 1)   # lattice points under each child
+        if len(f) * m * below <= rows:
+            yield from walk(*_extend(f, runs, points, k + 1 < n), k + 1)
+            return
+        step = max(1, rows // below)   # here f holds one prefix
+        for c in range(0, m, step):
+            yield from walk(*_extend(f, runs, points[c:c + step], k + 1 < n), k + 1)
+
+    yield from walk(np.ones(1), np.empty((0, 1)), 0)
+
+
+def _grid_best(points: np.ndarray, n: int) -> tuple[float, np.ndarray]:
+    """The first point of points^n in mixed-radix order at which
+    eval_f_batch is largest, and that value.
+
+    The screen (_grid_values) forms the same terms as eval_f_batch, bit
+    for bit, and multiplies them in another order, so both lie within
+    about n^2 2^-53 of the exact product of those terms: relatively, as
+    f >= 0 and the grid's maximum is either 0 or far from underflow.
+    Every point within _CONFIRM_REL of the screen's maximum is therefore
+    a candidate, the reference's maximal points among them, and
+    eval_f_batch re-evaluates the candidates to pick the first."""
+    floor = -np.inf                     # the band's lower edge
+    idx = np.empty(0, dtype=np.int64)   # candidates, ascending
+    val = np.empty(0)                   # and their screen values
+    start = 0
+    for vals in _grid_values(points, n):
+        top = float(vals.max())
+        if top - _CONFIRM_REL * top > floor:
+            floor = top - _CONFIRM_REL * top
+            keep = val >= floor
+            idx, val = idx[keep], val[keep]
+        if top >= floor:
+            hit = np.flatnonzero(vals >= floor)
+            idx = np.concatenate((idx, start + hit))
+            val = np.concatenate((val, vals[hit]))
+        start += len(vals)
+    m = len(points)
+    X = np.empty((len(idx), n))
+    for c in range(n - 1, -1, -1):
+        idx, digit = np.divmod(idx, m)
+        X[:, c] = points[digit]
+    ref = _eval_f_batch(X)
+    top = int(np.argmax(ref))
+    return float(ref[top]), X[top]
+
+
 def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
             rounds: int) -> list[tuple[np.ndarray, float, int]]:
     """Per-coordinate golden-section ascent from every (value, point)
@@ -337,7 +462,7 @@ def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
 
     def f(k: int, t: np.ndarray) -> np.ndarray:
         X[:, k] = t
-        return eval_f_batch(X) if S > 1 else np.array([eval_f(X[0])])
+        return _eval_f_batch(X) if S > 1 else np.array([eval_f(X[0])])
 
     for _ in range(rounds):
         for k in range(n):
@@ -367,9 +492,10 @@ def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
 def maximize_f(n: int, grid_step: float = 0.25) -> MaximizeResult:
     """Numerically maximize f_n over [-1,1]^n.
 
-    n <= 8: exhaustive grid at grid_step, then _polish's golden-section
-    ascent from the grid's best point, the one start; the grid may hold
-    at most _LATTICE_CAP = 9^8 points.  Larger n: the _SCREEN_KEEP best
+    n <= 8: exhaustive grid at grid_step (_grid_best: the first point
+    where eval_f_batch is largest), then _polish's golden-section ascent
+    from it, the one start; the grid may hold at most _LATTICE_CAP = 9^8
+    points, and evaluations counts each once.  Larger n: the _SCREEN_KEEP best
     points of a coarse 0.5-step lattice screen and _RANDOM_STARTS seeded
     random points, polished together by the same ascent.  The best is
     the first strict improvement in start order.  The screen visits 5^n
@@ -384,16 +510,8 @@ def maximize_f(n: int, grid_step: float = 0.25) -> MaximizeResult:
 
     if n <= 8:
         points = _axis_points(grid_step, n)
-        best_v = -np.inf
-        best_x: np.ndarray | None = None
-        for X in _lattice_batches(points, n):
-            vals = eval_f_batch(X)
-            evaluations += len(vals)
-            top = int(np.argmax(vals))
-            if vals[top] > best_v:
-                best_v = float(vals[top])
-                best_x = X[top].copy()
-        assert best_x is not None
+        best_v, best_x = _grid_best(points, n)
+        evaluations += len(points) ** n
         [(x, v, used)] = _polish([(best_v, best_x)], grid_step, _POLISH_ROUNDS)
         evaluations += used
         method = f"grid(step={grid_step})+golden-ascent(rounds={_POLISH_ROUNDS})"
@@ -403,9 +521,10 @@ def maximize_f(n: int, grid_step: float = 0.25) -> MaximizeResult:
     starts: list[tuple[float, np.ndarray]] = []
     points = np.linspace(-1.0, 1.0, round(2.0 / _COARSE_STEP) + 1)
     for X in _lattice_batches(points, n):
-        vals = eval_f_batch(X)
+        vals = _eval_f_batch(X)
         evaluations += len(vals)
-        order = np.argsort(vals, kind="stable")[-_SCREEN_KEEP:]
+        # a copy, so that the batch-sized argsort is freed at once
+        order = np.argsort(vals, kind="stable")[-_SCREEN_KEEP:].copy()
         starts.extend((float(vals[i]), X[i].copy()) for i in order)
     starts.sort(key=lambda s: -s[0])
     starts = starts[:_SCREEN_KEEP]
@@ -452,12 +571,15 @@ def _sample_batches(n: int, samples: int, seed: int,
         produced += m
 
 
-def _check_sampling(n: int, samples: int) -> None:
+def _check_sampling(n: int, samples: int, seed: int) -> None:
     """Refuse a sampling campaign before it draws a sample: n is capped
     as in sweep_patterns, whose 2^n patterns bound the partitions that
-    the block-wise sampler may build."""
+    the block-wise sampler may build, and the seed must be one that
+    numpy's generator takes."""
     if not 1 <= n <= _MAX_N or samples < 1:
         raise ValueError(f"need 1 <= n <= {_MAX_N} and samples >= 1")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
 
 
 def sample_domination(n: int, samples: int = 100_000, seed: int = 42) -> CheckResult:
@@ -466,11 +588,11 @@ def sample_domination(n: int, samples: int = 100_000, seed: int = 42) -> CheckRe
     Deterministic given (n, samples, seed).  On failure the witness is
     (sample index, vector).
     """
-    _check_sampling(n, samples)
+    _check_sampling(n, samples, seed)
     bound = pohst_bound(n)
     for offset, X in _sample_batches(n, samples, seed):
-        fv = eval_f_batch(X)
-        fm = eval_f_batch(-np.abs(X))
+        fv = _eval_f_batch(X)
+        fm = _eval_f_batch(-np.abs(X))
         ok = leq_with_tol(fv, fm) & leq_with_tol(fm, bound)
         if not ok.all():
             bad = int(np.argmin(ok))
@@ -560,7 +682,7 @@ def sample_blockwise_domination(n: int, samples: int = 100_000,
     first failing block in block order, and that block's first failing
     row.
     """
-    _check_sampling(n, samples)
+    _check_sampling(n, samples, seed)
     chunk = max(1, _GATHER_ELEMENTS // (n * (n + 1) // 2))
     cache: dict[int, tuple[list, np.ndarray]] = {}
     bits = 1 << np.arange(n, dtype=np.int64)

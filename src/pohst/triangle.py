@@ -21,8 +21,11 @@ product sign of (i, j) is x_i ... x_j = (-1)^(i+j+1) q_{i-1} q_j, so
 (i, j) is non-canonical exactly when q_{i-1} != q_j, its sign is then
 (-1)^(i+j), and |J| = |A| |B| for the two classes A, B of q_0..q_n.
 
-running_terms is the only place where the run products x_i ... x_j are
-formed: f_n, its batch twin and the block-domination checks read it.
+running_terms forms the run products x_i ... x_j from which f_n, its
+batch twin and the block-domination checks take every value they
+return.  The grid screen of search.maximize_f forms the same products
+by prefix extension, but only to choose the points that the batch twin
+then evaluates.
 
 Indices are 1-based throughout the public interface.
 """
@@ -131,12 +134,17 @@ def eval_term(v: Sequence[float] | np.ndarray, t: TermIndex) -> float:
 def running_terms(cols: Sequence) -> Iterator[tuple[int, int, float | np.ndarray]]:
     """Yield (i, j, 1 - x_i ... x_j), i outer, j inner; cols[k] is x_{k+1},
     a float or a batch column.  One running product per run start and no
-    prefix-quotient shortcut, so zero entries are handled exactly."""
+    prefix-quotient shortcut, so zero entries are handled exactly.
+
+    A run's product starts as the fresh 1.0 * x_i and is then updated in
+    place, so a batch column is never written and no product array is
+    allocated per term; each yielded term is a fresh 1 - p."""
     n = len(cols)
     for i in range(n):
-        p = 1.0
-        for j in range(i, n):
-            p = p * cols[j]
+        p = 1.0 * cols[i]
+        yield i + 1, i + 1, 1.0 - p
+        for j in range(i + 1, n):
+            p *= cols[j]
             yield i + 1, j + 1, 1.0 - p
 
 

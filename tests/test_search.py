@@ -310,6 +310,26 @@ def test_eval_f_batch_accepts_single_row():
     assert eval_f_batch(np.array([-1.0, 0.0, -1.0])).tolist() == [4.0]
 
 
+@pytest.mark.parametrize("row", [[2.0, 3.0], [math.nan, 0.5], [0.5, -math.inf], [-1.5], []])
+def test_eval_f_batch_refuses_what_eval_f_refuses(row):
+    with pytest.raises(ValueError):
+        eval_f(row)
+    with pytest.raises(ValueError):
+        eval_f_batch([row])
+    with pytest.raises(ValueError):
+        eval_f_batch([[0.0] * len(row), row])
+
+
+def test_eval_f_batch_refuses_arrays_of_batches():
+    with pytest.raises(ValueError, match="2-d"):
+        eval_f_batch(np.zeros((2, 2, 2)))
+
+
+def test_eval_f_batch_accepts_the_closed_cube_and_no_rows():
+    assert eval_f_batch([[-1.0, 1.0], [1.0, -1.0]]).tolist() == [0.0, 0.0]
+    assert eval_f_batch(np.empty((0, 3))).shape == (0,)
+
+
 def test_eval_f_batch_peak_memory():
     """The result is built in place: at most the result, the running
     product and one term are alive at once, about three row-sized arrays."""
@@ -363,7 +383,11 @@ def test_maximize_rejects_bad_arguments():
 
 
 #: SHA-256 of repr(maximize_f(*args)), recorded before the ascents were
-#: polished in lockstep and the lattice filled by slices.
+#: polished in lockstep and the lattice filled by slices; (8,), (6, 2/3)
+#: and (5, 0.4) were recorded before the grid screen extended prefixes.
+#: n = 8 has five tied maximizers, and the grids of steps 2/3 and 0.4
+#: hold no 0, so their maximum sits where the screen's values and
+#: eval_f_batch's differ in the last bits.
 MAXIMIZE_DIGESTS = {
     (1,): "2225e50533aa79687bd1d597be977728e6e84db6ebd0a8dd756c5fb07e987a15",
     (2,): "7453ae18f0c9c6426f21ca8239c671e051d77b224b40b757d5c4efe085f1f723",
@@ -372,9 +396,12 @@ MAXIMIZE_DIGESTS = {
     (5,): "c8c7a7bc06b40a8c4b6f65647ee04339abf7f6524599a197030e89469b68ed45",
     (6,): "a1f9dd0f382a52228ee1699bea5d0caaa1e2bc951724d1c601a318da60812d5e",
     (7,): "03a1a198dc8aba2864d0536b8ad2caa7772e1fd3742ce075e689af4e985aa11c",
+    (8,): "22b54a4e4ae96f41ce589d3fc272fd9dbac331e81bfba3b5e3d219ded7d2b6f7",
     (9,): "3a72bbe90804ba85bbe82ddde22d5d6a3b9f13a82a9bb3b1e1767bb67e435789",
     (4, 0.5): "ec99bd98020ad1c84ddd99da3b51823e60f34c84debd4d7b7dbdbc69a214d109",
     (4, 0.125): "3684548c0b5875f5598bda10a3dd14795bb17142d616e22f896681cd1cd03b0f",
+    (6, 2 / 3): "5daf08f1d293e3cf6ea2b16ca28047dc3269b3eb0bcd8497c3c3ace417c85553",
+    (5, 0.4): "a4cb1cf099a598b4595b2d5c5b080def2e118e1d4708ccc633b7d3bd0f5c61d3",
 }
 
 
@@ -458,11 +485,54 @@ def test_lattice_batches_match_product(n):
     assert np.array_equal(np.concatenate(batches), expected)
 
 
-def test_maximize_rejects_large_lattice_before_screening(monkeypatch, capsys):
+@pytest.mark.parametrize("n,m,rows", [
+    (1, 11, 4),     # more points than rows: the points are sliced
+    (2, 9, 10),     # a prefix's children split over chunks
+    (3, 5, 7),
+    (4, 3, 100),    # several prefixes extended together
+    (5, 2, 1),
+    (3, 6, 216),    # the whole lattice in one chunk
+])
+def test_grid_values_match_eval_f_batch(n, m, rows):
+    """The screen visits points^n in mixed-radix order in chunks of at
+    most rows values, each within the rounding of a product of n(n+1)/2
+    terms of eval_f_batch's value at the same point."""
+    points = np.linspace(-1.0, 1.0, m)
+    chunks = list(search._grid_values(points, n, rows))
+    assert all(1 <= len(c) <= rows for c in chunks)
+    got = np.concatenate(chunks)
+    ref = eval_f_batch(np.array(list(itertools.product(points, repeat=n))))
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= n * (n + 1) * 2.0 ** -53 * ref)
+
+
+@pytest.mark.parametrize("n,step", [
+    (1, 2.0), (4, 2.0), (3, 1.0), (5, 1.0), (4, 2 / 3), (5, 0.4),
+    (3, 2 / 7), (4, 0.25), (2, 2 / 9), (2, 0.02),
+])
+def test_grid_best_is_first_maximum_of_eval_f_batch(n, step):
+    """The grid screen picks the point and value that eval_f_batch over
+    the whole lattice gives, ties (the all-zero grid of step 2 among
+    them) going to the first in mixed-radix order."""
+    points = search._axis_points(step, n)
+    X = np.array(list(itertools.product(points, repeat=n)))
+    ref = eval_f_batch(X)
+    top = int(np.argmax(ref))
+    value, point = search._grid_best(points, n)
+    assert value == ref[top] and np.array_equal(point, X[top])
+
+
+def _no_screen(monkeypatch):
+    """Make every lattice screen fail the moment it starts."""
     def no_lattice(*args, **kwargs):
         raise AssertionError("the lattice screen was started")
 
-    monkeypatch.setattr(search, "_lattice_batches", no_lattice)
+    for name in ("_lattice_batches", "_grid_values", "_grid_best"):
+        monkeypatch.setattr(search, name, no_lattice)
+
+
+def test_maximize_rejects_large_lattice_before_screening(monkeypatch, capsys):
+    _no_screen(monkeypatch)
     with pytest.raises(ValueError, match="grid_step 0.001 at n=8"):
         maximize_f(8, grid_step=0.001)
     assert main(["maximize", "--n", "8", "--grid-step", "0.001"]) == 2
@@ -473,10 +543,7 @@ def test_maximize_rejects_large_lattice_before_screening(monkeypatch, capsys):
 
 
 def test_maximize_rejects_large_n_before_screening(monkeypatch, capsys):
-    def no_lattice(*args, **kwargs):
-        raise AssertionError("the lattice screen was started")
-
-    monkeypatch.setattr(search, "_lattice_batches", no_lattice)
+    _no_screen(monkeypatch)
     with pytest.raises(ValueError, match="between 1 and 12"):
         maximize_f(13)
     assert main(["maximize", "--n", "13"]) == 2
@@ -611,6 +678,18 @@ def test_sampling_rejects_large_n_before_sampling(monkeypatch, capsys):
                 call(n, 1)
     assert main(["sample", "--n", "25", "--samples", "1"]) == 2
     assert "n <= 24" in capsys.readouterr().err
+
+
+def test_sampling_names_a_refused_seed(monkeypatch, capsys):
+    def no_samples(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(search, "_sample_batches", no_samples)
+    for call in (sample_domination, sample_blockwise_domination):
+        with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+            call(3, 10, -1)
+    assert main(["sample", "--n", "3", "--samples", "10", "--seed", "-1"]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("call", [

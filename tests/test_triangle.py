@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pohst.partition import block_products, build_good_partition
 from pohst.triangle import (
     TermIndex,
     as_sign_pattern,
@@ -73,6 +74,23 @@ def test_eval_f_matches_definition():
             for j in range(i, n + 1):
                 direct *= 1.0 - np.prod(v[i - 1:j])
         assert eval_f(v) == direct
+
+
+def test_running_terms_on_columns_aliases_nothing():
+    """A full pass over batch columns leaves them unchanged, and every
+    yielded term is an array of its own: the block products of the
+    columns, which hold every term at once, equal those of each row's
+    floats."""
+    X = np.random.default_rng(11).uniform(-1.0, 1.0, size=(6, 7))
+    X[2, 3] = X[4, 0] = 0.0
+    cols = np.ascontiguousarray(X.T)
+    before = cols.copy()
+    blocks = [b.members for b in build_good_partition((1, -1, -1, 1, -1, 1, 1)).blocks]
+    blocks += [[t] for t in term_indices(7)]
+    batch = block_products(cols, blocks)
+    assert np.array_equal(cols, before)
+    for r, row in enumerate(X):
+        assert [b[r] for b in batch] == block_products(row.tolist(), blocks)
 
 
 @pytest.mark.parametrize("n,expected", [
