@@ -15,18 +15,19 @@ tree is split by prefix into 2^k subtrees, 2^k >= 4 jobs.
 
 Numeric maximization reproduces the bound 2^floor((n+1)/2) without
 assuming it: a lattice search over the cube followed by per-coordinate
-golden-section ascent.  For n <= 8 the whole grid is screened by prefix
-extension: in mixed-radix order a point's value is its prefix's value
-times the terms whose runs end at its last coordinate, and the runs
-ending there are its prefix's times that coordinate, so a point costs
-O(n), not O(n^2).  The screen multiplies the same terms as eval_f_batch
-in another order, so the points within a relative 1e-12 of its maximum
-are re-evaluated with eval_f_batch, and the chosen point and value are
-the ones eval_f_batch alone would give.  For larger n the coarse
-lattice is filled by slices of a head and a tail lattice and evaluated
-with eval_f_batch.  Every ascent makes the same number of probes, so the
-starts are polished together as the rows of one array, and each golden
-step evaluates one probe per start.
+golden-section ascent.  One screen serves both paths: the grid of
+n <= 8 for its best point, the coarse lattice of larger n for its 32
+best.  It walks the lattice by prefix extension: in mixed-radix order a
+point's value is its prefix's value times the terms whose runs end at
+its last coordinate, and the runs ending there are its prefix's times
+that coordinate, so a point costs O(n), not O(n^2).  The screen
+multiplies the same terms as eval_f_batch in another order, so the
+points within a relative 2e-12 of its keep-th largest value are
+re-evaluated with eval_f_batch, and the chosen points and values are
+the ones eval_f_batch alone would give, ties going to the lower lattice
+index.  Every ascent makes the same number of probes, so the starts are
+polished together as the rows of one array, and each golden step
+evaluates one probe per start with a kernel of O(n) numpy calls.
 The known maximizers are 0/-1 vectors, which every grid with an even
 number of intervals contains, so the interesting assertion is that
 nothing anywhere else climbs higher.
@@ -78,10 +79,11 @@ _LATTICE_CAP = 9 ** 8
 #: Rows per slice of eval_f_batch: a slice's contiguous columns, running
 #: product and term stay in cache (2^14 rows hold 128 KiB per column).
 _BATCH_ROWS = 16_384
-#: Points per chunk of the grid screen of maximize_f.
+#: Points per chunk of the lattice screen of maximize_f.
 _SCREEN_ROWS = 1 << 16
-#: Relative band below the grid screen's maximum whose points
-#: eval_f_batch re-evaluates.
+#: Relative rounding allowance of the lattice screen: eval_f_batch
+#: re-evaluates the points within twice it of the screen's keep-th
+#: largest value.
 _CONFIRM_REL = 1e-12
 #: Elements of a term matrix per row chunk of the block-wise sampler, so
 #: that its term matrices and gathers keep their size as n grows.
@@ -311,42 +313,6 @@ def _axis_points(grid_step: float, n: int) -> np.ndarray:
     return np.linspace(-1.0, 1.0, k + 1)
 
 
-def _lattice(points: np.ndarray, k: int) -> np.ndarray:
-    """points^k in mixed-radix order (last column fastest), one row each."""
-    m = len(points)
-    L = np.empty((m ** k, k))
-    for c in range(k):
-        L.reshape(m ** c, m, m ** (k - 1 - c), k)[:, :, :, c] = points[:, None]
-    return L
-
-
-def _lattice_batches(points: np.ndarray, n: int,
-                     batch_rows: int = 500_000) -> Iterator[np.ndarray]:
-    """The full lattice points^n in mixed-radix order, in row batches.
-
-    Row h * len(tail) + t is head row h beside tail row t, where head and
-    tail are the lattices of the first n - r and last r = ceil(n/2)
-    coordinates.  Each run of rows under one head row is filled by two
-    slice copies.  Every batch is a view of one buffer that the next
-    batch overwrites, so a caller copies the rows it keeps."""
-    r = (n + 1) // 2
-    head, tail = _lattice(points, n - r), _lattice(points, r)
-    period = len(tail)
-    total = len(head) * period
-    buf = np.empty((min(batch_rows, total), n))
-    for start in range(0, total, batch_rows):
-        stop = min(start + batch_rows, total)
-        X = buf[:stop - start]
-        row = start
-        while row < stop:
-            h, t = divmod(row, period)
-            end = min(stop, (h + 1) * period)
-            X[row - start:end - start, :n - r] = head[h]
-            X[row - start:end - start, n - r:] = tail[t:t + end - row]
-            row = end
-        yield X
-
-
 def _extend(f: np.ndarray, runs: np.ndarray, pts: np.ndarray,
             keep_runs: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Extend each of P prefixes x_1..x_k by each of pts: the values
@@ -405,40 +371,69 @@ def _grid_values(points: np.ndarray, n: int,
     yield from walk(np.ones(1), np.empty((0, 1)), 0)
 
 
-def _grid_best(points: np.ndarray, n: int) -> tuple[float, np.ndarray]:
-    """The first point of points^n in mixed-radix order at which
-    eval_f_batch is largest, and that value.
+def _grid_top(points: np.ndarray, n: int, keep: int) -> tuple[np.ndarray, np.ndarray]:
+    """The keep points of points^n at which eval_f_batch is largest, as
+    (values, points), best first, ties going to the first in
+    mixed-radix order; all of points^n when it holds fewer.
 
     The screen (_grid_values) forms the same terms as eval_f_batch, bit
     for bit, and multiplies them in another order, so both lie within
     about n^2 2^-53 of the exact product of those terms: relatively, as
-    f >= 0 and the grid's maximum is either 0 or far from underflow.
-    Every point within _CONFIRM_REL of the screen's maximum is therefore
-    a candidate, the reference's maximal points among them, and
-    eval_f_batch re-evaluates the candidates to pick the first."""
+    f >= 0, and far inside _CONFIRM_REL.  Moving every value by at most
+    that much moves each order statistic by at most as much, so each of
+    eval_f_batch's top keep points has a screen value within
+    2 _CONFIRM_REL of the screen's keep-th largest.  The screen keeps
+    every point within that band of the running keep-th largest value,
+    which only rises, and prunes the kept set whenever it does; a chunk
+    below the band costs one max pass.  eval_f_batch re-evaluates the
+    candidates, which are ranked by (-value, index)."""
     floor = -np.inf                     # the band's lower edge
     idx = np.empty(0, dtype=np.int64)   # candidates, ascending
     val = np.empty(0)                   # and their screen values
     start = 0
     for vals in _grid_values(points, n):
-        top = float(vals.max())
-        if top - _CONFIRM_REL * top > floor:
-            floor = top - _CONFIRM_REL * top
-            keep = val >= floor
-            idx, val = idx[keep], val[keep]
-        if top >= floor:
+        if vals.max() >= floor:
             hit = np.flatnonzero(vals >= floor)
             idx = np.concatenate((idx, start + hit))
             val = np.concatenate((val, vals[hit]))
+            if len(val) >= keep:
+                kth = np.partition(val, len(val) - keep)[len(val) - keep]
+                if kth - 2 * _CONFIRM_REL * kth > floor:
+                    floor = kth - 2 * _CONFIRM_REL * kth
+                    band = val >= floor
+                    idx, val = idx[band], val[band]
         start += len(vals)
     m = len(points)
     X = np.empty((len(idx), n))
+    rest = idx
     for c in range(n - 1, -1, -1):
-        idx, digit = np.divmod(idx, m)
+        rest, digit = np.divmod(rest, m)
         X[:, c] = points[digit]
     ref = _eval_f_batch(X)
-    top = int(np.argmax(ref))
-    return float(ref[top]), X[top]
+    order = np.lexsort((idx, -ref))[:keep]
+    return ref[order], X[order]
+
+
+def _eval_f_probe(X: np.ndarray) -> np.ndarray:
+    """_eval_f_batch for a few rows, bit for bit, in O(n) numpy calls
+    where running_terms makes O(n^2): the kernel of the ascent's probes.
+
+    P, an (n, n, S) array viewed as (n^2, S), starts zeroed; its
+    diagonal d holds the runs x_i..x_{i+d}, each its run on diagonal
+    d - 1 times x_{i+d}, as running_terms extends a run.  One
+    subtraction from 1 turns the runs into terms and the unused entries
+    into exactly 1.0, and multiplying by 1.0 is exact, so the product
+    over P's flattened (i, j) axis multiplies running_terms' terms in
+    running_terms' order.  Each row costs n^2 entries, so the kernel
+    loses to _eval_f_batch beyond some thousands of rows."""
+    S, n = X.shape
+    XT = X.T
+    P = np.zeros((n * n, S))
+    P[::n + 1] = XT
+    for d in range(1, n):
+        np.multiply(P[d - 1::n + 1][:n - d], XT[d:], out=P[d::n + 1][:n - d])
+    np.subtract(1.0, P, out=P)
+    return np.multiply.reduce(P, axis=0)
 
 
 def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
@@ -451,8 +446,8 @@ def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
     and 48 golden steps, so every ascent makes rounds * n * 52 probes and
     only the branch of a step differs between starts.  The starts are
     the rows of one array, and each probe evaluates every row: with
-    eval_f_batch, or with eval_f for a lone start, which gives the same
-    bits at less cost."""
+    _eval_f_probe, or with eval_f for a lone start; both give
+    eval_f_batch's bits at less cost."""
     if not starts:
         return []
     inv = (math.sqrt(5.0) - 1.0) / 2.0
@@ -462,7 +457,7 @@ def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
 
     def f(k: int, t: np.ndarray) -> np.ndarray:
         X[:, k] = t
-        return _eval_f_batch(X) if S > 1 else np.array([eval_f(X[0])])
+        return _eval_f_probe(X) if S > 1 else np.array([eval_f(X[0])])
 
     for _ in range(rounds):
         for k in range(n):
@@ -492,57 +487,46 @@ def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
 def maximize_f(n: int, grid_step: float = 0.25) -> MaximizeResult:
     """Numerically maximize f_n over [-1,1]^n.
 
-    n <= 8: exhaustive grid at grid_step (_grid_best: the first point
-    where eval_f_batch is largest), then _polish's golden-section ascent
-    from it, the one start; the grid may hold at most _LATTICE_CAP = 9^8
-    points, and evaluations counts each once.  Larger n: the _SCREEN_KEEP best
-    points of a coarse 0.5-step lattice screen and _RANDOM_STARTS seeded
-    random points, polished together by the same ascent.  The best is
-    the first strict improvement in start order.  The screen visits 5^n
-    points, so n is capped at 12.  A grid_step outside [2/9^8, 2] or not
-    dividing 2 is refused for every n, before any screen.
+    Both paths screen a lattice with _grid_top and polish its best
+    points with _polish's golden-section ascent.  n <= 8: the exhaustive
+    grid at grid_step, which may hold at most _LATTICE_CAP = 9^8 points,
+    and its first point where eval_f_batch is largest, the one start.
+    Larger n: the _SCREEN_KEEP best points of the coarse 0.5-step
+    lattice, best first and ties by lattice index, then _RANDOM_STARTS
+    seeded random points.  The best is the first strict improvement in
+    start order, and evaluations counts each lattice point once.  The
+    coarse lattice has 5^n points, so n is capped at 12.  A grid_step
+    outside [2/9^8, 2] or not dividing 2 is refused for every n, before
+    any screen.
     """
     if not 1 <= n <= 12:
         raise ValueError("n must be between 1 and 12")
     _grid_intervals(grid_step)
-    bound = pohst_bound(n)
-    evaluations = 0
-
     if n <= 8:
-        points = _axis_points(grid_step, n)
-        best_v, best_x = _grid_best(points, n)
-        evaluations += len(points) ** n
-        [(x, v, used)] = _polish([(best_v, best_x)], grid_step, _POLISH_ROUNDS)
-        evaluations += used
+        points, keep, radius = _axis_points(grid_step, n), 1, grid_step
         method = f"grid(step={grid_step})+golden-ascent(rounds={_POLISH_ROUNDS})"
-        return MaximizeResult(n, v, tuple(float(c) for c in x), bound,
-                              method, evaluations)
-
-    starts: list[tuple[float, np.ndarray]] = []
-    points = np.linspace(-1.0, 1.0, round(2.0 / _COARSE_STEP) + 1)
-    for X in _lattice_batches(points, n):
-        vals = _eval_f_batch(X)
-        evaluations += len(vals)
-        # a copy, so that the batch-sized argsort is freed at once
-        order = np.argsort(vals, kind="stable")[-_SCREEN_KEEP:].copy()
-        starts.extend((float(vals[i]), X[i].copy()) for i in order)
-    starts.sort(key=lambda s: -s[0])
-    starts = starts[:_SCREEN_KEEP]
-    rng = np.random.default_rng(_MULTISTART_SEED)
-    for _ in range(_RANDOM_STARTS):
-        x = rng.uniform(-1.0, 1.0, size=n)
-        starts.append((eval_f(x), x))
-        evaluations += 1
+    else:
+        points = np.linspace(-1.0, 1.0, round(2.0 / _COARSE_STEP) + 1)
+        keep, radius = _SCREEN_KEEP, _COARSE_STEP
+        method = (f"coarse-screen(step={_COARSE_STEP},keep={_SCREEN_KEEP})"
+                  f"+multistart({_RANDOM_STARTS})+golden-ascent(rounds={_POLISH_ROUNDS})")
+    vals, X = _grid_top(points, n, keep)
+    evaluations = len(points) ** n
+    starts = [(float(v), x) for v, x in zip(vals, X)]
+    if n > 8:
+        rng = np.random.default_rng(_MULTISTART_SEED)
+        for _ in range(_RANDOM_STARTS):
+            x = rng.uniform(-1.0, 1.0, size=n)
+            starts.append((eval_f(x), x))
+            evaluations += 1
 
     best_x, best_v = None, -np.inf
-    for x, v, used in _polish(starts, _COARSE_STEP, _POLISH_ROUNDS):
+    for x, v, used in _polish(starts, radius, _POLISH_ROUNDS):
         evaluations += used
         if v > best_v:
             best_v, best_x = v, x
     assert best_x is not None
-    method = (f"coarse-screen(step={_COARSE_STEP},keep={_SCREEN_KEEP})"
-              f"+multistart({_RANDOM_STARTS})+golden-ascent(rounds={_POLISH_ROUNDS})")
-    return MaximizeResult(n, best_v, tuple(float(c) for c in best_x), bound,
+    return MaximizeResult(n, best_v, tuple(float(c) for c in best_x), pohst_bound(n),
                           method, evaluations)
 
 

@@ -23,9 +23,9 @@ product sign of (i, j) is x_i ... x_j = (-1)^(i+j+1) q_{i-1} q_j, so
 
 running_terms forms the run products x_i ... x_j from which f_n, its
 batch twin and the block-domination checks take every value they
-return.  The grid screen of search.maximize_f forms the same products
-by prefix extension, but only to choose the points that the batch twin
-then evaluates.
+return.  The lattice screen of search.maximize_f forms the same
+products by prefix extension, but only to choose the points that the
+batch twin then evaluates.
 
 Indices are 1-based throughout the public interface.
 """

@@ -384,7 +384,8 @@ def test_maximize_rejects_bad_arguments():
 
 #: SHA-256 of repr(maximize_f(*args)), recorded before the ascents were
 #: polished in lockstep and the lattice filled by slices; (8,), (6, 2/3)
-#: and (5, 0.4) were recorded before the grid screen extended prefixes.
+#: and (5, 0.4) were recorded before the grid screen extended prefixes,
+#: and (10,) before the multistart path screened by prefix extension.
 #: n = 8 has five tied maximizers, and the grids of steps 2/3 and 0.4
 #: hold no 0, so their maximum sits where the screen's values and
 #: eval_f_batch's differ in the last bits.
@@ -398,6 +399,7 @@ MAXIMIZE_DIGESTS = {
     (7,): "03a1a198dc8aba2864d0536b8ad2caa7772e1fd3742ce075e689af4e985aa11c",
     (8,): "22b54a4e4ae96f41ce589d3fc272fd9dbac331e81bfba3b5e3d219ded7d2b6f7",
     (9,): "3a72bbe90804ba85bbe82ddde22d5d6a3b9f13a82a9bb3b1e1767bb67e435789",
+    (10,): "11b8238fc700036cb7409b005b775768da0e7607fe4e4b3ec9a39ec0f6405e4a",
     (4, 0.5): "ec99bd98020ad1c84ddd99da3b51823e60f34c84debd4d7b7dbdbc69a214d109",
     (4, 0.125): "3684548c0b5875f5598bda10a3dd14795bb17142d616e22f896681cd1cd03b0f",
     (6, 2 / 3): "5daf08f1d293e3cf6ea2b16ca28047dc3269b3eb0bcd8497c3c3ace417c85553",
@@ -425,9 +427,10 @@ def _dispatched_cpu_features() -> list[str]:
 @pytest.mark.skipif(not _dispatched_cpu_features(),
                     reason="numpy dispatches no CPU feature above its baseline here")
 def test_maximize_does_not_depend_on_simd_dispatch():
-    """The screen's ranking is a stable sort, so maximize_f(10) keeps its
-    result when numpy falls back to its baseline kernels, whose sort
-    breaks ties between equal values in another order."""
+    """The screen breaks ties between equal values by lattice index, not
+    by a sort whose order among equal keys numpy leaves open, so
+    maximize_f(10) keeps its result when numpy falls back to its
+    baseline kernels."""
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(_dispatched_cpu_features()),
                PYTHONPATH=str(Path(search.__file__).parents[1]))
     code = ("import hashlib; from pohst.search import maximize_f; "
@@ -474,17 +477,6 @@ def test_polish_together_matches_one_by_one():
     assert search._polish([], 0.5, 1) == []
 
 
-@pytest.mark.parametrize("n", range(1, 6))
-def test_lattice_batches_match_product(n):
-    """Mixed-radix order and batch boundaries; 7 rows per batch divides
-    no tail period (3^ceil(n/2)), so runs straddle batches."""
-    points = np.array([-1.0, -0.25, 0.5])
-    batches = [X.copy() for X in search._lattice_batches(points, n, batch_rows=7)]
-    assert [len(X) for X in batches] == [min(7, 3 ** n - s) for s in range(0, 3 ** n, 7)]
-    expected = np.array(list(itertools.product(points, repeat=n)))
-    assert np.array_equal(np.concatenate(batches), expected)
-
-
 @pytest.mark.parametrize("n,m,rows", [
     (1, 11, 4),     # more points than rows: the points are sliced
     (2, 9, 10),     # a prefix's children split over chunks
@@ -506,20 +498,83 @@ def test_grid_values_match_eval_f_batch(n, m, rows):
     assert np.all(np.abs(got - ref) <= n * (n + 1) * 2.0 ** -53 * ref)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_probe_kernel_equals_eval_f_batch(n):
+    """The ascent's probe kernel gives _eval_f_batch's bits, on rows
+    holding 0, -0.0 and +-1 entries as well as interior ones."""
+    rng = np.random.default_rng(n)
+    special = np.array([0.0, -0.0, 1.0, -1.0])
+    for S in (2, 3, 96):
+        X = rng.uniform(-1.0, 1.0, size=(S, n))
+        hit = rng.random((S, n)) < 0.4
+        X[hit] = rng.choice(special, size=int(hit.sum()))
+        X[0] = np.resize([0.0, -1.0], n)   # a maximizer for odd n
+        X[1] = np.resize([-0.0, 1.0, -1.0], n)
+        assert search._eval_f_probe(X).tobytes() == search._eval_f_batch(X).tobytes()
+
+
+def _reference_top(points, n, keep):
+    """The first keep points of points^n by (-eval_f_batch, mixed-radix
+    index), as (values, points), from eval_f_batch over the whole
+    lattice, built with np.indices and evaluated in slices."""
+    digits = np.indices((len(points),) * n, dtype=np.int8).reshape(n, -1)
+    rows = 1 << 16
+    ref = np.concatenate([eval_f_batch(points[digits[:, s:s + rows]].T)
+                          for s in range(0, digits.shape[1], rows)])
+    order = np.lexsort((np.arange(len(ref)), -ref))[:keep]
+    return ref[order], points[digits[:, order]].T
+
+
+def _assert_top(points, n, keep):
+    values, X = search._grid_top(points, n, keep)
+    ref_values, ref_X = _reference_top(points, n, keep)
+    assert values.tobytes() == ref_values.tobytes()
+    assert np.array_equal(X, ref_X)
+
+
 @pytest.mark.parametrize("n,step", [
     (1, 2.0), (4, 2.0), (3, 1.0), (5, 1.0), (4, 2 / 3), (5, 0.4),
     (3, 2 / 7), (4, 0.25), (2, 2 / 9), (2, 0.02),
 ])
 def test_grid_best_is_first_maximum_of_eval_f_batch(n, step):
-    """The grid screen picks the point and value that eval_f_batch over
-    the whole lattice gives, ties (the all-zero grid of step 2 among
-    them) going to the first in mixed-radix order."""
-    points = search._axis_points(step, n)
-    X = np.array(list(itertools.product(points, repeat=n)))
-    ref = eval_f_batch(X)
-    top = int(np.argmax(ref))
-    value, point = search._grid_best(points, n)
-    assert value == ref[top] and np.array_equal(point, X[top])
+    """With keep = 1 the grid screen picks the point and value that
+    eval_f_batch over the whole lattice gives, ties (the all-zero grid of
+    step 2 among them) going to the first in mixed-radix order."""
+    _assert_top(search._axis_points(step, n), n, 1)
+
+
+def test_grid_top_matches_eval_f_batch_on_the_multistart_lattice():
+    """The multistart screen: the 32 best points of the 0.5-step lattice
+    at n = 9, in the order of (-eval_f_batch, mixed-radix index)."""
+    _assert_top(np.linspace(-1.0, 1.0, 5), 9, 32)
+
+
+def test_grid_top_reevaluates_few_candidates(monkeypatch):
+    """The kept set is pruned as the band rises: the multistart screen of
+    n = 9 hands eval_f_batch 44 of its 5^9 points, not the 2^16 points
+    of its first chunk, where x_1 = x_2 = -1 and every value is 0."""
+    rows = []
+    kernel = search._eval_f_batch
+
+    def counting(X):
+        rows.append(len(X))
+        return kernel(X)
+
+    monkeypatch.setattr(search, "_eval_f_batch", counting)
+    search._grid_top(np.linspace(-1.0, 1.0, 5), 9, 32)
+    assert rows == [44]
+
+
+@pytest.mark.parametrize("n,step,keep", [
+    (4, 2.0, 5),    # every value is 0: the first five points
+    (17, 2.0, 5),   # ... across two screen chunks
+    (3, 1.0, 100),  # more than the 27 points: all of them, ranked
+    (2, 2.0, 4),    # exactly the lattice
+    (6, 1.0, 2),    # four tied maxima, cut inside the tie
+    (5, 0.5, 7),    # cut inside six points tied at 4.5
+])
+def test_grid_top_breaks_ties_by_index(n, step, keep):
+    _assert_top(search._axis_points(step, n), n, keep)
 
 
 def _no_screen(monkeypatch):
@@ -527,7 +582,7 @@ def _no_screen(monkeypatch):
     def no_lattice(*args, **kwargs):
         raise AssertionError("the lattice screen was started")
 
-    for name in ("_lattice_batches", "_grid_values", "_grid_best"):
+    for name in ("_grid_values", "_grid_top"):
         monkeypatch.setattr(search, name, no_lattice)
 
 
