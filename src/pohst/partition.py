@@ -16,11 +16,17 @@ therefore certifies f_n(v) <= f_n(-|v|) <= 2^floor((n+1)/2).
 The builder processes negative members of J in the total order of
 prec_key (lower rows first, right to left inside a row), one row at a
 time (BuildState.row): row j puts its positive members into singletons,
-then absorbs its negatives.  Each negative pair is absorbed by one of
-three cases; the case analysis is a constructive proof, so every "some
-block must exist here" claim is asserted at run time and a violation
-raises ConstructionFailure with the full trace.  Row j reads only
-x_1..x_j, which lets a sweep share the rows of a common prefix.
+then absorbs its negatives.  A negative is absorbed by one of two
+operations: operation 1 merges it with a singleton positive into a
+doubleton; operation 2 completes a rectangle from a positive's
+horizontal doubleton (hdoub) and a singleton positive corner in row j.
+Three cases decide where that positive lies: Case 1 (operation 1 only)
+right of the negative in row j, Cases 2 and 3 below it in its column
+(BuildState._usable).
+The case analysis is a constructive proof, so every "some block must
+exist here" claim is asserted at run time and a violation raises
+ConstructionFailure with the full trace.  Row j reads only x_1..x_j,
+which lets a sweep share the rows of a common prefix.
 
 The audit (AuditState) is a fold over rows in the same way: it seeds
 each row from the prefix classes just before that row's steps and
@@ -153,7 +159,8 @@ class BuildState:
 
     owner maps each member of J in rows <= j to the block that holds it;
     sing[r] has bit i set while (i, r) is a singleton positive, which
-    is what Case 1 reads; steps is the trace so far.  Row j reads only
+    is what Case 1 and _usable read (only positive members of J ever
+    get a bit); steps is the trace so far.  Row j reads only
     x_1..x_j, so every pattern with the same prefix shares this state.
 
     A step writes its block in final form (_absorb): the case fixes the
@@ -214,20 +221,9 @@ class BuildState:
             # without one, neg becomes it.
             if anchor is None:
                 anchor = neg
-                # Case 2: exactly one positive in the column segment
-                # (i, i..j-1) below neg is usable, either directly (sing)
-                # or through a rectangle.  Either way it is the first
-                # member of its block.
-                found = []
-                for r in range(i, j):
-                    if q[i - 1] == q[r] or (i + r) % 2:
-                        continue
-                    if sing[r] >> i & 1:
-                        found.append((owner[i, r].members[0],))
-                        continue
-                    corner = self._rectangle_corner(q, (i, r), j)
-                    if corner is not None:
-                        found.append((owner[i, r].members[0], corner))
+                # Case 2: exactly one positive (i, r), r = i, i+2, .., j-1,
+                # in the column segment below neg is usable.
+                found = [u for r in range(i, j, 2) if (u := self._usable((i, r), j))]
                 if not found:
                     raise self._fail(k, neg, "case2: no usable positive in the vertical list")
                 if len(found) > 1:
@@ -236,26 +232,20 @@ class BuildState:
                 self._absorb(k, neg, "case2", *found[0])
                 continue
 
-            # Case 3: the anchor was absorbed vertically; mirror its drop.
-            j1 = None
-            for m, s in zip(owner[anchor].members, owner[anchor].signs):
-                if m[0] == anchor[0] and m[1] < j and s == 1:
-                    j1 = m[1]
-                    break
-            if j1 is None:
+            # Case 3: the anchor was absorbed vertically; mirror its drop,
+            # read from the first member of its block, the positive.
+            top = owner[anchor].members[0]
+            if top[0] != anchor[0] or top[1] >= j:
                 raise self._fail(k, neg, f"case3: anchor {tuple(anchor)} not in nvdoub "
                                  "configuration")
-            pos = TermIndex(i, j1)
+            j1 = top[1]
             if q[i - 1] == q[j1] or (i + j1) % 2:
-                raise self._fail(k, neg, f"case3: expected positive pair {tuple(pos)} not in J")
-            if sing[j1] >> i & 1:
-                self._absorb(k, neg, "case3", pos)
-                continue
-            corner = self._rectangle_corner(q, pos, j)
-            if corner is None:
-                raise self._fail(k, neg, f"case3: positive pair {tuple(pos)} neither sing "
+                raise self._fail(k, neg, f"case3: expected positive pair {(i, j1)} not in J")
+            usable = self._usable((i, j1), j)
+            if usable is None:
+                raise self._fail(k, neg, f"case3: positive pair {(i, j1)} neither sing "
                                  "nor in an hdoub usable for operation 2")
-            self._absorb(k, neg, "case3", pos, corner)
+            self._absorb(k, neg, "case3", *usable)
 
     def _absorb(self, k: int, neg: TermIndex, case: str, pos: TermIndex,
                 corner: TermIndex | None = None) -> None:
@@ -285,21 +275,22 @@ class BuildState:
                 owner[m] = created
         self.steps.append(BuildStep(k, neg, case, len(consumed), consumed, created))
 
-    def _rectangle_corner(self, q: Sequence[int], pos: tuple[int, int],
-                          j: int) -> TermIndex | None:
-        """The sing positive corner (left, j) that completes a rectangle,
-        when pos sits in a horizontal doubleton with negative partner left;
-        the corner's singleton holds its index."""
-        mem = self.owner[pos].members
-        if len(mem) != 2:
+    def _usable(self, pos: tuple[int, int], j: int) -> tuple[TermIndex, ...] | None:
+        """How the positive pos, below row j, can absorb a negative of
+        row j: (pos,) while it is sing (operation 1); (pos, corner) while
+        it sits in an hdoub whose negative partner (c, r) has c < pos[0]
+        and the corner (c, j) is sing (operation 2); else None, also when
+        pos is not in J.  The indices returned are those owner holds."""
+        i, r = pos
+        if self.sing[r] >> i & 1:
+            return (self.owner[pos].members[0],)
+        block = self.owner.get(pos)
+        if block is None or len(block.members) != 2:
             return None
-        left = mem[0] if mem[1] == pos else mem[1]
-        if left[1] != pos[1] or left[0] >= pos[0]:
+        c, r2 = block.members[1]
+        if r2 != r or c >= i or not self.sing[j] >> c & 1:
             return None
-        c = left[0]
-        if q[c - 1] == q[j] or (c + j) % 2 or not self.sing[j] >> c & 1:
-            return None
-        return self.owner[c, j].members[0]
+        return block.members[0], self.owner[c, j].members[0]
 
     def _fail(self, k: int, neg: TermIndex, reason: str) -> ConstructionFailure:
         return ConstructionFailure(k, neg, reason, tuple(self.steps))

@@ -88,6 +88,9 @@ _CONFIRM_REL = 1e-12
 #: Elements of a term matrix per row chunk of the block-wise sampler, so
 #: that its term matrices and gathers keep their size as n grows.
 _GATHER_ELEMENTS = 1 << 16
+#: Most patterns the block-wise sampler keeps built across batches, all
+#: of them for n <= 14.
+_CACHED_PATTERNS = 1 << 14
 #: Largest n of a sweep or a sampling campaign.
 _MAX_N = 24
 
@@ -512,13 +515,12 @@ def maximize_f(n: int, grid_step: float = 0.25) -> MaximizeResult:
                   f"+multistart({_RANDOM_STARTS})+golden-ascent(rounds={_POLISH_ROUNDS})")
     vals, X = _grid_top(points, n, keep)
     evaluations = len(points) ** n
-    starts = [(float(v), x) for v, x in zip(vals, X)]
     if n > 8:
         rng = np.random.default_rng(_MULTISTART_SEED)
-        for _ in range(_RANDOM_STARTS):
-            x = rng.uniform(-1.0, 1.0, size=n)
-            starts.append((eval_f(x), x))
-            evaluations += 1
+        R = rng.uniform(-1.0, 1.0, size=(_RANDOM_STARTS, n))
+        vals, X = np.concatenate((vals, _eval_f_batch(R))), np.concatenate((X, R))
+        evaluations += _RANDOM_STARTS
+    starts = [(float(v), x) for v, x in zip(vals, X)]
 
     best_x, best_v = None, -np.inf
     for x, v, used in _polish(starts, radius, _POLISH_ROUNDS):
@@ -658,19 +660,22 @@ def sample_blockwise_domination(n: int, samples: int = 100_000,
 
     Each batch builds the partitions of its new patterns first, in
     ascending pattern_from_index index, so a ConstructionFailure is
-    raised before any of that batch's domination verdicts.  The batch's
-    rows are then checked in chunks of _GATHER_ELEMENTS // (n(n+1)/2)
-    rows: one term matrix per chunk for the sample and one for its
-    mirror, and every block product gathered from it.  A failure names
-    the lowest failing pattern index of the first failing batch, its
-    first failing block in block order, and that block's first failing
-    row.
+    raised before any of that batch's domination verdicts.  A batch
+    that finds more than _CACHED_PATTERNS patterns built starts from
+    none, so memory does not grow with samples.  The batch's rows are
+    then checked in chunks of _GATHER_ELEMENTS // (n(n+1)/2) rows: one
+    term matrix per chunk for the sample and one for its mirror, and
+    every block product gathered from it.  A failure names the lowest
+    failing pattern index of the first failing batch, its first failing
+    block in block order, and that block's first failing row.
     """
     _check_sampling(n, samples, seed)
     chunk = max(1, _GATHER_ELEMENTS // (n * (n + 1) // 2))
     cache: dict[int, tuple[list, np.ndarray]] = {}
     bits = 1 << np.arange(n, dtype=np.int64)
     for offset, X in _sample_batches(n, samples, seed):
+        if len(cache) > _CACHED_PATTERNS:
+            cache.clear()
         keys, inverse = np.unique((X < 0) @ bits, return_inverse=True)
         keys = keys.tolist()
         stacked = _pattern_tables(n, keys, cache)

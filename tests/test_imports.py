@@ -48,3 +48,26 @@ def test_every_private_name_is_used():
     unused = [f"{file}:{stmt.lineno} {name}" for file, stmt, name in defined
               if not any(name in names for other, names in reads if other is not stmt)]
     assert unused == []
+
+
+def test_every_private_method_is_used():
+    """Every private method (_x) defined in a class of the package is
+    referenced somewhere in the package outside its own definition, so
+    a retired helper cannot linger."""
+    methods, refs = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        refs += [node for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) or isinstance(node, ast.Name)]
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                methods += [(path.name, f) for f in cls.body
+                            if isinstance(f, ast.FunctionDef) and f.name.startswith("_")
+                            and not f.name.startswith("__")]
+    unused = []
+    for file, f in methods:
+        own = {id(node) for node in ast.walk(f)}
+        if not any((node.attr if isinstance(node, ast.Attribute) else node.id) == f.name
+                   and id(node) not in own for node in refs):
+            unused.append(f"{file}:{f.lineno} {f.name}")
+    assert unused == []

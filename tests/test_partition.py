@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from pohst.partition import (
     BLOCK_KINDS,
     AuditState,
+    BuildState,
     BuildStep,
     CertificateFormatError,
     CheckResult,
@@ -716,14 +717,23 @@ def test_certificate_bytes_pinned():
 
 def test_build_trace_pinned():
     """The build traces of every pattern for n = 1..10, as repr text in
-    pattern_from_index order, hash to one fixed digest: a change to any
-    step, case, operation or block of any trace fails here."""
+    pattern_from_index order, hash to one fixed digest, and so do those
+    of the 40 random patterns of n = 24..96 that
+    test_build_writes_blocks_in_final_shape draws: a change to any step,
+    case, operation or block of any trace fails here."""
     digest = hashlib.sha256()
     for n in range(1, 11):
         for idx in range(2 ** n):
             digest.update(repr(build_good_partition(pattern_from_index(n, idx)).trace).encode())
     assert digest.hexdigest() == (
         "6fd2590ff8a6c6658f5c7c7c6d676aad422fd9fda9c80c6c35897ead22c9c8bf")
+    rng = np.random.default_rng(13)
+    digest = hashlib.sha256()
+    for n in rng.integers(24, 97, size=40):
+        pat = tuple(int(s) for s in rng.choice((-1, 1), size=int(n)))
+        digest.update(repr(build_good_partition(pat).trace).encode())
+    assert digest.hexdigest() == (
+        "393bf1ed04421782f839b933a3d7538cf734852e0608a1f4a0194388f558cc44")
 
 
 def _mutated_traces(trace):
@@ -913,3 +923,67 @@ def test_certificate_format_error_is_value_error():
 def test_construction_failure_carries_context():
     err = ConstructionFailure(3, TermIndex(1, 4), "case3: boom", ())
     assert err.step == 3 and err.pair == (1, 4) and "boom" in str(err)
+
+
+def _row_fails(pattern, j, edit=lambda state: None):
+    """The message of the ConstructionFailure that row j raises after
+    rows 1..j-1 were built and edit was applied to the state."""
+    q = prefix_classes(pattern)
+    state = BuildState(len(pattern))
+    for r in range(1, j):
+        state.row(q, r)
+    edit(state)
+    with pytest.raises(ConstructionFailure) as info:
+        state.row(q, j)
+    return str(info.value)
+
+
+def _case2_writes(monkeypatch, drop):
+    """Make every Case-2 step leave its pair in a block of its own
+    (drop None) or in a doubleton under (column, pair row - drop)."""
+    absorb = BuildState._absorb
+
+    def patched(self, k, neg, case, *args):
+        absorb(self, k, neg, case, *args)
+        if case == "case2":
+            members = (neg,) if drop is None else (TermIndex(neg[0], neg[1] - drop), neg)
+            self.owner[neg] = PartitionBlock(BLOCK_KINDS[len(members)], members,
+                                             (1, -1)[-len(members):], "case2-op1")
+
+    monkeypatch.setattr(BuildState, "_absorb", patched)
+
+
+def _clear_sing(r, i):
+    def edit(state):
+        state.sing[r] &= ~(1 << i)
+    return edit
+
+
+def test_case2_failure_reasons():
+    """Case 2 asserts that exactly one positive below the anchor is
+    usable.  (1, -1, 1): row 2's anchor (1, 2) can use only the singleton
+    (1, 1); (1, -1, -1, -1): row 4's anchor (1, 4) uses (1, 3), and
+    (1, 1), in J but absorbed, becomes usable once it is marked sing."""
+    assert _row_fails((1, -1, 1), 2, _clear_sing(1, 1)) == (
+        "step 1, pair (1, 2): case2: no usable positive in the vertical list")
+
+    def mark(state):
+        state.sing[1] |= 1 << 1
+    assert _row_fails((1, -1, -1, -1), 4, mark) == (
+        "step 2, pair (1, 4): case2: usable positive not unique: [(1, 1), (1, 3)]")
+
+
+def test_case3_failure_reasons(monkeypatch):
+    """Case 3 mirrors the anchor's drop.  (1, 1, 1, -1): row 4's anchor
+    (3, 4) drops to (3, 3) and (1, 4) then uses the singleton (1, 3);
+    (1, 1, 1, 1, -1, 1): row 6's anchor (3, 6) drops to (3, 3), and a
+    drop to row 5 would point (1, 6) at (1, 5), which is not in J."""
+    assert _row_fails((1, 1, 1, -1), 4, _clear_sing(3, 1)) == (
+        "step 2, pair (1, 4): case3: positive pair (1, 3) neither sing nor in an "
+        "hdoub usable for operation 2")
+    _case2_writes(monkeypatch, None)
+    assert _row_fails((1, 1, 1, -1), 4) == (
+        "step 2, pair (1, 4): case3: anchor (3, 4) not in nvdoub configuration")
+    _case2_writes(monkeypatch, 1)
+    assert _row_fails((1, 1, 1, 1, -1, 1), 6) == (
+        "step 5, pair (1, 6): case3: expected positive pair (1, 5) not in J")

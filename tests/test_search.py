@@ -691,6 +691,27 @@ def test_sample_blockwise_domination_builds_each_pattern_once(monkeypatch):
     assert built == [pattern_from_index(3, idx) for idx in range(8)]
 
 
+def test_sample_blockwise_domination_cache_is_bounded(monkeypatch):
+    """With _CACHED_PATTERNS lowered to 5, every batch of n=3 after the
+    first finds all 8 patterns built and starts from none: each batch
+    builds the 8 patterns again, in ascending index, and the verdict is
+    unchanged.  A batch never starts with more than the bound built."""
+    built, sizes = [], []
+    tables = search._pattern_tables
+
+    def spy(n, keys, cache):
+        sizes.append(len(cache))
+        return tables(n, keys, cache)
+
+    monkeypatch.setattr(search, "build_good_partition",
+                        lambda pat: built.append(pat) or build_good_partition(pat))
+    monkeypatch.setattr(search, "_pattern_tables", spy)
+    monkeypatch.setattr(search, "_CACHED_PATTERNS", 5)
+    assert sample_blockwise_domination(3, samples=45_000, seed=42)   # three batches
+    assert sizes == [0, 0, 0]
+    assert built == [pattern_from_index(3, idx) for idx in range(8)] * 3
+
+
 def test_gathered_block_products_equal_block_products():
     """Every block product of every pattern with n <= 8, for the samples
     and their mirrors, is == block_products'; padding blocks read 1.0."""
