@@ -57,8 +57,7 @@ def test_every_private_method_is_used():
     methods, refs = [], []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        refs += [node for node in ast.walk(tree)
-                 if isinstance(node, ast.Attribute) or isinstance(node, ast.Name)]
+        refs += [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
         for cls in ast.walk(tree):
             if isinstance(cls, ast.ClassDef):
                 methods += [(path.name, f) for f in cls.body
@@ -67,7 +66,6 @@ def test_every_private_method_is_used():
     unused = []
     for file, f in methods:
         own = {id(node) for node in ast.walk(f)}
-        if not any((node.attr if isinstance(node, ast.Attribute) else node.id) == f.name
-                   and id(node) not in own for node in refs):
+        if not any(node.attr == f.name and id(node) not in own for node in refs):
             unused.append(f"{file}:{f.lineno} {f.name}")
     assert unused == []
