@@ -6,12 +6,16 @@ The sweep is the heart of the verification: for every one of the 2^n
 sign patterns it builds a good partition, validates it independently,
 audits every intermediate construction state, and (for even n with an
 odd number of negative signs) checks the border parity identity.
-Row j of the build and of the audit reads only x_1..x_j, so the sweep
-walks the pattern tree depth first and applies each row once per tree
-node, not once per pattern; the validator and the parity check run on
-each leaf's materialized partition.  Any failure below a node is re-run
-through verify_pattern, the one-pattern reference.  With jobs > 1 the
-tree is split by prefix into 2^k subtrees, 2^k >= 4 jobs.
+Row j of the build and of the audit reads only x_1..x_j, so patterns
+that share a prefix share its rows.  One depth-first walk (_walk) serves
+every consumer of builds: it walks the trie of the prefixes of a set of
+pattern indices and applies each row once per trie node, not once per
+pattern, and its leaves come in trie order, ascending bit-reversed
+index.  The sweep walks all 2^n patterns, never listing them, and
+carries the audit with the build; the validator and the parity check
+run on each leaf's materialized partition.  Any failure below a node is
+re-run through verify_pattern, the one-pattern reference.  With
+jobs > 1 the tree is split by prefix into 2^k subtrees, 2^k >= 4 jobs.
 
 Numeric maximization reproduces the bound 2^floor((n+1)/2) without
 assuming it: a lattice search over the cube followed by per-coordinate
@@ -38,7 +42,10 @@ the terms of a row chunk once, as a matrix with one column per term in
 running_terms order and a column of ones.  Each pattern's partition
 becomes a small table of its blocks' term columns, padded with the ones
 column to four members, and every block product of the chunk is one
-gather from the matrix.
+gather from the matrix.  The tables of a batch's new patterns come from
+the same walk over just those patterns, with the build alone; where a
+row fails, the patterns below it are rebuilt one by one in ascending
+index, so the failure raised is the one a per-pattern loop meets first.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import os
 import time
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -58,6 +65,7 @@ from .partition import (
     BuildState,
     CheckResult,
     ConstructionFailure,
+    GoodPartition,
     audit_build,
     build_good_partition,
     parity_counts,
@@ -155,14 +163,15 @@ def _verify_leaves(n: int, depth: int, idx: int) -> list[tuple[int, str]]:
     return found
 
 
-def _apply_row(build: BuildState, audit: AuditState, q: list[int], j: int) -> bool:
-    """Row j of the build and of the audit; False when either fails."""
+def _apply_row(build: BuildState, audit: AuditState | None, q: list[int], j: int) -> bool:
+    """Row j of the build and, unless audit is None, of the audit; False
+    when either fails."""
     k0 = len(build.steps)
     try:
         build.row(q, j)
     except ConstructionFailure:
         return False
-    return bool(audit.row(q, j, build.steps, k0))
+    return audit is None or bool(audit.row(q, j, build.steps, k0))
 
 
 def _leaf_ok(n: int, idx: int, build: BuildState, audit: AuditState) -> bool:
@@ -178,37 +187,54 @@ def _leaf_ok(n: int, idx: int, build: BuildState, audit: AuditState) -> bool:
     return True
 
 
-def _descend(n: int, j: int, idx: int, q: list[int], build: BuildState,
-             audit: AuditState, found: list[tuple[int, str]]) -> None:
-    """Walk the subtree of the node whose states hold rows 1..j of the
-    patterns with low bits idx.  The first child works on a copy of the
-    node's states, the second on the states themselves."""
+def _walk(n: int, j: int, idx: int, q: list[int], build: BuildState,
+          audit: AuditState | None, keys: list[int] | None,
+          leaf: Callable[[int, BuildState, AuditState | None], None],
+          pruned: Callable[[int, int, list[int] | None], None]) -> None:
+    """Walk the trie of the pattern indices keys, all of them when keys
+    is None, below the node whose states hold rows 1..j of the patterns
+    with low bits idx: each child applies its row (_apply_row) and
+    descends, or calls pruned(depth, index, keys below) where the row
+    fails.  Each leaf calls leaf(index, build, audit), in trie order,
+    which is ascending bit-reversed index.  A child works on a copy of
+    the node's states unless it is the node's last."""
     if j == n:
-        if not _leaf_ok(n, idx, build, audit):
-            found += _verify_leaves(n, n, idx)
+        leaf(idx, build, audit)
         return
-    for bit in (0, 1):
-        b, a = (build.copy(), audit.copy()) if bit == 0 else (build, audit)
+    children = [(0, None), (1, None)] if keys is None else \
+        [(bit, sub) for bit in (0, 1) if (sub := [k for k in keys if k >> j & 1 == bit])]
+    for c, (bit, sub) in enumerate(children):
+        b, a = build, audit
+        if c < len(children) - 1:
+            b, a = build.copy(), None if audit is None else audit.copy()
         q[j + 1] = q[j] if bit else -q[j]   # q_{j+1} = -q_j x_{j+1}
         child = idx | bit << j
         if _apply_row(b, a, q, j + 1):
-            _descend(n, j + 1, child, q, b, a, found)
+            _walk(n, j + 1, child, q, b, a, sub, leaf, pruned)
         else:
-            found += _verify_leaves(n, j + 1, child)
+            pruned(j + 1, child, sub)
 
 
 def _sweep_subtree(args: tuple[int, int, int]) -> list[tuple[int, str]]:
     """Failures (pattern index, reason) among the patterns whose low k
     bits are prefix."""
     n, k, prefix = args
-    # Entries above k are overwritten by _descend before they are read.
+    # Entries above k are overwritten by _walk before they are read.
     q = list(prefix_classes(pattern_from_index(n, prefix)))
     build, audit = BuildState(n), AuditState()
     for j in range(1, k + 1):
         if not _apply_row(build, audit, q, j):
             return _verify_leaves(n, k, prefix)
     found: list[tuple[int, str]] = []
-    _descend(n, k, prefix, q, build, audit, found)
+
+    def leaf(idx: int, build: BuildState, audit: AuditState | None) -> None:
+        if not _leaf_ok(n, idx, build, audit):
+            found.extend(_verify_leaves(n, n, idx))
+
+    def pruned(depth: int, idx: int, _: None) -> None:
+        found.extend(_verify_leaves(n, depth, idx))
+
+    _walk(n, k, prefix, q, build, audit, None, leaf, pruned)
     return found
 
 
@@ -605,26 +631,51 @@ def _term_matrix(X: np.ndarray) -> np.ndarray:
     return T
 
 
-def _pattern_tables(n: int, keys: Sequence[int],
-                    cache: dict[int, tuple[list, np.ndarray]]) -> np.ndarray:
-    """The member tables of the patterns keys, stacked to shape
-    (len(keys), most blocks, 4).
+def _column_term(n: int, c: int) -> tuple[int, int]:
+    """The term (i, j) whose column in running_terms order is c: the
+    inverse of _term_column."""
+    i = 1
+    while c > n - i:   # row i holds the n - i + 1 columns of (i, i..n)
+        c -= n - i + 1
+        i += 1
+    return i, i + c
 
-    Row b of a pattern's table holds the term columns of its block b's
-    members in member order; unused entries and the rows past its last
-    block name the ones column.  cache maps a pattern index to (its
-    blocks' members, its table); each pattern missing from it is built
-    with build_good_partition, in the order of keys."""
+
+def _member_table(n: int, gp: GoodPartition) -> np.ndarray:
+    """Row b holds the term columns of the members of block b of gp, in
+    member order, padded with the ones column to four."""
+    table = np.full((len(gp.blocks), 4), n * (n + 1) // 2, dtype=np.intp)
+    for b, block in enumerate(gp.blocks):
+        table[b, :len(block.members)] = [_term_column(n, i, j) for i, j in block.members]
+    return table
+
+
+def _pattern_tables(n: int, keys: Sequence[int], cache: dict[int, np.ndarray]) -> np.ndarray:
+    """The member tables (_member_table) of the patterns keys, stacked to
+    shape (len(keys), most blocks, 4); the rows past a pattern's last
+    block name the ones column.
+
+    cache maps a pattern index to its table.  The patterns missing from
+    it are built by one walk of the trie of their prefixes (_walk), each
+    row once per trie node, and each leaf's partition becomes its table.
+    Where a row raises ConstructionFailure, the patterns below that node
+    are built with build_good_partition in ascending index, so the
+    lowest of them raises what a per-pattern loop would raise first."""
+    failed: list[int] = []
+
+    def leaf(idx: int, build: BuildState, _: None) -> None:
+        cache[idx] = _member_table(n, build.partition(pattern_from_index(n, idx)))
+
+    def pruned(depth: int, idx: int, below: list[int]) -> None:
+        failed.extend(below)
+
+    new = [key for key in keys if key not in cache]
+    # q_0 = 1; _walk sets q_j before row j reads it.
+    _walk(n, 0, 0, [1] * (n + 1), BuildState(n), None, new, leaf, pruned)
+    for key in sorted(failed):
+        cache[key] = _member_table(n, build_good_partition(pattern_from_index(n, key)))
+    tables = [cache[key] for key in keys]
     ones = n * (n + 1) // 2
-    for key in keys:
-        if key not in cache:
-            gp = build_good_partition(pattern_from_index(n, key))
-            blocks = [b.members for b in gp.blocks]
-            table = np.full((len(blocks), 4), ones, dtype=np.intp)
-            for b, members in enumerate(blocks):
-                table[b, :len(members)] = [_term_column(n, i, j) for i, j in members]
-            cache[key] = blocks, table
-    tables = [cache[key][1] for key in keys]
     stacked = np.full((len(tables), max(len(t) for t in tables), 4), ones, dtype=np.intp)
     for u, table in enumerate(tables):
         stacked[u, :len(table)] = table
@@ -658,27 +709,32 @@ def sample_blockwise_domination(n: int, samples: int = 100_000,
     sample_domination: for every sample, every block of the certificate
     of its sign pattern dominates under the mirror vector.
 
-    Each batch builds the partitions of its new patterns first, in
-    ascending pattern_from_index index, so a ConstructionFailure is
-    raised before any of that batch's domination verdicts.  A batch
-    that finds more than _CACHED_PATTERNS patterns built starts from
-    none, so memory does not grow with samples.  The batch's rows are
-    then checked in chunks of _GATHER_ELEMENTS // (n(n+1)/2) rows: one
-    term matrix per chunk for the sample and one for its mirror, and
-    every block product gathered from it.  A failure names the lowest
+    Each batch first builds the partitions of its new patterns, with
+    one walk of the trie of their prefixes (_pattern_tables), and keeps
+    only their member tables; the walk's leaves come in trie order.  A
+    ConstructionFailure in the walk sends the patterns below the failing
+    node to build_good_partition in ascending pattern_from_index index,
+    so the batch raises what building its new patterns one by one in
+    ascending index raises first, before any of its domination
+    verdicts.  A batch that finds more than _CACHED_PATTERNS patterns
+    built starts from none, so memory does not grow with samples.  The
+    batch's rows are then checked in chunks of
+    _GATHER_ELEMENTS // (n(n+1)/2) rows: one term matrix per chunk for
+    the sample and one for its mirror, and every block product gathered
+    from it.  A failure names the lowest
     failing pattern index of the first failing batch, its first failing
-    block in block order, and that block's first failing row.
+    block in block order, whose members are read back from its table
+    (_column_term), and that block's first failing row.
     """
     _check_sampling(n, samples, seed)
     chunk = max(1, _GATHER_ELEMENTS // (n * (n + 1) // 2))
-    cache: dict[int, tuple[list, np.ndarray]] = {}
+    cache: dict[int, np.ndarray] = {}
     bits = 1 << np.arange(n, dtype=np.int64)
     for offset, X in _sample_batches(n, samples, seed):
         if len(cache) > _CACHED_PATTERNS:
             cache.clear()
         keys, inverse = np.unique((X < 0) @ bits, return_inverse=True)
-        keys = keys.tolist()
-        stacked = _pattern_tables(n, keys, cache)
+        stacked = _pattern_tables(n, keys.tolist(), cache)
         first = None   # (pattern slot, block, row) of the batch's first failure
         for s in range(0, len(X), chunk):
             C, cols = X[s:s + chunk], stacked[inverse[s:s + chunk]]
@@ -692,9 +748,9 @@ def sample_blockwise_domination(n: int, samples: int = 100_000,
                 first = found if first is None else min(first, found)
         if first is not None:
             slot, block, row = first
-            members = cache[keys[slot]][0][block]
+            ones = n * (n + 1) // 2
+            members = [_column_term(n, int(c)) for c in stacked[slot, block] if c != ones]
             return CheckResult(
-                False, f"block {[tuple(t) for t in members]} failed "
-                f"domination at sample {offset + row}",
+                False, f"block {members} failed domination at sample {offset + row}",
                 (offset + row, tuple(X[row])))
     return CheckResult(True)

@@ -49,6 +49,7 @@ from pohst.triangle import (
     negate_abs,
     noncanonical_set,
     pohst_bound,
+    prefix_classes,
 )
 
 
@@ -645,8 +646,23 @@ def _first_block_failure(n, samples, seed, partition=_singletons):
     return None
 
 
+def _materialize(monkeypatch, partition=None):
+    """Patch the sampler's one seam from a partition to its member table,
+    which the walk's leaves and the fallback both call: with partition,
+    each pattern's partition is partition(pattern) instead; returns the
+    list of patterns materialized, in call order."""
+    built, table = [], search._member_table
+
+    def member_table(n, gp):
+        built.append(gp.pattern)
+        return table(n, gp if partition is None else partition(gp.pattern))
+
+    monkeypatch.setattr(search, "_member_table", member_table)
+    return built
+
+
 def test_sample_blockwise_domination_reports_failing_block(monkeypatch):
-    monkeypatch.setattr(search, "build_good_partition", _singletons)
+    _materialize(monkeypatch, _singletons)
     r = sample_blockwise_domination(3, samples=400, seed=42)
     block, sample, vec = _first_block_failure(3, 400, 42)
     assert not r
@@ -665,14 +681,12 @@ def test_sample_blockwise_domination_planted_failure_matches_reference(
     rest, rows checked in chunks of chunk_rows: the report is the
     reference's, the lowest failing pattern of the batch, even when a
     higher one fails at an earlier row or in an earlier chunk; each new
-    pattern is built once, in ascending index order."""
+    pattern is materialized once."""
     def partition(pat):
         idx = sum(1 << b for b, s in enumerate(pat) if s < 0)
         return _singletons(pat) if idx in planted else build_good_partition(pat)
 
-    built = []
-    monkeypatch.setattr(search, "build_good_partition",
-                        lambda pat: built.append(pat) or partition(pat))
+    built = _materialize(monkeypatch, partition)
     monkeypatch.setattr(search, "_GATHER_ELEMENTS", 6 * chunk_rows)
     r = sample_blockwise_domination(3, samples=400, seed=42)
     block, sample, vec = _first_block_failure(3, 400, 42, partition)
@@ -680,36 +694,123 @@ def test_sample_blockwise_domination_planted_failure_matches_reference(
     assert r.reason == f"block {[tuple(t) for t in block]} failed domination at sample {sample}"
     assert r.witness == (sample, vec)
     assert pattern_from_index(3, pattern) == tuple(np.where(np.array(vec) > 0, 1, -1))
-    assert built == [pattern_from_index(3, idx) for idx in range(8)]
+    assert sorted(built) == sorted(pattern_from_index(3, idx) for idx in range(8))
 
 
 def test_sample_blockwise_domination_builds_each_pattern_once(monkeypatch):
-    built = []
-    monkeypatch.setattr(search, "build_good_partition",
-                        lambda pat: built.append(pat) or build_good_partition(pat))
+    built = _materialize(monkeypatch)
     assert sample_blockwise_domination(3, samples=45_000, seed=42)   # three batches
-    assert built == [pattern_from_index(3, idx) for idx in range(8)]
+    assert sorted(built) == sorted(pattern_from_index(3, idx) for idx in range(8))
 
 
 def test_sample_blockwise_domination_cache_is_bounded(monkeypatch):
     """With _CACHED_PATTERNS lowered to 5, every batch of n=3 after the
     first finds all 8 patterns built and starts from none: each batch
-    builds the 8 patterns again, in ascending index, and the verdict is
+    materializes the 8 patterns again, each once, and the verdict is
     unchanged.  A batch never starts with more than the bound built."""
-    built, sizes = [], []
+    sizes = []
     tables = search._pattern_tables
 
     def spy(n, keys, cache):
         sizes.append(len(cache))
         return tables(n, keys, cache)
 
-    monkeypatch.setattr(search, "build_good_partition",
-                        lambda pat: built.append(pat) or build_good_partition(pat))
+    built = _materialize(monkeypatch)
     monkeypatch.setattr(search, "_pattern_tables", spy)
     monkeypatch.setattr(search, "_CACHED_PATTERNS", 5)
     assert sample_blockwise_domination(3, samples=45_000, seed=42)   # three batches
     assert sizes == [0, 0, 0]
-    assert built == [pattern_from_index(3, idx) for idx in range(8)] * 3
+    every = sorted(pattern_from_index(3, idx) for idx in range(8))
+    assert [sorted(built[b:b + 8]) for b in (0, 8, 16)] == [every] * 3
+    assert len(built) == 24
+
+
+def _reference_tables(n, keys):
+    """The stacked member tables of keys from per-pattern
+    build_good_partition, each member's column counted out in
+    running_terms order."""
+    columns = {t: c for c, t in enumerate((i, j) for i in range(1, n + 1)
+                                          for j in range(i, n + 1))}
+    gps = [build_good_partition(pattern_from_index(n, key)) for key in keys]
+    ref = np.full((len(keys), max(len(gp.blocks) for gp in gps), 4), len(columns))
+    for u, gp in enumerate(gps):
+        for b, block in enumerate(gp.blocks):
+            ref[u, b, :len(block.members)] = [columns[tuple(t)] for t in block.members]
+    return ref
+
+
+@pytest.mark.parametrize("n,count", [(12, 300), (16, 300), (24, 200)])
+def test_pattern_tables_walk_subset_matches_per_pattern_build(n, count):
+    """The walk over a seeded random subset of the patterns gives the
+    tables that per-pattern builds give, and a second call on a superset
+    builds only what the cache lacks."""
+    rng = np.random.default_rng(n)
+    keys = sorted(set(rng.integers(0, 2 ** n, size=count).tolist()))
+    cache = {}
+    assert np.array_equal(search._pattern_tables(n, keys, cache), _reference_tables(n, keys))
+    assert sorted(cache) == keys
+    more = sorted(set(keys[::2] + rng.integers(0, 2 ** n, size=20).tolist()))
+    assert np.array_equal(search._pattern_tables(n, more, cache), _reference_tables(n, more))
+
+
+def test_pattern_tables_walk_all_patterns_matches_per_pattern_build():
+    for n in range(1, 9):
+        keys = list(range(2 ** n))
+        assert np.array_equal(search._pattern_tables(n, keys, {}), _reference_tables(n, keys))
+
+
+def test_column_term_inverts_term_column():
+    for n in range(1, 25):
+        terms = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        assert [search._term_column(n, i, j) for i, j in terms] == list(range(len(terms)))
+        assert [search._column_term(n, c) for c in range(len(terms))] == terms
+
+
+def _inject_prefix_failures(monkeypatch, failing):
+    """BuildState.row raises at row j below each prefix x_1..x_j of
+    failing, a map from (j, prefix index) to a pair, with a reason
+    naming both."""
+    row = BuildState.row
+    classes = {prefix_classes(pattern_from_index(j, idx)): (j, idx, pair)
+               for (j, idx), pair in failing.items()}
+
+    def failing_row(self, q, j):
+        hit = classes.get(tuple(q[:j + 1]))
+        if hit is not None:
+            raise ConstructionFailure(len(self.steps) + 1, TermIndex(*hit[2]),
+                                      f"injected at row {hit[0]} below {hit[1]}",
+                                      tuple(self.steps))
+        row(self, q, j)
+
+    monkeypatch.setattr(BuildState, "row", failing_row)
+
+
+@pytest.mark.parametrize("failing", [
+    {(3, 0b110): (1, 3), (2, 0b11): (2, 2)},   # the walk meets 6 first; 3 is lowest
+    {(4, 0b1010): (3, 4), (5, 0b10010): (1, 5), (2, 0b01): (1, 2)},
+    {(1, 0b1): (1, 1)},
+    {(6, 0b100101): (5, 6)},
+])
+def test_sample_blockwise_domination_failure_order(monkeypatch, failing):
+    """With ConstructionFailure injected below some prefixes, the sampler
+    raises what building the first batch's patterns one by one, in
+    ascending index, raises first: equal step, pair, reason and trace."""
+    _inject_prefix_failures(monkeypatch, failing)
+    n, samples, seed = 6, 2_000, 5
+    X = next(_sample_batches(n, samples, seed))[1]
+    expected = None
+    for key in np.unique((X < 0) @ (1 << np.arange(n))).tolist():
+        try:
+            build_good_partition(pattern_from_index(n, key))
+        except ConstructionFailure as e:
+            expected = e
+            break
+    assert expected is not None
+    with pytest.raises(ConstructionFailure) as info:
+        sample_blockwise_domination(n, samples, seed)
+    got = info.value
+    assert (got.step, got.pair, got.reason, repr(got.trace)) == \
+        (expected.step, expected.pair, expected.reason, repr(expected.trace))
 
 
 def test_gathered_block_products_equal_block_products():
