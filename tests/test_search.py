@@ -739,24 +739,20 @@ def _reference_tables(n, keys):
     return ref
 
 
-@pytest.mark.parametrize("n,count", [(12, 300), (16, 300), (24, 200)])
-def test_pattern_tables_walk_subset_matches_per_pattern_build(n, count):
-    """The walk over a seeded random subset of the patterns gives the
-    tables that per-pattern builds give, and a second call on a superset
-    builds only what the cache lacks."""
+@pytest.mark.parametrize("n,count", [(n, None) for n in range(1, 9)]
+                         + [(12, 300), (16, 300), (24, 200)])
+def test_pattern_tables_walk_matches_per_pattern_build(n, count):
+    """The walk over all patterns (count None) or over a seeded random
+    subset gives the tables that per-pattern builds give, and so does a
+    second call on another set, with the cache warm."""
     rng = np.random.default_rng(n)
-    keys = sorted(set(rng.integers(0, 2 ** n, size=count).tolist()))
+    keys = list(range(2 ** n)) if count is None else \
+        sorted(set(rng.integers(0, 2 ** n, size=count).tolist()))
     cache = {}
     assert np.array_equal(search._pattern_tables(n, keys, cache), _reference_tables(n, keys))
     assert sorted(cache) == keys
     more = sorted(set(keys[::2] + rng.integers(0, 2 ** n, size=20).tolist()))
     assert np.array_equal(search._pattern_tables(n, more, cache), _reference_tables(n, more))
-
-
-def test_pattern_tables_walk_all_patterns_matches_per_pattern_build():
-    for n in range(1, 9):
-        keys = list(range(2 ** n))
-        assert np.array_equal(search._pattern_tables(n, keys, {}), _reference_tables(n, keys))
 
 
 def test_column_term_inverts_term_column():
