@@ -42,11 +42,13 @@ noncanonical_set: it checks each member in O(1) and the cover by count.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import partial, wraps
+from typing import Iterable, NamedTuple, Sequence
 
 from .triangle import (
     TermIndex,
@@ -66,6 +68,12 @@ CERTIFICATE_VERSION = "1"
 
 BLOCK_KINDS = {1: "singleton", 2: "doubleton", 4: "quadrupleton"}
 
+#: The longest pattern build_good_partition accepts.  A build holds about
+#: 400 B per member of J and |J| is about n^2/4: a seeded random pattern
+#: of this length has 1,048,670 members and peaked at 425 MB under
+#: tracemalloc.
+MAX_BUILD_N = 2048
+
 #: The provenance a builder step writes, by case and operation, and the
 #: signs of a rectangle in prec order: hdoub positive, hdoub negative,
 #: absorbed negative, corner.
@@ -81,11 +89,16 @@ def prec_key(t: TermIndex) -> tuple[int, int]:
     return (t[1], -t[0])
 
 
-@dataclass(frozen=True)
-class PartitionBlock:
+class PartitionBlock(NamedTuple):
     """One block, field for field as in a certificate.  signs[k] is the
     sign the block claims for members[k]; it is stored because a
-    certificate can get it wrong, and the validator checks it."""
+    certificate can get it wrong, and the validator checks it.
+
+    A tuple, not a frozen dataclass: a build or a parse makes about 2.5
+    records per member of J, and a tuple is one object the cyclic
+    collector tracks where a dataclass instance is two (itself and its
+    __dict__), and costs less than half as much to make.  Its repr, value
+    equality and hash are those the dataclass had."""
 
     kind: str
     members: tuple[TermIndex, ...]
@@ -93,13 +106,13 @@ class PartitionBlock:
     provenance: str
 
 
-@dataclass(frozen=True)
-class BuildStep:
+class BuildStep(NamedTuple):
     """One absorption step of the builder: which negative pair, which
     case and operation, which blocks were consumed and created.
 
     Each block is built once per build: a consumed block is the very
-    object an earlier step created, or an initial singleton."""
+    object an earlier step created, or an initial singleton.  A tuple
+    for the reasons PartitionBlock gives."""
 
     k: int
     pair: TermIndex
@@ -107,6 +120,16 @@ class BuildStep:
     operation: int
     consumed: tuple[PartitionBlock, ...]
     created: PartitionBlock
+
+
+# tuple's own C constructor for the records the hot loops make (one
+# BuildState.row member, one parsed member): it skips the Python-level
+# __new__ of a NamedTuple, and with it the arity check, so it is only
+# ever given a tuple literal of the record's size, or a parsed member
+# whose length and types were checked first.
+_term = partial(tuple.__new__, TermIndex)
+_block = partial(tuple.__new__, PartitionBlock)
+_step = partial(tuple.__new__, BuildStep)
 
 
 @dataclass(frozen=True)
@@ -145,6 +168,24 @@ class ConstructionFailure(Exception):
 
 # ---------------------------------------------------------------------------
 # Builder
+
+
+def _collector_paused(fn):
+    """Run fn with the cyclic collector off and restore the caller's
+    on/off state afterwards, on return or raise.  The records a build or
+    a parse makes form no reference cycles, yet each pass of the
+    collector over them costs time linear in all of them (about 40 % of
+    an n = 1000 build)."""
+    @wraps(fn)
+    def paused(*args, **kwargs):
+        if not gc.isenabled():
+            return fn(*args, **kwargs)
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            gc.enable()
+    return paused
 
 
 def _row_columns(q: Sequence[int], j: int) -> list[int]:
@@ -194,8 +235,8 @@ class BuildState:
         mask = 0
         for i in cols:
             if (i + j) % 2 == 0:
-                p = TermIndex(i, j)
-                owner[p] = PartitionBlock("singleton", (p,), (1,), "initial")
+                p = _term((i, j))
+                owner[p] = _block(("singleton", (p,), (1,), "initial"))
                 mask |= 1 << i
         sing[j] = mask
         anchor = None   # the row's first Case-1 failure
@@ -203,7 +244,7 @@ class BuildState:
         for i in reversed(cols):
             if (i + j) % 2 == 0:
                 continue
-            neg = TermIndex(i, j)
+            neg = _term((i, j))
             k = len(steps) + 1
 
             # Case 1: prec-maximal sing positive to the right in row j,
@@ -263,17 +304,17 @@ class BuildState:
         if corner is None:
             consumed = (owner[pos],)
             self.sing[pos[1]] &= ~(1 << pos[0])
-            created = PartitionBlock("doubleton", (pos, neg), (1, -1), _OP1_PROVENANCE[case])
+            created = _block(("doubleton", (pos, neg), (1, -1), _OP1_PROVENANCE[case]))
             owner[pos] = owner[neg] = created
         else:
             hdoub = owner[pos]
             consumed = (hdoub, owner[corner])
             self.sing[corner[1]] &= ~(1 << corner[0])
-            created = PartitionBlock("quadrupleton", hdoub.members + (neg, corner),
-                                     _RECTANGLE_SIGNS, _OP2_PROVENANCE[case])
+            created = _block(("quadrupleton", hdoub.members + (neg, corner),
+                              _RECTANGLE_SIGNS, _OP2_PROVENANCE[case]))
             for m in created.members:
                 owner[m] = created
-        self.steps.append(BuildStep(k, neg, case, len(consumed), consumed, created))
+        self.steps.append(_step((k, neg, case, len(consumed), consumed, created)))
 
     def _usable(self, pos: tuple[int, int], j: int) -> tuple[TermIndex, ...] | None:
         """How the positive pos, below row j, can absorb a negative of
@@ -295,24 +336,35 @@ class BuildState:
     def _fail(self, k: int, neg: TermIndex, reason: str) -> ConstructionFailure:
         return ConstructionFailure(k, neg, reason, tuple(self.steps))
 
-    def partition(self, pattern: tuple[int, ...]) -> GoodPartition:
+    def partition(self, pattern: tuple[int, ...], ordered: bool = True) -> GoodPartition:
         """The finished partition, each block listed once, under its
         first member, in prec order: sorted by the prec_key pairs
-        (j, -i) of the first members, which are distinct."""
-        heads = sorted(((t[1], -t[0]), b) for t, b in self.owner.items() if b.members[0] == t)
-        return GoodPartition(len(pattern), pattern, tuple(b for _, b in heads),
-                             tuple(self.steps))
+        (j, -i) of the first members, which are distinct.  With
+        ordered=False the blocks come in the owner's order, unsorted, for
+        a caller whose verdict does not depend on block order."""
+        owner = self.owner
+        if ordered:
+            heads = sorted(((t[1], -t[0]), b) for t, b in owner.items() if b.members[0] == t)
+            blocks = tuple(b for _, b in heads)
+        else:
+            blocks = tuple(b for t, b in owner.items() if b.members[0] == t)
+        return GoodPartition(len(pattern), pattern, blocks, tuple(self.steps))
 
 
+@_collector_paused
 def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
     """Construct a good partition of the non-canonical set of a pattern.
 
     A fold of BuildState.row over rows 1..n.  Returns the finished
     partition together with the full build trace.  Raises
     ConstructionFailure when a case's existence or uniqueness assertion
-    fails; the exception carries the trace up to that point.
+    fails; the exception carries the trace up to that point, and
+    ValueError, before any row, on a pattern longer than MAX_BUILD_N.
     """
     pat = as_sign_pattern(pattern)
+    if len(pat) > MAX_BUILD_N:
+        raise ValueError(f"pattern has {len(pat)} entries, a build accepts at most "
+                         f"{MAX_BUILD_N}")
     q = prefix_classes(pat)
     state = BuildState(len(pat))
     for j in range(1, len(pat) + 1):
@@ -824,6 +876,7 @@ def certificate_to_json(gp: GoodPartition) -> str:
                     json.dumps(CERTIFICATE_VERSION))
 
 
+@_collector_paused
 def certificate_from_json(text: str) -> GoodPartition:
     """Parse certificate JSON back into a partition (without trace).
 
@@ -875,9 +928,9 @@ def certificate_from_json(text: str) -> GoodPartition:
                 raise CertificateFormatError(f"bad member {m!r}")
             if type(s) is not int or s not in (-1, 1):
                 raise CertificateFormatError(f"bad sign {s!r}")
-            terms.append(TermIndex(i, j))
+            terms.append(_term(m))
         if not isinstance(raw["provenance"], str):
             raise CertificateFormatError("provenance must be a string")
-        blocks.append(PartitionBlock(str(raw["kind"]), tuple(terms), tuple(signs),
-                                     raw["provenance"]))
+        blocks.append(_block((str(raw["kind"]), tuple(terms), tuple(signs),
+                              raw["provenance"])))
     return GoodPartition(n, tuple(pattern), tuple(blocks))

@@ -176,9 +176,11 @@ def _apply_row(build: BuildState, audit: AuditState | None, q: list[int], j: int
 
 def _leaf_ok(n: int, idx: int, build: BuildState, audit: AuditState) -> bool:
     """validate_partition, the audit's final-state check and border
-    parity on the materialized partition of a leaf."""
+    parity on the materialized partition of a leaf.  Its blocks stay
+    unsorted, since neither verdict depends on block order; a failing
+    leaf re-runs verify_pattern, whose reason reads the sorted blocks."""
     pat = pattern_from_index(n, idx)
-    gp = build.partition(pat)
+    gp = build.partition(pat, ordered=False)
     if not validate_partition(gp) or not audit.final(gp.blocks):
         return False
     if n % 2 == 0 and pat.count(-1) % 2 == 1:

@@ -7,7 +7,13 @@ import pytest
 
 import pohst.cli as cli
 from pohst.cli import main
-from pohst.partition import build_good_partition, certificate_to_json, validate_partition
+from pohst.partition import (
+    MAX_BUILD_N,
+    BuildState,
+    build_good_partition,
+    certificate_to_json,
+    validate_partition,
+)
 
 
 def run(capsys, argv):
@@ -96,6 +102,24 @@ def test_certify_validates_before_writing(capsys, tmp_path, monkeypatch):
 def test_certify_rejects_bad_pattern(capsys):
     rc, _, err = run(capsys, ["certify", "--pattern", "-,q"])
     assert rc == 2 and "tokens" in err
+
+
+def test_certify_refuses_a_pattern_past_the_build_cap(capsys, monkeypatch):
+    """A pattern longer than MAX_BUILD_N exits 2 before any row is built;
+    one of exactly MAX_BUILD_N entries gets as far as its first row."""
+    class RowStarted(Exception):
+        pass
+
+    def row(self, q, j):
+        raise RowStarted
+
+    monkeypatch.setattr(BuildState, "row", row)
+    rc, out, err = run(capsys, ["certify", "--pattern", ",".join("-" * (MAX_BUILD_N + 1))])
+    assert (rc, out) == (2, "")
+    assert err == (f"error: pattern has {MAX_BUILD_N + 1} entries, a build accepts "
+                   f"at most {MAX_BUILD_N}\n")
+    with pytest.raises(RowStarted):
+        build_good_partition((-1,) * MAX_BUILD_N)
 
 
 def test_check_rejects_mutated_certificate(capsys, tmp_path):

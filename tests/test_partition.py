@@ -3,6 +3,7 @@ impossible-configuration catalogue, audits, parity, the ideal case,
 domination, and certificate serialization."""
 
 import copy
+import gc
 import hashlib
 import itertools
 import json
@@ -918,6 +919,120 @@ def test_certificate_fuzz_mutated_golden(data):
 
 def test_certificate_format_error_is_value_error():
     assert issubclass(CertificateFormatError, ValueError)
+
+
+def test_records_keep_the_frozen_dataclass_contract(monkeypatch):
+    """PartitionBlock and BuildStep are immutable, equal and hash by
+    value, keep their field order and repr, and carry no __dict__, so
+    each is one object the collector tracks.  build_good_partition and
+    certificate_from_json run with the collector off and leave it as
+    they found it, on return and on raise."""
+    gp = build_good_partition((-1, 1, -1, -1))
+    step = gp.trace[-1]
+    block = step.created
+    assert repr(PartitionBlock("singleton", (TermIndex(1, 1),), (1,), "initial")) == (
+        "PartitionBlock(kind='singleton', members=(TermIndex(i=1, j=1),), signs=(1,), "
+        "provenance='initial')")
+    assert repr(step).startswith(f"BuildStep(k={step.k}, pair={step.pair!r}, "
+                                 f"case={step.case!r}, operation={step.operation}, "
+                                 f"consumed={step.consumed!r}, created=PartitionBlock(")
+    twin = PartitionBlock(block.kind, tuple(TermIndex(i, j) for i, j in block.members),
+                          tuple(block.signs), block.provenance)
+    assert twin is not block and twin == block and hash(twin) == hash(block)
+    assert twin != PartitionBlock(block.kind, block.members, block.signs, "initial")
+    step_twin = BuildStep(step.k, TermIndex(*step.pair), step.case, step.operation,
+                          tuple(step.consumed), twin)
+    assert step_twin is not step and step_twin == step and hash(step_twin) == hash(step)
+    for record, field in ((block, "kind"), (step, "case")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, "x")
+        assert not hasattr(record, "__dict__") and gc.is_tracked(record)
+
+    class Injected(ConstructionFailure):
+        pass
+
+    def failing_row(self, q, j):
+        raise Injected(1, TermIndex(1, j), "injected", ())
+
+    text = certificate_to_json(gp)
+    seen = []
+    row = BuildState.row
+
+    def watched_row(self, q, j):
+        seen.append(gc.isenabled())
+        row(self, q, j)
+
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            monkeypatch.setattr(BuildState, "row", watched_row)
+            assert build_good_partition(gp.pattern) == gp
+            assert gc.isenabled() is enabled
+            assert certificate_from_json(text).blocks == gp.blocks
+            assert gc.isenabled() is enabled
+            monkeypatch.setattr(BuildState, "row", failing_row)
+            with pytest.raises(Injected):
+                build_good_partition(gp.pattern)
+            assert gc.isenabled() is enabled
+            with pytest.raises(CertificateFormatError):
+                certificate_from_json(text.replace('"n": 4', '"n": 5'))
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert seen and not any(seen)
+
+
+def _mutated_block_lists(blocks, rng):
+    """The blocks, then copies in which one seeded block is dropped,
+    listed twice, given a flipped sign, a new provenance or a new kind,
+    or swaps its first member with the next block's."""
+    yield blocks
+    if not blocks:
+        return
+    a = int(rng.integers(len(blocks)))
+    b, rest = blocks[a], blocks[:a] + blocks[a + 1:]
+    yield rest
+    yield blocks + (b,)
+    kind, members, signs, provenance = b.kind, b.members, b.signs, b.provenance
+    yield rest + (PartitionBlock(kind, members, (-signs[0],) + signs[1:], provenance),)
+    yield rest + (PartitionBlock(kind, members, signs,
+                                 "case1" if provenance != "case1" else "initial"),)
+    yield rest + (PartitionBlock("doubleton" if kind != "doubleton" else "singleton",
+                                 members, signs, provenance),)
+    if len(blocks) > 1:
+        c = blocks[(a + 1) % len(blocks)]
+        others = tuple(x for x in blocks if x is not b and x is not c)
+        yield others + (
+            PartitionBlock(kind, (c.members[0],) + members[1:], signs, provenance),
+            PartitionBlock(c.kind, (members[0],) + c.members[1:], c.signs, c.provenance))
+
+
+def test_verdicts_do_not_depend_on_block_order():
+    """For every pattern with n <= 8 and mutated block lists of each, the
+    accept/reject verdicts of validate_partition and of AuditState.final
+    after the sweep's row-by-row replay are those of the same blocks
+    under seeded permutations (the reason text may differ)."""
+    rng = np.random.default_rng(18)
+    verdicts = set()
+    for n in range(1, 9):
+        for idx in range(2 ** n):
+            pattern = pattern_from_index(n, idx)
+            q = prefix_classes(pattern)
+            build, audit = BuildState(n), AuditState()
+            for j in range(1, n + 1):
+                k0 = len(build.steps)
+                build.row(q, j)
+                assert audit.row(q, j, build.steps, k0)
+            for blocks in _mutated_block_lists(build.partition(pattern).blocks, rng):
+                verdict = (validate_partition(GoodPartition(n, pattern, blocks)).ok,
+                           audit.final(blocks).ok)
+                verdicts.add(verdict)
+                for _ in range(3):
+                    shuffled = tuple(blocks[k] for k in rng.permutation(len(blocks)))
+                    assert (validate_partition(GoodPartition(n, pattern, shuffled)).ok,
+                            audit.final(shuffled).ok) == verdict
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_construction_failure_carries_context():
