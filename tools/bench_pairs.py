@@ -6,9 +6,10 @@
         [--other-seed 2 --other-pairs 3] [--what TEXT]
 
 The parent side runs perfbench/run.py in a temporary `git worktree` of
---parent, the change side in this working tree.  Pair p runs the parent first when p is odd
-and the change first when p is even.  Each run is the JSON line run.py
-prints last; the lines before it are kept as *_figures.  The file
+--parent, the change side in this working tree.  Pair p runs the parent
+first when p is odd and the change first when p is even.  Each run is
+the JSON line run.py prints last; the lines before it are kept as
+*_figures.  The file
 BENCH_<label>.json at the repo root holds parent_sha, change_sha, env,
 runs and a summary per workload: for every end-to-end metric of
 BENCHMARK.json, median/q1/q3 of each side, the pairs the change won, the
