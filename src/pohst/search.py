@@ -37,7 +37,13 @@ number of intervals contains, so the interesting assertion is that
 nothing anywhere else climbs higher.
 
 Domination sampling checks a seeded stream of samples against the
-mirror -|v|, globally and block by block.  The block-wise check forms
+mirror -|v|, globally and block by block.  Both samplers draw every
+batch of the stream into one buffer, reused from batch to batch.  The
+global check copies each batch, transposed, and its mirror side by side
+into one work array, also reused, and evaluates both with one pass of
+_f_into, the in-place kernel under eval_f_batch, which multiplies
+running_terms' terms in running_terms' order and allocates nothing;
+sample and mirror get eval_f_batch's bits.  The block-wise check forms
 the terms of a row chunk once, as a matrix with one column per term in
 running_terms order and a column of ones.  Each pattern's partition
 becomes a small table of its blocks' term columns, padded with the ones
@@ -87,6 +93,8 @@ _LATTICE_CAP = 9 ** 8
 #: Rows per slice of eval_f_batch: a slice's contiguous columns, running
 #: product and term stay in cache (2^14 rows hold 128 KiB per column).
 _BATCH_ROWS = 16_384
+#: Samples per batch of the sampling stream.
+_SAMPLE_BATCH = 20_000
 #: Points per chunk of the lattice screen of maximize_f.
 _SCREEN_ROWS = 1 << 16
 #: Relative rounding allowance of the lattice screen: eval_f_batch
@@ -314,13 +322,37 @@ def eval_f_batch(X: np.ndarray) -> np.ndarray:
 
 def _eval_f_batch(X: np.ndarray) -> np.ndarray:
     """eval_f_batch without its input checks, for 2-d float arrays whose
-    entries are known to lie in [-1, 1]."""
-    f = np.ones(len(X))
-    for s in range(0, len(X), _BATCH_ROWS):
-        out = f[s:s + _BATCH_ROWS]   # a view: terms multiply into f in place
-        for _, _, t in running_terms(np.ascontiguousarray(X[s:s + _BATCH_ROWS].T)):
-            out *= t
+    entries are known to lie in [-1, 1]: _f_into over cache-sized row
+    slices, each transposed into one work array allocated per call."""
+    m, n = X.shape
+    rows = min(m, _BATCH_ROWS)
+    f, VT, p, t = np.empty(m), np.empty((n, rows)), np.empty(rows), np.empty(rows)
+    for s in range(0, m, _BATCH_ROWS):
+        k = min(_BATCH_ROWS, m - s)
+        np.copyto(VT[:, :k], X[s:s + k].T)
+        _f_into(VT[:, :k], f[s:s + k], p[:k], t[:k])
     return f
+
+
+def _f_into(VT: np.ndarray, f: np.ndarray, p: np.ndarray, t: np.ndarray) -> None:
+    """f_n of every column of VT, whose row k holds x_{k+1} of each
+    column, written into f, with running_terms' terms in running_terms'
+    order; p and t are scratch of f's length, VT's rows contiguous.
+
+    Each run's product p starts as a copy of x_i, which 1.0 * x_i equals
+    bit for bit, and is extended in place; each term is 1 - p in t, and
+    f, starting at 1.0, multiplies it in place.  So f holds the bits of
+    eval_f on every column, and nothing is allocated."""
+    n = len(VT)
+    f.fill(1.0)
+    for i in range(n):
+        np.copyto(p, VT[i])
+        np.subtract(1.0, p, out=t)
+        f *= t
+        for j in range(i + 1, n):
+            p *= VT[j]
+            np.subtract(1.0, p, out=t)
+            f *= t
 
 
 def _grid_intervals(grid_step: float) -> int:
@@ -565,17 +597,27 @@ def maximize_f(n: int, grid_step: float = 0.25) -> MaximizeResult:
 
 
 def _sample_batches(n: int, samples: int, seed: int,
-                    batch: int = 20_000) -> Iterator[tuple[int, np.ndarray]]:
-    """Uniform samples of [-1,1]^n without zero entries, in batches.
+                    out: np.ndarray | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """Uniform samples of [-1,1]^n without zero entries, in batches of
+    _SAMPLE_BATCH.
 
-    Yields (offset, X).  The stream depends only on (n, samples, seed),
-    so independent consumers see identical vectors.
+    Yields (offset, X), X of shape (m, n) with m = min(_SAMPLE_BATCH,
+    samples left).  Each batch is drawn as numpy's uniform(-1, 1),
+    -1 + 2d for d from random(), bit for bit, and its zero entries are
+    redrawn with uniform(-1, 1) until none is left.  The stream depends
+    only on (n, samples, seed), so independent consumers see identical
+    vectors.  Given out, an array of shape (min(_SAMPLE_BATCH, samples),
+    n), every batch is drawn into it, and X is a view of out, valid until
+    the next batch is drawn; without it, each X is an array of its own.
     """
     rng = np.random.default_rng(seed)
     produced = 0
     while produced < samples:
-        m = min(batch, samples - produced)
-        X = rng.uniform(-1.0, 1.0, size=(m, n))
+        m = min(_SAMPLE_BATCH, samples - produced)
+        X = np.empty((m, n)) if out is None else out[:m]
+        rng.random(out=X)
+        X *= 2.0
+        X -= 1.0
         while True:
             zero = X == 0.0
             if not zero.any():
@@ -600,13 +642,24 @@ def sample_domination(n: int, samples: int = 100_000, seed: int = 42) -> CheckRe
     """Seeded random check of f(v) <= f(-|v|) <= 2^floor((n+1)/2).
 
     Deterministic given (n, samples, seed).  On failure the witness is
-    (sample index, vector).
+    (sample index, vector).  Each batch is drawn into one reused buffer
+    and copied, transposed, into one reused work array, its mirror
+    beside it; one _f_into pass over the array's columns gives
+    _eval_f_batch's bits on the batch and on -|batch|.
     """
     _check_sampling(n, samples, seed)
     bound = pohst_bound(n)
-    for offset, X in _sample_batches(n, samples, seed):
-        fv = _eval_f_batch(X)
-        fm = _eval_f_batch(-np.abs(X))
+    rows = min(_SAMPLE_BATCH, samples)
+    buf, W = np.empty((rows, n)), np.empty((n, 2 * rows))
+    f, p, t = np.empty(2 * rows), np.empty(2 * rows), np.empty(2 * rows)
+    for offset, X in _sample_batches(n, samples, seed, buf):
+        m = len(X)
+        V, M = W[:, :m], W[:, m:2 * m]   # the batch's columns, then its mirror's
+        np.copyto(V, X.T)
+        np.abs(V, out=M)
+        np.negative(M, out=M)
+        _f_into(W[:, :2 * m], f[:2 * m], p[:2 * m], t[:2 * m])
+        fv, fm = f[:m], f[m:2 * m]
         ok = leq_with_tol(fv, fm) & leq_with_tol(fm, bound)
         if not ok.all():
             bad = int(np.argmin(ok))
@@ -646,10 +699,12 @@ def _column_term(n: int, c: int) -> tuple[int, int]:
 def _member_table(n: int, gp: GoodPartition) -> np.ndarray:
     """Row b holds the term columns of the members of block b of gp, in
     member order, padded with the ones column to four."""
-    table = np.full((len(gp.blocks), 4), n * (n + 1) // 2, dtype=np.intp)
-    for b, block in enumerate(gp.blocks):
-        table[b, :len(block.members)] = [_term_column(n, i, j) for i, j in block.members]
-    return table
+    ones = n * (n + 1) // 2
+    cols = []
+    for block in gp.blocks:
+        cols += [_term_column(n, i, j) for i, j in block.members]
+        cols += [ones] * (4 - len(block.members))
+    return np.array(cols, dtype=np.intp).reshape(-1, 4)
 
 
 def _pattern_tables(n: int, keys: Sequence[int], cache: dict[int, np.ndarray]) -> np.ndarray:
@@ -732,7 +787,8 @@ def sample_blockwise_domination(n: int, samples: int = 100_000,
     chunk = max(1, _GATHER_ELEMENTS // (n * (n + 1) // 2))
     cache: dict[int, np.ndarray] = {}
     bits = 1 << np.arange(n, dtype=np.int64)
-    for offset, X in _sample_batches(n, samples, seed):
+    buf = np.empty((min(_SAMPLE_BATCH, samples), n))
+    for offset, X in _sample_batches(n, samples, seed, buf):
         if len(cache) > _CACHED_PATTERNS:
             cache.clear()
         keys, inverse = np.unique((X < 0) @ bits, return_inverse=True)

@@ -21,11 +21,12 @@ product sign of (i, j) is x_i ... x_j = (-1)^(i+j+1) q_{i-1} q_j, so
 (i, j) is non-canonical exactly when q_{i-1} != q_j, its sign is then
 (-1)^(i+j), and |J| = |A| |B| for the two classes A, B of q_0..q_n.
 
-running_terms forms the run products x_i ... x_j from which f_n, its
-batch twin and the block-domination checks take every value they
-return.  The lattice screen of search.maximize_f forms the same
-products by prefix extension, but only to choose the points that the
-batch twin then evaluates.
+running_terms forms the run products x_i ... x_j from which f_n and
+the block-domination checks take every value they return; the in-place
+kernel of its batch twin (search._f_into) forms the same products and
+terms in the same order, bit for bit.  The lattice screen of
+search.maximize_f forms the same products by prefix extension, but
+only to choose the points that the batch twin then evaluates.
 
 Indices are 1-based throughout the public interface.
 """

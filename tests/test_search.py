@@ -332,8 +332,9 @@ def test_eval_f_batch_accepts_the_closed_cube_and_no_rows():
 
 
 def test_eval_f_batch_peak_memory():
-    """The result is built in place: at most the result, the running
-    product and one term are alive at once, about three row-sized arrays."""
+    """The result is built in place: besides the result, at most one row
+    slice's transposed copy, its values, its running product and its
+    term are alive at once, under three row-sized arrays in all."""
     X = np.random.default_rng(29).uniform(-1.0, 1.0, size=(200_000, 7))
     row_bytes = 200_000 * 8
     tracemalloc.start()
@@ -615,6 +616,80 @@ def test_sample_domination_accepts_and_is_deterministic():
     a = sample_domination(4, samples=5_000, seed=42)
     b = sample_domination(4, samples=5_000, seed=42)
     assert a and b and a == b
+
+
+def _reference_stream(n, samples, seed):
+    """The documented stream: batches of 20 000 rows drawn with
+    rng.uniform(-1, 1), zero entries redrawn the same way."""
+    rng = np.random.default_rng(seed)
+    for offset in range(0, samples, 20_000):
+        X = rng.uniform(-1.0, 1.0, size=(min(20_000, samples - offset), n))
+        while (X == 0.0).any():
+            X[X == 0.0] = rng.uniform(-1.0, 1.0, size=int((X == 0.0).sum()))
+        yield offset, X
+
+
+@pytest.mark.parametrize("n,samples,seed", [
+    (10, 45_001, 1),   # a partial last batch of one row
+    (3, 45_001, 7),
+    (1, 500, 3),
+    (24, 60_000, 5),
+    (2, 20_000, 0),
+])
+def test_sample_batches_pin_the_uniform_stream(n, samples, seed):
+    """_sample_batches yields the reference stream's bytes, with or
+    without a buffer.  Given one, every batch is a view of it, valid only
+    until the next batch, so each is read as it comes."""
+    buf = np.empty((min(search._SAMPLE_BATCH, samples), n))
+    got = []
+    for (offset, X), (own_offset, own) in zip(_sample_batches(n, samples, seed, buf),
+                                              _sample_batches(n, samples, seed)):
+        assert np.shares_memory(X, buf) and not np.shares_memory(own, buf)
+        got.append((offset, X.tobytes(), own_offset, own.tobytes()))
+    assert got == [(offset, X.tobytes(), offset, X.tobytes())
+                   for offset, X in _reference_stream(n, samples, seed)]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_sample_domination_kernel_equals_eval_f_batch(monkeypatch, n):
+    """The one kernel pass over a batch and its mirror, side by side in
+    one work array, gives _eval_f_batch's bits on the batch and on
+    -|batch|."""
+    batches, values = [], []
+    stream, kernel = search._sample_batches, search._f_into
+
+    def kept(*args):
+        for offset, X in stream(*args):
+            batches.append(X.copy())
+            yield offset, X
+
+    def spy(VT, f, p, t):
+        kernel(VT, f, p, t)
+        values.append(f.copy())
+
+    monkeypatch.setattr(search, "_sample_batches", kept)
+    monkeypatch.setattr(search, "_f_into", spy)
+    assert sample_domination(n, 3_001, n)
+    monkeypatch.undo()
+    [X], [f] = batches, values
+    assert f.tobytes() == (search._eval_f_batch(X).tobytes()
+                           + search._eval_f_batch(-np.abs(X)).tobytes())
+
+
+def test_sample_domination_memory_does_not_grow_with_samples():
+    """The batch buffer, the work array and the kernel's scratch are
+    allocated once per call: 200 000 samples of n = 24 peak at most one
+    batch's worth above 40 000."""
+    peaks = []
+    for samples in (40_000, 200_000):
+        tracemalloc.start()
+        try:
+            assert sample_domination(24, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + search._SAMPLE_BATCH * 24 * 8
 
 
 def test_sample_blockwise_domination_accepts():
