@@ -332,9 +332,9 @@ def test_eval_f_batch_accepts_the_closed_cube_and_no_rows():
 
 
 def test_eval_f_batch_peak_memory():
-    """The result is built in place: besides the result, at most one row
-    slice's transposed copy, its values, its running product and its
-    term are alive at once, under three row-sized arrays in all."""
+    """The result is built in place: besides it, one row slice's
+    transposed copy, the slice's values, its running product and its
+    term are alive at once, about two row-sized arrays in all."""
     X = np.random.default_rng(29).uniform(-1.0, 1.0, size=(200_000, 7))
     row_bytes = 200_000 * 8
     tracemalloc.start()
@@ -630,8 +630,8 @@ def _reference_stream(n, samples, seed):
 
 
 @pytest.mark.parametrize("n,samples,seed", [
-    (10, 45_001, 1),   # a partial last batch of one row
-    (3, 45_001, 7),
+    (10, 40_001, 1),   # a last batch of one row
+    (3, 45_001, 7),    # a partial last batch
     (1, 500, 3),
     (24, 60_000, 5),
     (2, 20_000, 0),
