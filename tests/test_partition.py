@@ -783,6 +783,47 @@ def test_audit_reasons_pinned():
         "60d93077aa2d38d1873bb622a2ff3ded876efc31295e69466f25fd0421464bf6")
 
 
+def _random_row_state(rng):
+    """A row r <= 8 and an AuditState whose view of row r holds seeded
+    random spans, drops, vdoub positives, negatives and Case-2 anchors,
+    up to three of each; lists may be empty or absent."""
+    row = int(rng.integers(2, 9))
+    state = AuditState()
+
+    def firsts():
+        return [int(i) for i in rng.integers(1, row + 1, size=int(rng.integers(0, 4)))]
+
+    views = (
+        (state.nh, [(i, int(rng.integers(i + 1, row + 1))) for i in firsts() if i < row]),
+        (state.nv, [(i, int(rng.integers(1, 3))) for i in firsts()]),
+        (state.vd, firsts()),
+        (state.negatives, firsts()),
+    )
+    for view, entries in views:
+        if entries or rng.random() < 0.5:
+            view[row] = entries
+    state.anchors = {(i, row) for i in firsts()}
+    return row, state
+
+
+def test_check_row_codes_pinned():
+    """AuditState.check_row over 6,000 seeded random row states
+    (_random_row_state).  Every outcome occurs, acceptance and each of
+    the five codes, and the (ok, reason, code, witness) of each hash to
+    one fixed digest: a change to any verdict, reason text, code or
+    witness fails here."""
+    rng = np.random.default_rng(20)
+    digest, results = hashlib.sha256(), []
+    for _ in range(6000):
+        row, state = _random_row_state(rng)
+        results.append(state.check_row(row))
+    for r in results:
+        digest.update(repr((r.ok, r.reason, r.code, r.witness)).encode())
+    assert {r.code for r in results} == {None, 1, 2, 3, 4, 5}
+    assert digest.hexdigest() == (
+        "07a0601e8fd103c03baccaadf9e9bb81bcd3c8d887589bd945675519fe79dae7")
+
+
 def _odd_strings_certificate():
     """A parsed certificate whose strings need escaping, with an empty block."""
     payload = json.loads(GOLDEN)
@@ -1033,6 +1074,56 @@ def test_verdicts_do_not_depend_on_block_order():
                     assert (validate_partition(GoodPartition(n, pattern, shuffled)).ok,
                             audit.final(shuffled).ok) == verdict
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _neighbour(t, n):
+    """The first of t's four neighbours that lies in the triangle of n."""
+    i, j = t
+    for ci, cj in ((i - 1, j), (i + 1, j), (i, j + 1), (i, j - 1)):
+        if 1 <= ci <= cj <= n:
+            return TermIndex(ci, cj)
+    return None
+
+
+def test_validator_reasons_pinned():
+    """For every pattern with n <= 8, in pattern_from_index order:
+    validate_partition over the _mutated_block_lists copies of its
+    build; over each block dropped, given a flipped first sign, or with
+    its first member moved to a neighbour (as criterion 9 mutates), and
+    each block of two or four split into singletons; and over the build
+    read under each pattern one sign away.  The (ok,
+    reason, code, witness) of each hash to one fixed digest: a change to
+    any verdict, reason text, code or witness fails here."""
+    rng = np.random.default_rng(20)
+    digest, results = hashlib.sha256(), []
+    for n in range(1, 9):
+        for idx in range(2 ** n):
+            pattern = pattern_from_index(n, idx)
+            blocks = build_good_partition(pattern).blocks
+            inputs = [(pattern, m) for m in _mutated_block_lists(blocks, rng)]
+            for k, b in enumerate(blocks):
+                rest = blocks[:k] + blocks[k + 1:]
+                inputs.append((pattern, rest))
+                inputs.append((pattern, rest + (PartitionBlock(
+                    b.kind, b.members, (-b.signs[0],) + b.signs[1:], b.provenance),)))
+                target = _neighbour(b.members[0], n)
+                if target is not None:
+                    inputs.append((pattern, rest + (PartitionBlock(
+                        b.kind, (target,) + b.members[1:], b.signs, b.provenance),)))
+                if len(b.members) > 1:
+                    inputs.append((pattern, rest + tuple(
+                        PartitionBlock("singleton", (t,), (s,), b.provenance)
+                        for t, s in zip(b.members, b.signs))))
+            inputs += [(pattern_from_index(n, idx ^ 1 << bit), blocks) for bit in range(n)]
+            results += [validate_partition(GoodPartition(n, p, m)) for p, m in inputs]
+    for r in results:
+        digest.update(repr((r.ok, r.reason, r.code, r.witness)).encode())
+    assert len(results) == 20_184
+    assert {r.reason.split(":")[0] for r in results if not r.ok} == {
+        "bad-kind", "not-noncanonical", "sign-mismatch", "duplicate-member",
+        "bad-singleton", "bad-doubleton", "bad-quadrupleton", "incomplete-cover"}
+    assert digest.hexdigest() == (
+        "b8f25ba352a67029a39c2fdbe0b8b254058a9a524b61fa6c50bd146cb96cb5ae")
 
 
 def test_construction_failure_carries_context():
