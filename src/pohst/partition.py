@@ -30,14 +30,19 @@ which lets a sweep share the rows of a common prefix.
 
 The audit (AuditState) is a fold over rows in the same way: it seeds
 each row from the prefix classes just before that row's steps and
-replays them against the five impossible configurations;
-AuditState._entries is the one reader of corner roles.
+replays them against the five impossible configurations.
+AuditState._entries is the one reader of corner roles: it returns a
+block's row entries directly, none for a singleton.  The replay compares
+indices as plain tuples, whatever record type a trace carries.
 
 The validator is written against the block-shape definition only and
 shares no shape logic with the builder, so a certificate produced by
 one can be rejected by the other if either is wrong.  It also keeps its
 own prefix-product derivation of J instead of calling the builder-side
-noncanonical_set: it checks each member in O(1) and the cover by count.
+noncanonical_set or prefix_classes: with r_k = (-1)^k x_1...x_k, a
+member (i, j) is in J iff r_{i-1} != r_j, and its sign is then
+(-1)^(i+j).  It checks each member in O(1), keyed by the int i(n+1) + j
+once its bounds are checked, and the cover by count.
 """
 
 from __future__ import annotations
@@ -399,38 +404,43 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
     if gp.n != n:
         return CheckResult(False, f"bad-pattern: n={gp.n} but pattern has {n} entries")
 
-    prefix = [1] * (n + 1)
+    # r_k = (-1)^k x_1...x_k: (i, j) is in J iff r_{i-1} != r_j, and its
+    # sign is then (-1)^(i+j).  A member that passed the bounds check is
+    # keyed in seen by the int i (n+1) + j.
+    r = [1] * (n + 1)
     for k in range(1, n + 1):
-        prefix[k] = prefix[k - 1] * pat[k - 1]
+        r[k] = -r[k - 1] * pat[k - 1]
+    width = n + 1
 
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for b in gp.blocks:
-        if b.kind not in ("singleton", "doubleton", "quadrupleton"):
-            return CheckResult(False, f"bad-kind: {b.kind!r}", b)
-        if len(b.members) != _SHAPE_SIZES[b.kind]:
-            return CheckResult(False, f"bad-kind: {b.kind} with {len(b.members)} members", b)
-        if len(b.signs) != len(b.members):
-            return CheckResult(False, f"bad-signs: {len(b.signs)} signs for "
-                               f"{len(b.members)} members", b)
-        for (i, j), sign in zip(b.members, b.signs):
+        kind, members, signs = b.kind, b.members, b.signs
+        if kind not in ("singleton", "doubleton", "quadrupleton"):
+            return CheckResult(False, f"bad-kind: {kind!r}", b)
+        if len(members) != _SHAPE_SIZES[kind]:
+            return CheckResult(False, f"bad-kind: {kind} with {len(members)} members", b)
+        if len(signs) != len(members):
+            return CheckResult(False, f"bad-signs: {len(signs)} signs for "
+                               f"{len(members)} members", b)
+        for (i, j), sign in zip(members, signs):
             if not (1 <= i <= j <= n):
                 return CheckResult(False, f"bad-index: {(i, j)}", b)
-            s = prefix[j] * prefix[i - 1]
-            if s != (1 if (i + j) % 2 == 0 else -1):
+            if r[i - 1] == r[j]:
                 return CheckResult(False, f"not-noncanonical: {(i, j)}", b)
-            if sign != s:
+            if sign != (-1 if (i + j) & 1 else 1):
                 return CheckResult(False, f"sign-mismatch: {(i, j)}", b)
-            if (i, j) in seen:
+            key = i * width + j
+            if key in seen:
                 return CheckResult(False, f"duplicate-member: {(i, j)}", b)
-            seen.add((i, j))
+            seen.add(key)
 
         # From here on the members of b are distinct and each claimed
         # sign is the true sign (-1)^(i+j) of its member.
-        if b.kind == "singleton":
-            if b.signs[0] != 1:
+        if kind == "singleton":
+            if signs[0] != 1:
                 return CheckResult(False, "bad-singleton: negative sign", b)
-        elif b.kind == "doubleton":
-            (s0, s1), (m0, m1) = b.signs, b.members
+        elif kind == "doubleton":
+            (s0, s1), (m0, m1) = signs, members
             if s0 > 0 > s1:
                 (pi, pj), (ni, nj) = m0, m1
             elif s1 > 0 > s0:
@@ -443,23 +453,21 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
                 return CheckResult(False, "bad-doubleton: negative must sit left in the "
                                    "row or above in the column", b)
         else:
-            cols = sorted({t[0] for t in b.members})
-            rows = sorted({t[1] for t in b.members})
+            cols = sorted({t[0] for t in members})
+            rows = sorted({t[1] for t in members})
             # Four distinct members on two columns and two rows are
             # exactly the four corners of the rectangle.
             if len(cols) != 2 or len(rows) != 2:
                 return CheckResult(False, "bad-quadrupleton: not a rectangle", b)
             (c0, c1), (r0, r1) = cols, rows
-            for c, r, want in ((c1, r0, 1), (c0, r1, 1), (c0, r0, -1), (c1, r1, -1)):
-                if (1 if (c + r) % 2 == 0 else -1) != want:
-                    return CheckResult(False, f"bad-quadrupleton: corner {(c, r)} must "
+            for c, row, want in ((c1, r0, 1), (c0, r1, 1), (c0, r0, -1), (c1, r1, -1)):
+                if (1 if (c + row) % 2 == 0 else -1) != want:
+                    return CheckResult(False, f"bad-quadrupleton: corner {(c, row)} must "
                                        f"have sign {want:+d}", b)
 
     # seen holds distinct members of J, so the cover is complete iff
-    # |seen| = |J|.  With r_k = (-1)^k prefix[k], the member test above
-    # reads r_{i-1} != r_j: |J| is the product of the two class sizes of
-    # r, and row i of J is the k >= i in the class opposite r_{i-1}.
-    r = [p if k % 2 == 0 else -p for k, p in enumerate(prefix)]
+    # |seen| = |J|: the product of the two class sizes of r.  Row i of J
+    # is the k >= i in the class opposite r_{i-1}.
     classes = {c: [k for k in range(n + 1) if r[k] == c] for c in (1, -1)}
     if len(seen) == len(classes[1]) * len(classes[-1]):
         return ACCEPT
@@ -467,7 +475,8 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
     missing: list[tuple[int, int]] = []
     for i in range(1, n + 1):
         other = classes[-r[i - 1]]
-        missing += [(i, k) for k in other[bisect_left(other, i):] if (i, k) not in seen]
+        missing += [(i, k) for k in other[bisect_left(other, i):]
+                    if i * width + k not in seen]
         if len(missing) > 4:
             break
     return CheckResult(False, f"incomplete-cover: missing {missing[:4]}"
@@ -490,14 +499,17 @@ class AuditState:
     vd: row -> first indices of positives sitting in vertical doubletons
 
     seed puts a row in from the prefix classes just before its steps,
-    as BuildState.row does; step is the one per-step check.
+    as BuildState.row does; step is the one per-step check.  live is
+    keyed by the frozenset of a block's members; anchors and the pairs
+    step compares are plain (i, j) tuples.  check_row is one full scan
+    of its row, which sorts only the lists of two or more entries.
     """
 
     __slots__ = ("live", "anchors", "negatives", "nh", "nv", "vd")
 
     def __init__(self) -> None:
         self.live: dict[frozenset, str] = {}
-        self.anchors: set[TermIndex] = set()
+        self.anchors: set[tuple[int, int]] = set()
         self.negatives: dict[int, list[int]] = {}
         self.nh: dict[int, list[tuple[int, int]]] = {}
         self.nv: dict[int, list[tuple[int, int]]] = {}
@@ -512,8 +524,10 @@ class AuditState:
         c.vd = {r: v[:] for r, v in self.vd.items()}
         return c
 
-    def _entries(self, idx: tuple[TermIndex, ...]):
-        """(structure, row, payload) contributions of one block.
+    def _entries(self, idx: tuple[TermIndex, ...]) -> tuple:
+        """(structure, row, payload) contributions of one block; none for
+        a block that is neither two nor four members, a singleton
+        included.
 
         Signs are forced by index parity, so a doubleton's positive is
         the member with even i + j.
@@ -522,16 +536,16 @@ class AuditState:
             a, b = idx
             pos, neg = (a, b) if (a[0] + a[1]) % 2 == 0 else (b, a)
             if pos[1] == neg[1]:
-                yield self.nh, neg[1], (neg[0], pos[0])
-            else:
-                yield self.nv, neg[1], (neg[0], neg[1] - pos[1])
-                yield self.vd, pos[1], pos[0]
-        elif len(idx) == 4:
+                return ((self.nh, neg[1], (neg[0], pos[0])),)
+            return ((self.nv, neg[1], (neg[0], neg[1] - pos[1])),
+                    (self.vd, pos[1], pos[0]))
+        if len(idx) == 4:
             cols = sorted({t[0] for t in idx})
             rows = sorted({t[1] for t in idx})
             # bottom-left negative pairs horizontally, top-right vertically
-            yield self.nh, rows[0], (cols[0], cols[1])
-            yield self.nv, rows[1], (cols[1], rows[1] - rows[0])
+            return ((self.nh, rows[0], (cols[0], cols[1])),
+                    (self.nv, rows[1], (cols[1], rows[1] - rows[0])))
+        return ()
 
     def add(self, idx: tuple[TermIndex, ...]) -> set[int]:
         """Put one block in the row view; return the rows it touches."""
@@ -542,9 +556,13 @@ class AuditState:
         return touched
 
     def check_row(self, row: int) -> CheckResult:
-        spans = sorted(self.nh.get(row, ()))
-        drops = sorted(self.nv.get(row, ()))
-        for a in range(len(spans)):
+        spans = self.nh.get(row, ())
+        if len(spans) > 1:
+            spans = sorted(spans)
+        drops = self.nv.get(row, ())
+        if len(drops) > 1:
+            drops = sorted(drops)
+        for a in range(len(spans) - 1):
             i1, e1 = spans[a]
             for b in range(a + 1, len(spans)):
                 i2, e2 = spans[b]
@@ -572,54 +590,55 @@ class AuditState:
                             False, f"impossible-configuration-3: negative "
                             f"{(leftmost, row)} without nhdoub left of vdoub "
                             f"positive {(ip, row)}", ((leftmost, row), (ip, row)), 3)
-        if drops:
-            lengths = {l for _, l in drops}
-            if len(lengths) > 1:
-                ia, la = drops[0]
-                ib, lb = next(d for d in drops if d[1] != la)
-                return CheckResult(
-                    False, f"impossible-configuration-4: nvdoub drops of lengths "
-                    f"{la} and {lb} from row {row}", ((ia, row), (ib, row)), 4)
+        if len(drops) > 1:
+            ia, la = drops[0]
+            for ib, lb in drops:
+                if lb != la:
+                    return CheckResult(
+                        False, f"impossible-configuration-4: nvdoub drops of lengths "
+                        f"{la} and {lb} from row {row}", ((ia, row), (ib, row)), 4)
             for a in range(len(drops) - 1):
                 i1 = drops[a][0]
-                if TermIndex(i1, row) in self.anchors:
+                if (i1, row) in self.anchors:
                     i2 = drops[a + 1][0]
                     return CheckResult(
                         False, f"impossible-configuration-5: Case-2 pair {(i1, row)} "
                         f"left of nvdoub {(i2, row)}", ((i1, row), (i2, row)), 5)
         return ACCEPT
 
-    def step(self, k: int, step: BuildStep, expected: TermIndex) -> CheckResult:
+    def step(self, k: int, step: BuildStep, expected: tuple[int, int]) -> CheckResult:
         """Check step k, which must absorb expected: its numbering, its
         pair, that its consumed blocks are live, that it creates exactly
         their members plus the pair, as a block of two or four members,
-        and that no affected row shows an impossible configuration."""
+        and that no affected row shows an impossible configuration.  The
+        pair is compared as a plain tuple, so one of other than two
+        entries is a wrong pair, not an error."""
         if step.k != k:
             return CheckResult(False, f"step {k}: trace numbered {step.k}")
-        pair = TermIndex(*step.pair)
-        if pair != TermIndex(*expected):
-            return CheckResult(False, f"step {k} absorbed {tuple(pair)}, expected "
+        pair = tuple(step.pair)
+        if pair != expected:
+            return CheckResult(False, f"step {k} absorbed {pair}, expected "
                                f"{tuple(expected)} next in prec order")
         if step.case == "case2":
             self.anchors.add(pair)
-        union: set[TermIndex] = set()
+        live, union = self.live, {pair}
         for blk in step.consumed:
             key = frozenset(blk.members)
-            if self.live.pop(key, None) is None:
+            if live.pop(key, None) is None:
                 return CheckResult(False, f"step {k}: consumed block "
                                    f"{sorted(key)} is not present")
             for struct, row, payload in self._entries(blk.members):
                 struct[row].remove(payload)
             union |= key
-        created = set(step.created.members)
-        if created != union | {pair}:
+        created = step.created.members
+        key = frozenset(created)
+        if key != union:
             return CheckResult(False, f"step {k}: created block is not the consumed "
                                "members plus the absorbed pair")
-        m = len(step.created.members)
-        if m != 2 and m != 4:
-            return CheckResult(False, f"step {k}: created block has {m} members")
-        self.live[frozenset(created)] = step.created.provenance
-        for row in self.add(step.created.members):
+        if len(created) != 2 and len(created) != 4:
+            return CheckResult(False, f"step {k}: created block has {len(created)} members")
+        live[key] = step.created.provenance
+        for row in self.add(created):
             r = self.check_row(row)
             if not r:
                 return CheckResult(False, f"step {k}: {r.reason}", r.witness, r.code)
@@ -632,7 +651,7 @@ class AuditState:
         negatives = []
         for i in _row_columns(q, j):
             if (i + j) % 2 == 0:
-                self.live[frozenset([TermIndex(i, j)])] = "initial"
+                self.live[frozenset(((i, j),))] = "initial"
             else:
                 negatives.append(i)
         self.negatives[j] = negatives
@@ -647,7 +666,7 @@ class AuditState:
             return CheckResult(False, f"row {j}: {len(steps) - k0} steps for "
                                f"{len(negatives)} negative pairs")
         for k, i in enumerate(reversed(negatives), start=k0 + 1):
-            r = self.step(k, steps[k - 1], TermIndex(i, j))
+            r = self.step(k, steps[k - 1], (i, j))
             if not r:
                 return r
         return ACCEPT
@@ -665,7 +684,8 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
 
     Each row's negatives come from the prefix classes, as in the audit.
     Case-2 history is read from gp.trace; for states assembled by hand
-    pass a trace whose steps carry the intended cases.
+    pass a trace whose steps carry the intended cases.  A Case-2 step
+    whose pair is not an (i, j) pair is rejected by its step number.
     """
     state = AuditState()
     q = prefix_classes(gp.pattern)
@@ -674,7 +694,13 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
     rows: set[int] = set()
     for b in gp.blocks:
         rows |= state.add(b.members)
-    state.anchors = {TermIndex(*s.pair) for s in gp.trace if s.case == "case2"}
+    for s in gp.trace:
+        if s.case == "case2":
+            pair = tuple(s.pair)
+            if len(pair) != 2:
+                return CheckResult(False, f"step {s.k}: case2 pair {pair} is not "
+                                   "an index pair (i, j)")
+            state.anchors.add(pair)
     for row in sorted(rows):
         r = state.check_row(row)
         if not r:
@@ -704,7 +730,7 @@ def audit_build(gp: GoodPartition) -> CheckResult:
     for j in range(1, len(q)):
         for i in reversed(state.seed(q, j)):
             k += 1
-            r = state.step(k, gp.trace[k - 1], TermIndex(i, j))
+            r = state.step(k, gp.trace[k - 1], (i, j))
             if not r:
                 return r
     return state.final(gp.blocks)

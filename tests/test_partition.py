@@ -521,6 +521,26 @@ def test_audit_rejects_tripleton():
     assert not r and r.reason == "step 1: created block has 3 members"
 
 
+def test_audit_rejects_a_pair_of_three_entries():
+    """A step pair with a third entry is not the negative the replay
+    expects: the audit rejects the step instead of raising TypeError."""
+    gp = build_good_partition((-1, 1))
+    s = gp.trace[0]
+    bad = (BuildStep(1, (1, 2, 0), s.case, s.operation, s.consumed, s.created),)
+    r = audit_build(GoodPartition(gp.n, gp.pattern, gp.blocks, bad))
+    assert not r and r.reason == "step 1 absorbed (1, 2, 0), expected (1, 2) next in prec order"
+
+
+def test_impossible_configurations_rejects_a_one_entry_case2_pair():
+    """A Case-2 step whose pair has one entry names no anchor: the scan
+    rejects it by its step instead of raising TypeError."""
+    pat = (1, 1, 1, 1, 1, -1)
+    b1 = block_of([(1, 5), (1, 6)], pat, prov="case2-op1")
+    step = BuildStep(1, (1,), "case2", 1, (), b1)
+    r = check_impossible_configurations(state_of(pat, [b1], [step]))
+    assert not r and r.reason == "step 1: case2 pair (1,) is not an index pair (i, j)"
+
+
 def test_audit_rejects_final_mismatch():
     gp = build_good_partition((-1, 1))
     relabeled = (PartitionBlock("doubleton", gp.blocks[0].members, gp.blocks[0].signs,
