@@ -1146,6 +1146,38 @@ def test_validator_reasons_pinned():
         "b8f25ba352a67029a39c2fdbe0b8b254058a9a524b61fa6c50bd146cb96cb5ae")
 
 
+def test_validator_rectangle_reasons_pinned():
+    """For every pattern with n <= 7 and every rectangle c0 < c1 <= r0 <
+    r1 whose four corners are in J: the build with the blocks that hold
+    a corner replaced by one quadrupleton of the corners, listed as the
+    builder lists them, with their true signs.  Its (ok, reason, code,
+    witness) hash to one fixed digest.  The mutations of
+    test_validator_reasons_pinned reach no corner-sign reason; here each
+    corner but (c1, r1) is named, and (c1, r1) cannot fail alone: the
+    parity of c1 + r1 follows from the other three corners'."""
+    digest, corners_failed = hashlib.sha256(), set()
+    for n in range(1, 8):
+        for idx in range(2 ** n):
+            pattern = pattern_from_index(n, idx)
+            blocks = build_good_partition(pattern).blocks
+            members, quads = {t for b in blocks for t in b.members}, []
+            for c0, c1 in itertools.combinations(range(1, n + 1), 2):
+                for r0, r1 in itertools.combinations(range(c1, n + 1), 2):
+                    quad = ((c1, r0), (c0, r0), (c1, r1), (c0, r1))
+                    if members.issuperset(quad):
+                        quads.append(quad)
+            for quad in quads:
+                rest = tuple(b for b in blocks if not set(b.members) & set(quad))
+                r = validate_partition(GoodPartition(n, pattern, rest + (
+                    block_of(quad, pattern, prov="case2-op2"),)))
+                digest.update(repr((r.ok, r.reason, r.code, r.witness)).encode())
+                corners_failed |= {k for k, t in enumerate(quad)
+                                   if f"corner {t} must" in (r.reason or "")}
+    assert corners_failed == {0, 1, 3}
+    assert digest.hexdigest() == (
+        "8e426bd054aea29e3cea48e4b70124dca4c0bc9f494ed3847a2d259cec739e11")
+
+
 def test_construction_failure_carries_context():
     err = ConstructionFailure(3, TermIndex(1, 4), "case3: boom", ())
     assert err.step == 3 and err.pair == (1, 4) and "boom" in str(err)
