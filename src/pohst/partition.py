@@ -453,8 +453,8 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
                 return CheckResult(False, "bad-doubleton: negative must sit left in the "
                                    "row or above in the column", b)
         else:
-            cols = sorted({t[0] for t in members})
-            rows = sorted({t[1] for t in members})
+            (i0, j0), (i1, j1), (i2, j2), (i3, j3) = members
+            cols, rows = sorted({i0, i1, i2, i3}), sorted({j0, j1, j2, j3})
             # Four distinct members on two columns and two rows are
             # exactly the four corners of the rectangle.
             if len(cols) != 2 or len(rows) != 2:
