@@ -22,6 +22,7 @@ from .numbertheory import compare_bounds
 from .partition import (
     CertificateFormatError,
     ConstructionFailure,
+    _collector_paused,
     build_good_partition,
     canonical_json,
     certificate_from_json,
@@ -90,6 +91,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+# certify and check free their records by reference counting before
+# they return, so the collector stays off until then: a pass started by
+# the validator's or the emitter's allocations would scan every record.
+@_collector_paused
 def _cmd_certify(args: argparse.Namespace) -> int:
     pattern = _parse_pattern(args.pattern)
     try:
@@ -105,6 +110,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     return 0
 
 
+@_collector_paused
 def _cmd_check(args: argparse.Namespace) -> int:
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:

@@ -52,7 +52,8 @@ import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial, wraps
+from functools import lru_cache, partial, wraps
+from operator import index
 from typing import Iterable, NamedTuple, Sequence
 
 from .triangle import (
@@ -184,7 +185,13 @@ def _collector_paused(fn):
     on/off state afterwards, on return or raise.  The records a build or
     a parse makes form no reference cycles, yet each pass of the
     collector over them costs time linear in all of them (about 40 % of
-    an n = 1000 build)."""
+    an n = 1000 build).
+
+    The pause defers those passes; it skips them only for records that
+    die inside it.  Records that outlive fn are still tracked, and the
+    caller's next allocations start the passes over them, so a caller
+    that frees them soon (pohst certify and check) pauses around its
+    whole use of them."""
     @wraps(fn)
     def paused(*args, **kwargs):
         if not gc.isenabled():
@@ -389,6 +396,18 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
 _SHAPE_SIZES = {"singleton": 1, "doubleton": 2, "quadrupleton": 4}
 
 
+def _first_non_pair(members: Sequence) -> int | None:
+    """The position of the first member that does not unpack to two ints
+    (which operator.index accepts, as list indexing does), or None."""
+    for k, m in enumerate(members):
+        try:
+            i, j = m
+            index(i), index(j)
+        except (TypeError, ValueError):
+            return k
+    return None
+
+
 def validate_partition(gp: GoodPartition) -> CheckResult:
     """Check a partition against the block-shape definition alone.
 
@@ -422,17 +441,28 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
         if len(signs) != len(members):
             return CheckResult(False, f"bad-signs: {len(signs)} signs for "
                                f"{len(members)} members", b)
-        for (i, j), sign in zip(members, signs):
-            if not (1 <= i <= j <= n):
-                return CheckResult(False, f"bad-index: {(i, j)}", b)
-            if r[i - 1] == r[j]:
-                return CheckResult(False, f"not-noncanonical: {(i, j)}", b)
-            if sign != (-1 if (i + j) & 1 else 1):
-                return CheckResult(False, f"sign-mismatch: {(i, j)}", b)
-            key = i * width + j
-            if key in seen:
-                return CheckResult(False, f"duplicate-member: {(i, j)}", b)
-            seen.add(key)
+        try:
+            for (i, j), sign in zip(members, signs):
+                if not (1 <= i <= j <= n):
+                    return CheckResult(False, f"bad-index: {(i, j)}", b)
+                if r[i - 1] == r[j]:
+                    return CheckResult(False, f"not-noncanonical: {(i, j)}", b)
+                if sign != (-1 if (i + j) & 1 else 1):
+                    return CheckResult(False, f"sign-mismatch: {(i, j)}", b)
+                key = i * width + j
+                if key in seen:
+                    return CheckResult(False, f"duplicate-member: {(i, j)}", b)
+                seen.add(key)
+        except (TypeError, ValueError):
+            # A member that is not a pair of ints raises here (the
+            # certificate parser admits none).  The members before it
+            # passed, so it is the first such member; without one, the
+            # error is not a member's and goes on.
+            k = _first_non_pair(members)
+            if k is None:
+                raise
+            return CheckResult(False, f"bad-index: {members[k]!r} is not a pair of "
+                               "ints", b)
 
         # From here on the members of b are distinct and each claimed
         # sign is the true sign (-1)^(i+j) of its member.
@@ -524,10 +554,11 @@ class AuditState:
         c.vd = {r: v[:] for r, v in self.vd.items()}
         return c
 
-    def _entries(self, idx: tuple[TermIndex, ...]) -> tuple:
+    def _entries(self, idx: tuple[TermIndex, ...]) -> tuple | None:
         """(structure, row, payload) contributions of one block; none for
         a block that is neither two nor four members, a singleton
-        included.
+        included, and None for four members that do not lie on two
+        columns and two rows, whose corner roles do not exist.
 
         Signs are forced by index parity, so a doubleton's positive is
         the member with even i + j.
@@ -542,15 +573,22 @@ class AuditState:
         if len(idx) == 4:
             cols = sorted({t[0] for t in idx})
             rows = sorted({t[1] for t in idx})
+            if len(cols) != 2 or len(rows) != 2:
+                return None
             # bottom-left negative pairs horizontally, top-right vertically
             return ((self.nh, rows[0], (cols[0], cols[1])),
                     (self.nv, rows[1], (cols[1], rows[1] - rows[0])))
         return ()
 
-    def add(self, idx: tuple[TermIndex, ...]) -> set[int]:
-        """Put one block in the row view; return the rows it touches."""
+    def add(self, idx: tuple[TermIndex, ...]) -> set[int] | None:
+        """Put one block in the row view; return the rows it touches, or
+        None, with nothing put in, for four members that are not on two
+        columns and two rows."""
+        entries = self._entries(idx)
+        if entries is None:
+            return None
         touched = set()
-        for struct, row, payload in self._entries(idx):
+        for struct, row, payload in entries:
             struct.setdefault(row, []).append(payload)
             touched.add(row)
         return touched
@@ -638,7 +676,12 @@ class AuditState:
         if len(created) != 2 and len(created) != 4:
             return CheckResult(False, f"step {k}: created block has {len(created)} members")
         live[key] = step.created.provenance
-        for row in self.add(created):
+        touched = self.add(created)
+        if touched is None:
+            return CheckResult(False, f"step {k}: created block "
+                               f"{sorted(map(tuple, key))} is not on two columns "
+                               "and two rows")
+        for row in touched:
             r = self.check_row(row)
             if not r:
                 return CheckResult(False, f"step {k}: {r.reason}", r.witness, r.code)
@@ -693,7 +736,11 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
         state.seed(q, j)
     rows: set[int] = set()
     for b in gp.blocks:
-        rows |= state.add(b.members)
+        touched = state.add(b.members)
+        if touched is None:
+            return CheckResult(False, f"block {sorted(map(tuple, b.members))} of four "
+                               "members is not on two columns and two rows", b)
+        rows |= touched
     for s in gp.trace:
         if s.case == "case2":
             pair = tuple(s.pair)
@@ -706,6 +753,21 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
         if not r:
             return r
     return ACCEPT
+
+
+def _negative_count(q: Sequence[int]) -> int:
+    """The number of negatives of J, from the prefix classes q_0..q_n.
+
+    (i, j) is a negative iff q[i-1] != q[j] and i + j is odd, that is,
+    k = i - 1 < j has the parity of j and the other class.  Of the j // 2
+    such k of j's parity, same[(q[j], j % 2)] lie in j's class."""
+    same: dict[tuple[int, int], int] = {}
+    total = 0
+    for j in range(1, len(q)):
+        prev = (q[j - 1], (j - 1) & 1)
+        same[prev] = same.get(prev, 0) + 1
+        total += j // 2 - same.get((q[j], j & 1), 0)
+    return total
 
 
 def audit_build(gp: GoodPartition) -> CheckResult:
@@ -722,7 +784,7 @@ def audit_build(gp: GoodPartition) -> CheckResult:
     end in gp.blocks.
     """
     q = prefix_classes(gp.pattern)
-    total = sum((i + j) % 2 for j in range(1, len(q)) for i in _row_columns(q, j))
+    total = _negative_count(q)
     if len(gp.trace) != total:
         return CheckResult(False, f"trace has {len(gp.trace)} steps for "
                            f"{total} negative pairs")
@@ -888,19 +950,34 @@ def _array(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + "\n" + indent + "]"
 
 
+@lru_cache(maxsize=16)
+def _block_layout(members: int, signs: int) -> str:
+    """The whole layout of a block with this many members and signs, one
+    %-template over (kind, i_1, j_1, .., provenance, s_1, ..).  A build
+    makes three shapes; a parsed certificate can carry any, hence the
+    bound."""
+    return _BLOCK % ("%s", _array([_MEMBER] * members, "      "), "%s",
+                     _array(["        %d"] * signs, "      "))
+
+
 def certificate_to_json(gp: GoodPartition) -> str:
     """Canonical JSON text of a certificate: the bytes of
     canonical_json(certificate_payload(gp)), written from the fixed
     schema because json.dumps uses its pure-Python encoder whenever
-    indent is set."""
+    indent is set.  Each block is one % over its layout; a member is
+    unpacked as a pair, so one of other than two entries raises, as it
+    does in certificate_payload."""
     # A few distinct strings recur across many blocks.
     strings = {s for b in gp.blocks for s in (b.kind, b.provenance)}
     quoted = {s: json.dumps(s) for s in strings}
-    blocks = [_BLOCK % (quoted[b.kind],
-                        _array([_MEMBER % m for m in b.members], "      "),
-                        quoted[b.provenance],
-                        _array(["        %d" % s for s in b.signs], "      "))
-              for b in gp.blocks]
+    blocks = []
+    for kind, members, signs, provenance in gp.blocks:
+        args = [quoted[kind]]
+        for i, j in members:
+            args += (i, j)
+        args.append(quoted[provenance])
+        args += signs
+        blocks.append(_block_layout(len(members), len(signs)) % tuple(args))
     return _CERT % (_array(blocks, "  "), gp.n,
                     _array(["    %d" % s for s in gp.pattern], "  "),
                     json.dumps(CERTIFICATE_VERSION))

@@ -1,6 +1,7 @@
 """Command-line contract: exit codes, canonical JSON, round trips."""
 
 import dataclasses
+import gc
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from pohst.cli import main
 from pohst.partition import (
     MAX_BUILD_N,
     BuildState,
+    ConstructionFailure,
     build_good_partition,
     certificate_to_json,
     validate_partition,
@@ -130,6 +132,58 @@ def test_check_rejects_mutated_certificate(capsys, tmp_path):
     cert.write_text(json.dumps(payload))
     rc, out, _ = run(capsys, ["check", str(cert)])
     assert rc == 1 and "INVALID" in out
+
+
+def test_certify_and_check_validate_with_the_collector_paused(capsys, tmp_path,
+                                                              monkeypatch):
+    """certify and check run under one collector pause, so the validator
+    and the emitter start no pass over the records; main leaves the
+    collector on or off as it found it on every exit, and verify runs
+    with it as found."""
+    good, bad, broken = (tmp_path / name for name in ("good.json", "bad.json",
+                                                      "broken.json"))
+    good.write_text(certificate_to_json(build_good_partition((-1, 1))))
+    bad.write_text(json.dumps(dict(json.loads(good.read_text()), blocks=[])))
+    broken.write_text("{not json")
+    seen = []
+
+    def spy(gp):
+        seen.append(gc.isenabled())
+        return validate_partition(gp)
+
+    def failing_row(self, q, j):
+        raise ConstructionFailure(1, (1, j), "injected", ())
+
+    sweep = cli.sweep_patterns
+
+    def watched_sweep(n, jobs):
+        seen.append(gc.isenabled())
+        return sweep(n, jobs=jobs)
+
+    monkeypatch.setattr(cli, "validate_partition", spy)
+    monkeypatch.setattr(cli, "sweep_patterns", watched_sweep)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            seen.clear()
+            for argv, want in ((["certify", "--pattern", "-,+"], 0),
+                               (["check", str(good)], 0),
+                               (["check", str(bad)], 1),
+                               (["check", str(broken)], 2)):
+                assert run(capsys, argv)[0] == want, argv
+                assert gc.isenabled() is enabled, argv
+            assert seen == [False, False, False]
+            with monkeypatch.context() as m:
+                m.setattr(BuildState, "row", failing_row)
+                rc, _, err = run(capsys, ["certify", "--pattern", "-,+"])
+            assert rc == 1 and "injected" in err
+            assert gc.isenabled() is enabled
+            assert run(capsys, ["verify", "--n", "3"])[0] == 0
+            assert gc.isenabled() is enabled
+            assert seen == [False, False, False, enabled]
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_check_rejects_malformed_json(capsys, tmp_path):

@@ -38,6 +38,8 @@ from pohst.partition import (
     prec_key,
     sign_rectangle_relation,
     validate_partition,
+    _block_layout,
+    _negative_count,
     _row_columns,
 )
 from pohst.search import pattern_from_index
@@ -374,6 +376,23 @@ def test_validator_rejects_rectangle_with_misplaced_signs():
     assert not r and "corner" in r.reason
 
 
+@pytest.mark.parametrize("bad", [(2.0, 2.0), (2, 2, 0), (2,), (None, 2), None, "ab"])
+def test_validator_rejects_members_that_are_not_int_pairs(bad):
+    """An in-process block may hold any member: one that is not a pair of
+    ints gets a bad-index verdict naming it, after the members before it
+    in its block passed, instead of a TypeError or ValueError."""
+    gp = _doubleton_pattern_cert()
+    (pos, neg), signs = gp.blocks[0].members, gp.blocks[0].signs
+    for members in ((bad, neg), (pos, bad)):
+        block = PartitionBlock("doubleton", members, signs, "case1")
+        r = validate_partition(state_of(gp.pattern, [block]))
+        assert not r and r.reason == f"bad-index: {bad!r} is not a pair of ints"
+        assert r.witness is block
+    # a member before it that fails first keeps its own reason
+    block = PartitionBlock("doubleton", (TermIndex(2, 1), bad), signs, "case1")
+    assert validate_partition(state_of(gp.pattern, [block])).reason == "bad-index: (2, 1)"
+
+
 # ---------------------------------------------------------------------------
 # impossible configurations
 
@@ -539,6 +558,46 @@ def test_impossible_configurations_rejects_a_one_entry_case2_pair():
     step = BuildStep(1, (1,), "case2", 1, (), b1)
     r = check_impossible_configurations(state_of(pat, [b1], [step]))
     assert not r and r.reason == "step 1: case2 pair (1,) is not an index pair (i, j)"
+
+
+def test_impossible_configurations_rejects_four_members_in_one_column():
+    """Four members in one column have no corner roles: the scan rejects
+    the block before it reads them, instead of raising IndexError."""
+    pat = (1, 1, 1, 1)
+    block = PartitionBlock("quadrupleton", ((1, 1), (1, 2), (1, 3), (1, 4)),
+                           (1, 1, 1, 1), "x")
+    r = check_impossible_configurations(state_of(pat, [block]))
+    assert not r and r.witness is block and r.reason == (
+        "block [(1, 1), (1, 2), (1, 3), (1, 4)] of four members is not on two "
+        "columns and two rows")
+
+
+def test_audit_rejects_a_created_block_of_four_members_in_one_column():
+    """Step 3 of (1, 1, 1, 1, 1, -1) absorbs (1, 6) with the three live
+    singletons of its column: the union checks pass, and the replay
+    rejects the four-member block by its step number before it reads
+    corner roles."""
+    pat = (1, 1, 1, 1, 1, -1)
+    gp = build_good_partition(pat)
+    s = gp.trace[2]
+    assert tuple(s.pair) == (1, 6)
+    column = block_of([(1, 1), (1, 3), (1, 5), (1, 6)], pat, "quadrupleton", "case3-op1")
+    singles = tuple(block_of([t], pat) for t in ((1, 1), (1, 3), (1, 5)))
+    trace = gp.trace[:2] + (BuildStep(3, s.pair, s.case, 1, singles, column),)
+    r = audit_build(GoodPartition(gp.n, pat, gp.blocks, trace))
+    assert not r and r.reason == (
+        "step 3: created block [(1, 1), (1, 3), (1, 5), (1, 6)] is not on two "
+        "columns and two rows")
+
+
+def test_negative_count_matches_the_row_scan():
+    """audit_build's O(n) count of J's negatives equals the count over
+    every member of every row, for every pattern with n <= 10."""
+    for n in range(1, 11):
+        for pat in all_patterns(n):
+            q = prefix_classes(pat)
+            assert _negative_count(q) == sum(
+                (i + j) % 2 for j in range(1, n + 1) for i in _row_columns(q, j))
 
 
 def test_audit_rejects_final_mismatch():
@@ -866,6 +925,28 @@ def test_certificate_emitter_matches_reference():
     assert 'double\\"ton' in certificate_to_json(gps[-1])
     for gp in gps:
         assert certificate_to_json(gp) == canonical_json(certificate_payload(gp))
+
+
+def test_certificate_emitter_edge_shapes():
+    """Blocks of 0-5 members with as many signs, or with 0-5 signs of
+    another count, are written as the reference writes them: one layout
+    per (members, signs) count, bounded in number, with no second path.
+    A member that is not a pair raises and is never re-paired."""
+    pool = [TermIndex(i, j) for j in range(1, 7) for i in range(1, j + 1)]
+    blocks = [PartitionBlock(f"kind{m}", tuple(pool[m:2 * m]), (1, -1, 1, -1, 1)[:s],
+                             f"prov{s}")
+              for m in range(6) for s in range(6)]
+    for order in (blocks, blocks[::-1]):
+        gp = GoodPartition(6, (1, -1, 1, 1, -1, -1), tuple(order))
+        assert certificate_to_json(gp) == canonical_json(certificate_payload(gp))
+    assert _block_layout.cache_info().maxsize is not None
+    for members in (((1, 1, 1), (2,)), ((1, 2, 3),), ((1,), (1,)), ((1, 2), (3,))):
+        gp = GoodPartition(2, (1, 1), (PartitionBlock("x", members, (1,) * len(members),
+                                                      "y"),))
+        with pytest.raises(ValueError):
+            certificate_to_json(gp)
+        with pytest.raises(ValueError):
+            canonical_json(certificate_payload(gp))
 
 
 def test_certificate_round_trip_identity():
