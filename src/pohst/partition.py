@@ -396,15 +396,16 @@ def build_good_partition(pattern: Sequence[int]) -> GoodPartition:
 _SHAPE_SIZES = {"singleton": 1, "doubleton": 2, "quadrupleton": 4}
 
 
-def _first_non_pair(members: Sequence) -> int | None:
-    """The position of the first member that does not unpack to two ints
-    (which operator.index accepts, as list indexing does), or None."""
-    for k, m in enumerate(members):
+def _non_pair_reason(members: Iterable) -> str | None:
+    """The bad-index reason of the first member that does not unpack to
+    two ints (which operator.index accepts, as list indexing does), or
+    None."""
+    for m in members:
         try:
             i, j = m
             index(i), index(j)
         except (TypeError, ValueError):
-            return k
+            return f"bad-index: {m!r} is not a pair of ints"
     return None
 
 
@@ -458,11 +459,10 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
             # certificate parser admits none).  The members before it
             # passed, so it is the first such member; without one, the
             # error is not a member's and goes on.
-            k = _first_non_pair(members)
-            if k is None:
+            reason = _non_pair_reason(members)
+            if reason is None:
                 raise
-            return CheckResult(False, f"bad-index: {members[k]!r} is not a pair of "
-                               "ints", b)
+            return CheckResult(False, reason, b)
 
         # From here on the members of b are distinct and each claimed
         # sign is the true sign (-1)^(i+j) of its member.
