@@ -51,6 +51,7 @@ import gc
 import json
 import math
 from bisect import bisect_left
+from collections.abc import Sized
 from dataclasses import dataclass
 from functools import lru_cache, partial, wraps
 from operator import index
@@ -437,11 +438,18 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
         kind, members, signs = b.kind, b.members, b.signs
         if kind not in ("singleton", "doubleton", "quadrupleton"):
             return CheckResult(False, f"bad-kind: {kind!r}", b)
-        if len(members) != _SHAPE_SIZES[kind]:
-            return CheckResult(False, f"bad-kind: {kind} with {len(members)} members", b)
-        if len(signs) != len(members):
-            return CheckResult(False, f"bad-signs: {len(signs)} signs for "
-                               f"{len(members)} members", b)
+        try:
+            if len(members) != _SHAPE_SIZES[kind]:
+                return CheckResult(False, f"bad-kind: {kind} with {len(members)} members", b)
+            if len(signs) != len(members):
+                return CheckResult(False, f"bad-signs: {len(signs)} signs for "
+                                   f"{len(members)} members", b)
+        except TypeError:
+            # members or signs without a length, such as None (the
+            # certificate parser admits neither): members are read first.
+            if not isinstance(members, Sized):
+                return CheckResult(False, f"bad-kind: {kind} with members {members!r}", b)
+            return CheckResult(False, f"bad-signs: {signs!r} for {len(members)} members", b)
         try:
             for (i, j), sign in zip(members, signs):
                 if not (1 <= i <= j <= n):
@@ -662,7 +670,8 @@ class AuditState:
         live, union = self.live, {pair}
         for blk in step.consumed:
             key = frozenset(blk.members)
-            if live.pop(key, None) is None:
+            # members listed twice would match a live block of fewer members
+            if len(key) != len(blk.members) or live.pop(key, None) is None:
                 return CheckResult(False, f"step {k}: consumed block "
                                    f"{sorted(key)} is not present")
             for struct, row, payload in self._entries(blk.members):
@@ -736,6 +745,8 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
         state.seed(q, j)
     rows: set[int] = set()
     for b in gp.blocks:
+        if not isinstance(b.members, Sized):
+            return CheckResult(False, f"block members {b.members!r} are not a sequence", b)
         touched = state.add(b.members)
         if touched is None:
             return CheckResult(False, f"block {sorted(map(tuple, b.members))} of four "

@@ -30,11 +30,12 @@ points within a relative 2e-12 of its keep-th largest value are
 re-evaluated with eval_f_batch, and the chosen points and values are
 the ones eval_f_batch alone would give, ties going to the lower lattice
 index.  Every ascent makes the same number of probes, so the starts are
-polished together as the rows of one array, and each golden step
-evaluates one probe per start with a kernel of O(n) numpy calls.
-The known maximizers are 0/-1 vectors, which every grid with an even
-number of intervals contains, so the interesting assertion is that
-nothing anywhere else climbs higher.
+polished together as the rows of one array, a lone start too, and
+each golden step evaluates one probe per start with _terms, the one
+term kernel of this module, in O(n) numpy calls.  The known maximizers
+are 0/-1 vectors, which every grid with an even number of intervals
+contains, so the interesting assertion is that nothing anywhere else
+climbs higher.
 
 Domination sampling checks a seeded stream of samples against the
 mirror -|v|, globally and block by block.  Both samplers draw every
@@ -44,14 +45,13 @@ into one work array, also reused, and evaluates both with one pass of
 _f_into, the in-place kernel under eval_f_batch, which multiplies
 running_terms' terms in running_terms' order and allocates nothing;
 sample and mirror get eval_f_batch's bits.  The block-wise check forms
-the terms of a row chunk once, as a matrix with one column per term in
-running_terms order and a column of ones.  Each pattern's partition
-becomes a small table of its blocks' term columns, padded with the ones
-column to four members, and every block product of the chunk is one
-gather from the matrix.  The tables of a batch's new patterns come from
-the same walk over just those patterns, with the build alone; where a
-row fails, the patterns below it are rebuilt one by one in ascending
-index, so the failure raised is the one a per-pattern loop meets first.
+the terms of a row chunk once with _terms.  Each pattern's partition
+becomes a small table of its blocks' term rows, padded with the 1.0
+row to four members, and every block product of the chunk is one
+gather from the term array.  The tables of a batch's new patterns come from the same walk
+over just those patterns, with the build alone; where a row fails, the
+patterns below it are rebuilt one by one in ascending index, so the
+failure raised is the one a per-pattern loop meets first.
 """
 
 from __future__ import annotations
@@ -77,8 +77,7 @@ from .partition import (
     parity_counts,
     validate_partition,
 )
-from .triangle import (as_sign_pattern, eval_f, leq_with_tol, pohst_bound, prefix_classes,
-                       running_terms)
+from .triangle import as_sign_pattern, leq_with_tol, pohst_bound, prefix_classes
 
 #: PRNG used for every sampling campaign, recorded in reports.
 RNG_NAME = "numpy-PCG64"
@@ -101,8 +100,8 @@ _SCREEN_ROWS = 1 << 16
 #: re-evaluates the points within twice it of the screen's keep-th
 #: largest value.
 _CONFIRM_REL = 1e-12
-#: Elements of a term matrix per row chunk of the block-wise sampler, so
-#: that its term matrices and gathers keep their size as n grows.
+#: Elements of a term array (_terms) per row chunk of the block-wise
+#: sampler, so that its term arrays and gathers keep their size as n grows.
 _GATHER_ELEMENTS = 1 << 16
 #: Most patterns the block-wise sampler keeps built across batches, all
 #: of them for n <= 14.
@@ -477,26 +476,29 @@ def _grid_top(points: np.ndarray, n: int, keep: int) -> tuple[np.ndarray, np.nda
     return ref[order], X[order]
 
 
-def _eval_f_probe(X: np.ndarray) -> np.ndarray:
-    """_eval_f_batch for a few rows, bit for bit, in O(n) numpy calls
-    where running_terms makes O(n^2): the kernel of the ascent's probes.
-
-    P, an (n, n, S) array viewed as (n^2, S), starts zeroed; its
-    diagonal d holds the runs x_i..x_{i+d}, each its run on diagonal
-    d - 1 times x_{i+d}, as running_terms extends a run.  One
-    subtraction from 1 turns the runs into terms and the unused entries
-    into exactly 1.0, and multiplying by 1.0 is exact, so the product
-    over P's flattened (i, j) axis multiplies running_terms' terms in
-    running_terms' order.  Each row costs n^2 entries, so the kernel
-    loses to _eval_f_batch beyond some thousands of rows."""
+def _terms(X: np.ndarray) -> np.ndarray:
+    """The terms of the S rows of X as an (n^2 + 1, S) array: row
+    (i - 1) n + j - 1 holds the term (i, j) with running_terms' bits,
+    every other row, the last included, exactly 1.0.  It starts zeroed;
+    its diagonal d holds the runs x_i..x_{i+d}, each its run on diagonal
+    d - 1 times x_{i+d}, as running_terms extends a run, so O(n) numpy
+    calls form what running_terms forms in O(n^2)."""
     S, n = X.shape
     XT = X.T
-    P = np.zeros((n * n, S))
-    P[::n + 1] = XT
+    P = np.zeros((n * n + 1, S))
+    P[::n + 1] = XT   # n (n + 1) > n^2: the n entries of diagonal 0
     for d in range(1, n):
         np.multiply(P[d - 1::n + 1][:n - d], XT[d:], out=P[d::n + 1][:n - d])
     np.subtract(1.0, P, out=P)
-    return np.multiply.reduce(P, axis=0)
+    return P
+
+
+def _eval_f_probe(X: np.ndarray) -> np.ndarray:
+    """_eval_f_batch for a few rows, bit for bit: the kernel of the
+    ascent's probes.  Down _terms' rows, the terms come in running_terms'
+    order and multiplying by the 1.0s is exact.  Each row costs n^2
+    entries, so it loses to _eval_f_batch beyond some thousands of rows."""
+    return np.multiply.reduce(_terms(X), axis=0)
 
 
 def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
@@ -508,19 +510,18 @@ def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
     Each coordinate probes the two ends of its bracket, two golden points
     and 48 golden steps, so every ascent makes rounds * n * 52 probes and
     only the branch of a step differs between starts.  The starts are
-    the rows of one array, and each probe evaluates every row: with
-    _eval_f_probe, or with eval_f for a lone start; both give
-    eval_f_batch's bits at less cost."""
+    the rows of one array, a lone start too, and each probe evaluates
+    every row with _eval_f_probe, which gives eval_f_batch's bits."""
     if not starts:
         return []
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     X = np.array([x for _, x in starts], dtype=float)
     value = np.array([v for v, _ in starts], dtype=float)
-    S, n = X.shape
+    n = X.shape[1]
 
     def f(k: int, t: np.ndarray) -> np.ndarray:
         X[:, k] = t
-        return _eval_f_probe(X) if S > 1 else np.array([eval_f(X[0])])
+        return _eval_f_probe(X)
 
     for _ in range(rounds):
         for k in range(n):
@@ -670,47 +671,20 @@ def sample_domination(n: int, samples: int = 100_000, seed: int = 42) -> CheckRe
     return CheckResult(True)
 
 
-def _term_column(n: int, i: int, j: int) -> int:
-    """The column of the term (i, j) in running_terms order."""
-    return (i - 1) * n - (i - 1) * (i - 2) // 2 + j - i
-
-
-def _term_matrix(X: np.ndarray) -> np.ndarray:
-    """The terms of every row of X, one column each in running_terms
-    order, then a column of ones."""
-    n = X.shape[1]
-    T = np.empty((len(X), n * (n + 1) // 2 + 1))
-    T[:, -1] = 1.0
-    for k, (_, _, t) in enumerate(running_terms(np.ascontiguousarray(X.T))):
-        T[:, k] = t
-    return T
-
-
-def _column_term(n: int, c: int) -> tuple[int, int]:
-    """The term (i, j) whose column in running_terms order is c: the
-    inverse of _term_column."""
-    i = 1
-    while c > n - i:   # row i holds the n - i + 1 columns of (i, i..n)
-        c -= n - i + 1
-        i += 1
-    return i, i + c
-
-
 def _member_table(n: int, gp: GoodPartition) -> np.ndarray:
-    """Row b holds the term columns of the members of block b of gp, in
-    member order, padded with the ones column to four."""
-    ones = n * (n + 1) // 2
-    cols = []
+    """Row b holds the rows in _terms of the members of block b of gp, in
+    member order, padded with the 1.0 row n^2 to four."""
+    rows = []
     for block in gp.blocks:
-        cols += [_term_column(n, i, j) for i, j in block.members]
-        cols += [ones] * (4 - len(block.members))
-    return np.array(cols, dtype=np.intp).reshape(-1, 4)
+        rows += [(i - 1) * n + j - 1 for i, j in block.members]
+        rows += [n * n] * (4 - len(block.members))
+    return np.array(rows, dtype=np.intp).reshape(-1, 4)
 
 
 def _pattern_tables(n: int, keys: Sequence[int], cache: dict[int, np.ndarray]) -> np.ndarray:
     """The member tables (_member_table) of the patterns keys, stacked to
     shape (len(keys), most blocks, 4); the rows past a pattern's last
-    block name the ones column.
+    block name the 1.0 row of _terms.
 
     cache maps a pattern index to its table.  The patterns missing from
     it are built by one walk of the trie of their prefixes (_walk), each
@@ -732,8 +706,7 @@ def _pattern_tables(n: int, keys: Sequence[int], cache: dict[int, np.ndarray]) -
     for key in sorted(failed):
         cache[key] = _member_table(n, build_good_partition(pattern_from_index(n, key)))
     tables = [cache[key] for key in keys]
-    ones = n * (n + 1) // 2
-    stacked = np.full((len(tables), max(len(t) for t in tables), 4), ones, dtype=np.intp)
+    stacked = np.full((len(tables), max(len(t) for t in tables), 4), n * n, dtype=np.intp)
     for u, table in enumerate(tables):
         stacked[u, :len(table)] = table
     return stacked
@@ -743,17 +716,16 @@ def _gathered_block_products(X: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Row r, column b: the product of block b's terms at X[r] in member
     order, where cols[r] is the member table of row r's pattern.  X may
     also be a stack of such samples that share the tables, a chunk and
-    its mirror: the flat indices cols[r] + r * width into a term matrix
-    are formed once for all of them.  The ones column pads every block
-    to four members, so each product is bit-identical to
-    block_products'."""
+    its mirror: the flat indices cols[r] m + r into the (n^2 + 1, m)
+    term array of _terms are formed once for all of them.  The 1.0 row
+    pads every block to four members, so each product is bit-identical
+    to block_products'."""
     m, blocks, _ = cols.shape
     n = X.shape[-1]
-    width = n * (n + 1) // 2 + 1   # the term matrix's columns
-    flat = cols.reshape(m, 4 * blocks) + (np.arange(m) * width)[:, None]
+    flat = cols.reshape(m, 4 * blocks) * m + np.arange(m)[:, None]
     P = np.empty(X.shape[:-1] + (blocks,))
     for V, a in zip(X.reshape(-1, m, n), P.reshape(-1, m, blocks)):
-        g = _term_matrix(V).take(flat).reshape(m, blocks, 4)
+        g = _terms(V).take(flat).reshape(m, blocks, 4)
         np.multiply(g[:, :, 0], g[:, :, 1], out=a)
         a *= g[:, :, 2]
         a *= g[:, :, 3]
@@ -775,16 +747,15 @@ def sample_blockwise_domination(n: int, samples: int = 100_000,
     ascending index raises first, before any of its domination
     verdicts.  A batch that finds more than _CACHED_PATTERNS patterns
     built starts from none, so memory does not grow with samples.  The
-    batch's rows are then checked in chunks of
-    _GATHER_ELEMENTS // (n(n+1)/2) rows: one term matrix per chunk for
-    the sample and one for its mirror, and every block product gathered
-    from it.  A failure names the lowest
-    failing pattern index of the first failing batch, its first failing
-    block in block order, whose members are read back from its table
-    (_column_term), and that block's first failing row.
+    batch's rows are then checked in chunks of _GATHER_ELEMENTS //
+    (n^2 + 1) rows: one term array (_terms) per chunk for the sample and
+    one for its mirror, and every block product gathered from it.  A
+    failure names the lowest failing pattern index of the first failing
+    batch, its first failing block in block order, whose members are
+    read back from its table, and that block's first failing row.
     """
     _check_sampling(n, samples, seed)
-    chunk = max(1, _GATHER_ELEMENTS // (n * (n + 1) // 2))
+    chunk = max(1, _GATHER_ELEMENTS // (n * n + 1))
     cache: dict[int, np.ndarray] = {}
     bits = 1 << np.arange(n, dtype=np.int64)
     buf = np.empty((min(_SAMPLE_BATCH, samples), n))
@@ -806,8 +777,8 @@ def sample_blockwise_domination(n: int, samples: int = 100_000,
                 first = found if first is None else min(first, found)
         if first is not None:
             slot, block, row = first
-            ones = n * (n + 1) // 2
-            members = [_column_term(n, int(c)) for c in stacked[slot, block] if c != ones]
+            members = [(i + 1, j + 1) for i, j in
+                       (divmod(int(c), n) for c in stacked[slot, block] if c != n * n)]
             return CheckResult(
                 False, f"block {members} failed domination at sample {offset + row}",
                 (offset + row, tuple(X[row])))

@@ -21,12 +21,15 @@ product sign of (i, j) is x_i ... x_j = (-1)^(i+j+1) q_{i-1} q_j, so
 (i, j) is non-canonical exactly when q_{i-1} != q_j, its sign is then
 (-1)^(i+j), and |J| = |A| |B| for the two classes A, B of q_0..q_n.
 
-running_terms forms the run products x_i ... x_j from which f_n and
-the block-domination checks take every value they return; the in-place
-kernel of its batch twin (search._f_into) forms the same products and
-terms in the same order, bit for bit.  The lattice screen of
-search.maximize_f forms the same products by prefix extension, but
-only to choose the points that the batch twin then evaluates.
+running_terms forms the run products x_i ... x_j from which eval_f and
+block_products take every value they return.  Two numeric kernels form
+the same products and terms, bit for bit: search._f_into, under
+eval_f_batch and sample_domination, in running_terms' order, and
+search._terms, under the ascent's probes and the block-wise sampler's
+gather, as one array of all the terms of a few rows.  The lattice
+screen of search.maximize_f forms the same products by prefix
+extension, but only to choose the points that eval_f_batch then
+evaluates.
 
 Indices are 1-based throughout the public interface.
 """
@@ -214,15 +217,14 @@ def pohst_bound(n: int) -> float:
     return float(2 ** ((n + 1) // 2))
 
 
-def leq_with_tol(a: float | np.ndarray, b: float | np.ndarray, rel: float = REL_TOL,
-                 abs_: float = ABS_TOL) -> bool | np.ndarray:
-    """a <= b up to mixed relative/absolute tolerance, elementwise."""
-    return a <= b + np.maximum(abs_, rel * np.maximum(np.abs(a), np.abs(b)))
+def leq_with_tol(a: float | np.ndarray, b: float | np.ndarray) -> bool | np.ndarray:
+    """a <= b up to REL_TOL relative or ABS_TOL absolute, elementwise."""
+    return a <= b + np.maximum(ABS_TOL, REL_TOL * np.maximum(np.abs(a), np.abs(b)))
 
 
-def close(a: float, b: float, rel: float = REL_TOL, abs_: float = ABS_TOL) -> bool:
-    """|a - b| within mixed relative/absolute tolerance."""
-    return math.isclose(a, b, rel_tol=rel, abs_tol=abs_)
+def close(a: float, b: float) -> bool:
+    """|a - b| within REL_TOL relative or ABS_TOL absolute."""
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
 
 
 def term_indices(n: int) -> Iterable[TermIndex]:

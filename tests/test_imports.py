@@ -1,10 +1,13 @@
-"""Every name a module of the package imports is used in that module, and
-every module-level private name is read somewhere in the package."""
+"""Every name a module of the package imports is used in that module,
+every module-level private name is read somewhere in the package, and
+neither the package nor its tests import an undeclared dependency."""
 
 import ast
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pohst"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "pohst"
 
 
 def test_every_import_is_used():
@@ -69,3 +72,25 @@ def test_every_private_method_is_used():
         if not any(node.attr == f.name and id(node) not in own for node in refs):
             unused.append(f"{file}:{f.lineno} {f.name}")
     assert unused == []
+
+
+def _imported_packages(paths) -> set[str]:
+    """The top-level package of every absolute import in the files paths."""
+    found = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found
+
+
+def test_imports_stay_within_the_declared_dependencies():
+    """The package imports only the standard library, numpy and itself,
+    and the tests add only pytest and hypothesis: packages that happen
+    to be installed but are not declared, such as sympy, scipy and
+    mpmath, never reach either."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "pohst"}
+    assert _imported_packages(SRC.rglob("*.py")) - allowed == set()
+    assert _imported_packages(TESTS.rglob("*.py")) - allowed - {"pytest", "hypothesis"} == set()

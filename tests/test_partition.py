@@ -393,6 +393,17 @@ def test_validator_rejects_members_that_are_not_int_pairs(bad):
     assert validate_partition(state_of(gp.pattern, [block])).reason == "bad-index: (2, 1)"
 
 
+@pytest.mark.parametrize("block,reason", [
+    (PartitionBlock("singleton", None, (1,), "x"), "bad-kind: singleton with members None"),
+    (PartitionBlock("singleton", (TermIndex(2, 2),), None, "x"), "bad-signs: None for 1 members"),
+])
+def test_validator_rejects_members_or_signs_of_none(block, reason):
+    """An in-process block whose members or signs are None gets a verdict
+    with the block as witness, instead of a TypeError."""
+    r = validate_partition(state_of((-1, 1), [block]))
+    assert not r and r.witness is block and r.reason == reason
+
+
 # ---------------------------------------------------------------------------
 # impossible configurations
 
@@ -570,6 +581,26 @@ def test_impossible_configurations_rejects_four_members_in_one_column():
     assert not r and r.witness is block and r.reason == (
         "block [(1, 1), (1, 2), (1, 3), (1, 4)] of four members is not on two "
         "columns and two rows")
+
+
+def test_impossible_configurations_rejects_members_of_none():
+    """A block whose members are None is rejected with the block as
+    witness, instead of a TypeError."""
+    block = PartitionBlock("singleton", None, (1,), "x")
+    r = check_impossible_configurations(state_of((-1, 1), [block]))
+    assert not r and r.witness is block and r.reason == "block members None are not a sequence"
+
+
+def test_audit_rejects_a_consumed_block_with_a_repeated_member():
+    """Step 1 of (-1, 1) consuming the doubleton ((2, 2), (2, 2)), whose
+    member set is that of the live singleton {(2, 2)}: the replay rejects
+    the block as not present, instead of raising KeyError."""
+    gp = build_good_partition((-1, 1))
+    s = gp.trace[0]
+    twice = PartitionBlock("doubleton", ((2, 2), (2, 2)), (1, 1), "initial")
+    trace = (BuildStep(1, s.pair, s.case, s.operation, (twice,), s.created),)
+    r = audit_build(GoodPartition(gp.n, gp.pattern, gp.blocks, trace))
+    assert not r and r.reason == "step 1: consumed block [(2, 2)] is not present"
 
 
 def test_audit_rejects_a_created_block_of_four_members_in_one_column():

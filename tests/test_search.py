@@ -453,8 +453,8 @@ POLISH_DIGEST = "9b693642fd6fb638b9a62ea642d28c906ba5abff3ad498859982c76e1118b4d
 def test_polish_together_matches_one_by_one():
     """Random, lattice and +-1-clipped starts, n = 1 starts (an (S, 1)
     array), two identical starts and n = 9 starts give the same ascents
-    whether polished together through eval_f_batch or one at a time
-    through eval_f."""
+    whether polished together or one at a time, both through the probe
+    kernel, and the ascents that POLISH_DIGEST recorded."""
     rng = np.random.default_rng(5)
     points = [rng.uniform(-1.0, 1.0, size=5) for _ in range(6)]
     points += [np.array(p, dtype=float) for p in
@@ -502,17 +502,20 @@ def test_grid_values_match_eval_f_batch(n, m, rows):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_probe_kernel_equals_eval_f_batch(n):
-    """The ascent's probe kernel gives _eval_f_batch's bits, on rows
-    holding 0, -0.0 and +-1 entries as well as interior ones."""
+    """The ascent's probe kernel gives _eval_f_batch's bits and eval_f's,
+    on rows holding 0, -0.0 and +-1 entries as well as interior ones,
+    and on a lone row (S = 1), which is how a lone start is polished."""
     rng = np.random.default_rng(n)
     special = np.array([0.0, -0.0, 1.0, -1.0])
-    for S in (2, 3, 96):
+    for S in (1, 2, 3, 96):
         X = rng.uniform(-1.0, 1.0, size=(S, n))
         hit = rng.random((S, n)) < 0.4
         X[hit] = rng.choice(special, size=int(hit.sum()))
-        X[0] = np.resize([-1.0, 0.0], n)   # a maximizer for odd n
-        X[1] = np.resize([-0.0, 1.0, -1.0], n)
-        assert search._eval_f_probe(X).tobytes() == search._eval_f_batch(X).tobytes()
+        # a maximizer for odd n, then a row of signed zeros and ones
+        X[:2] = [np.resize([-1.0, 0.0], n), np.resize([-0.0, 1.0, -1.0], n)][:S]
+        probe = search._eval_f_probe(X).tobytes()
+        assert probe == search._eval_f_batch(X).tobytes()
+        assert probe == np.array([eval_f(x) for x in X]).tobytes()
 
 
 def _reference_top(points, n, keep):
@@ -802,15 +805,15 @@ def test_sample_blockwise_domination_cache_is_bounded(monkeypatch):
 
 def _reference_tables(n, keys):
     """The stacked member tables of keys from per-pattern
-    build_good_partition, each member's column counted out in
-    running_terms order."""
-    columns = {t: c for c, t in enumerate((i, j) for i in range(1, n + 1)
-                                          for j in range(i, n + 1))}
+    build_good_partition, each member's row of the term array counted
+    out over the n x n grid of pairs (i, j), row-major, and every pad
+    the row after the grid."""
+    rows = {t: r for r, t in enumerate(itertools.product(range(1, n + 1), repeat=2))}
     gps = [build_good_partition(pattern_from_index(n, key)) for key in keys]
-    ref = np.full((len(keys), max(len(gp.blocks) for gp in gps), 4), len(columns))
+    ref = np.full((len(keys), max(len(gp.blocks) for gp in gps), 4), len(rows))
     for u, gp in enumerate(gps):
         for b, block in enumerate(gp.blocks):
-            ref[u, b, :len(block.members)] = [columns[tuple(t)] for t in block.members]
+            ref[u, b, :len(block.members)] = [rows[tuple(t)] for t in block.members]
     return ref
 
 
@@ -828,13 +831,6 @@ def test_pattern_tables_walk_matches_per_pattern_build(n, count):
     assert sorted(cache) == keys
     more = sorted(set(keys[::2] + rng.integers(0, 2 ** n, size=20).tolist()))
     assert np.array_equal(search._pattern_tables(n, more, cache), _reference_tables(n, more))
-
-
-def test_column_term_inverts_term_column():
-    for n in range(1, 25):
-        terms = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-        assert [search._term_column(n, i, j) for i, j in terms] == list(range(len(terms)))
-        assert [search._column_term(n, c) for c in range(len(terms))] == terms
 
 
 def _inject_prefix_failures(monkeypatch, failing):
