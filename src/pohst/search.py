@@ -494,10 +494,9 @@ def _terms(X: np.ndarray) -> np.ndarray:
 
 
 def _eval_f_probe(X: np.ndarray) -> np.ndarray:
-    """_eval_f_batch for a few rows, bit for bit: the kernel of the
-    ascent's probes.  Down _terms' rows, the terms come in running_terms'
-    order and multiplying by the 1.0s is exact.  Each row costs n^2
-    entries, so it loses to _eval_f_batch beyond some thousands of rows."""
+    """_eval_f_batch on a few rows, bit for bit: the ascent's probe kernel.
+    _terms lists running_terms' terms in order, and the 1.0s multiply
+    exactly; at n^2 entries a row, it loses beyond some thousands of rows."""
     return np.multiply.reduce(_terms(X), axis=0)
 
 
