@@ -223,7 +223,7 @@ class BuildState:
 
     A step writes its block in final form (_absorb): the case fixes the
     kind, the prec order of the members and the signs, so none of them
-    is derived per member; only partition() sorts, to list the blocks.
+    is derived per member.
     """
 
     __slots__ = ("owner", "sing", "steps")
@@ -242,6 +242,10 @@ class BuildState:
         """Apply row j: put its positive members of J as initial
         singletons, then absorb its negatives right to left.
 
+        Positives go in right to left, so owner takes them in prec order;
+        a block's first member is a positive, and a reassigned key keeps
+        its slot, so owner lists block heads in prec order, unsorted.
+
         J-membership comes from the prefix classes q_0..q_j alone:
         (i, r) is in J iff q[i-1] != q[r], with sign (-1)^(i+r).  Raises
         ConstructionFailure when a case's existence or uniqueness
@@ -250,7 +254,7 @@ class BuildState:
         owner, sing, steps = self.owner, self.sing, self.steps
         cols = _row_columns(q, j)
         mask = 0
-        for i in cols:
+        for i in reversed(cols):
             if (i + j) % 2 == 0:
                 p = _term((i, j))
                 owner[p] = _block(("singleton", (p,), (1,), "initial"))
@@ -353,18 +357,11 @@ class BuildState:
     def _fail(self, k: int, neg: TermIndex, reason: str) -> ConstructionFailure:
         return ConstructionFailure(k, neg, reason, tuple(self.steps))
 
-    def partition(self, pattern: tuple[int, ...], ordered: bool = True) -> GoodPartition:
+    def partition(self, pattern: tuple[int, ...]) -> GoodPartition:
         """The finished partition, each block listed once, under its
-        first member, in prec order: sorted by the prec_key pairs
-        (j, -i) of the first members, which are distinct.  With
-        ordered=False the blocks come in the owner's order, unsorted, for
-        a caller whose verdict does not depend on block order."""
-        owner = self.owner
-        if ordered:
-            heads = sorted(((t[1], -t[0]), b) for t, b in owner.items() if b.members[0] == t)
-            blocks = tuple(b for _, b in heads)
-        else:
-            blocks = tuple(b for t, b in owner.items() if b.members[0] == t)
+        first member, in prec order: the order owner holds them in by
+        construction (row)."""
+        blocks = tuple(b for t, b in self.owner.items() if b.members[0] == t)
         return GoodPartition(len(pattern), pattern, blocks, tuple(self.steps))
 
 
@@ -739,8 +736,11 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
     pass a trace whose steps carry the intended cases.  A Case-2 step
     whose pair is not an (i, j) pair is rejected by its step number.
     """
+    try:
+        q = prefix_classes(gp.pattern)
+    except ValueError as e:
+        return CheckResult(False, f"bad-pattern: {e}")
     state = AuditState()
-    q = prefix_classes(gp.pattern)
     for j in range(1, len(q)):
         state.seed(q, j)
     rows: set[int] = set()
@@ -794,7 +794,10 @@ def audit_build(gp: GoodPartition) -> CheckResult:
     no affected row shows an impossible configuration.  The replay must
     end in gp.blocks.
     """
-    q = prefix_classes(gp.pattern)
+    try:
+        q = prefix_classes(gp.pattern)
+    except ValueError as e:
+        return CheckResult(False, f"bad-pattern: {e}")
     total = _negative_count(q)
     if len(gp.trace) != total:
         return CheckResult(False, f"trace has {len(gp.trace)} steps for "

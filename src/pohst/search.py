@@ -151,12 +151,16 @@ def verify_pattern(pattern: Sequence[int]) -> str | None:
     r = audit_build(gp)
     if not r:
         return f"audit: {r.reason}"
-    n = len(pat)
-    if n % 2 == 0 and pat.count(-1) % 2 == 1:
-        b_plus, b_minus = parity_counts(pat)
-        if b_plus != b_minus:
-            return f"parity: b+={b_plus} b-={b_minus}"
-    return None
+    return _parity_mismatch(pat)
+
+
+def _parity_mismatch(pat: tuple[int, ...]) -> str | None:
+    """The parity reason of a pattern whose border counts differ where
+    they must agree (even n and an odd number of -1), else None."""
+    if len(pat) % 2 or pat.count(-1) % 2 == 0:
+        return None
+    b_plus, b_minus = parity_counts(pat)
+    return None if b_plus == b_minus else f"parity: b+={b_plus} b-={b_minus}"
 
 
 def _verify_leaves(n: int, depth: int, idx: int) -> list[tuple[int, str]]:
@@ -183,17 +187,13 @@ def _apply_row(build: BuildState, audit: AuditState | None, q: list[int], j: int
 
 def _leaf_ok(n: int, idx: int, build: BuildState, audit: AuditState) -> bool:
     """validate_partition, the audit's final-state check and border
-    parity on the materialized partition of a leaf.  Its blocks stay
-    unsorted, since neither verdict depends on block order; a failing
-    leaf re-runs verify_pattern, whose reason reads the sorted blocks."""
+    parity on the materialized partition of a leaf; a failing leaf
+    re-runs verify_pattern for its reason."""
     pat = pattern_from_index(n, idx)
-    gp = build.partition(pat, ordered=False)
+    gp = build.partition(pat)
     if not validate_partition(gp) or not audit.final(gp.blocks):
         return False
-    if n % 2 == 0 and pat.count(-1) % 2 == 1:
-        b_plus, b_minus = parity_counts(pat)
-        return b_plus == b_minus
-    return True
+    return _parity_mismatch(pat) is None
 
 
 def _walk(n: int, j: int, idx: int, q: list[int], build: BuildState,

@@ -47,6 +47,23 @@ def test_summary_of_synthetic_pairs():
     setup = s["setup_s"]   # twice the parent's: outside its 0.25 bound
     assert setup["change_better_in_pairs"] == 0
     assert setup["worse_by"] == pytest.approx(1.0) and not setup["within_bound"]
+    # every parent spread is within its bound
+    assert ops["resolved"] and rss["resolved"] and setup["resolved"]
+
+
+def test_summary_marks_a_spread_wider_than_the_bound_unresolved():
+    """A parent IQR of 2/3 of its median is wider than every bound: a
+    metric is resolved then only where every change run is better than
+    every parent run, here ops_per_s (higher) and setup_s (lower)."""
+    parent = [(10.0, 20.0, 1.0), (10.0, 20.0, 1.0), (20.0, 40.0, 2.0), (20.0, 40.0, 2.0)]
+    change = [(21.0, 30.0, 0.9), (22.0, 30.0, 0.5), (23.0, 30.0, 0.8), (24.0, 30.0, 0.7)]
+    runs = [{"parent": _result(*p), "change": _result(*c)} for p, c in zip(parent, change)]
+    s = bench_pairs.summarize(runs, END_TO_END)
+    for name in ("ops_per_s", "peak_rss_mb", "setup_s"):
+        assert s[name]["parent_iqr_rel"] == pytest.approx(2 / 3)
+    assert s["ops_per_s"]["resolved"] and s["setup_s"]["resolved"]
+    rss = s["peak_rss_mb"]   # 30 MB is better than two parent runs, not all four
+    assert rss["within_bound"] and not rss["resolved"]
 
 
 def test_summary_of_one_pair():

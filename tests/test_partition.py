@@ -212,6 +212,20 @@ def test_build_writes_blocks_in_final_shape():
                 "case1" if step.case == "case1" else f"{step.case}-op{step.operation}")
 
 
+def test_build_lists_blocks_in_prec_order_past_the_byte_pin():
+    """The blocks come in the order the builder made their first members,
+    with no sort: past the n <= 10 of test_certificate_bytes_pinned,
+    for 30 random patterns of n = 11..300, each block's first member is
+    a positive and the first members increase strictly in prec_key."""
+    rng = np.random.default_rng(23)
+    for n in rng.integers(11, 301, size=30):
+        pat = tuple(int(s) for s in rng.choice((-1, 1), size=int(n)))
+        heads = [b.members[0] for b in build_good_partition(pat).blocks]
+        assert all((i + j) % 2 == 0 for i, j in heads), pat
+        keys = [prec_key(t) for t in heads]
+        assert all(a < b for a, b in zip(keys, keys[1:])), pat
+
+
 def test_build_rejects_bad_pattern():
     with pytest.raises(ValueError):
         build_good_partition((0, 1))
@@ -589,6 +603,31 @@ def test_impossible_configurations_rejects_members_of_none():
     block = PartitionBlock("singleton", None, (1,), "x")
     r = check_impossible_configurations(state_of((-1, 1), [block]))
     assert not r and r.witness is block and r.reason == "block members None are not a sequence"
+
+
+_MALFORMED_PATTERNS = [
+    ((1, 2), "bad-pattern: sign pattern entries must be +1 or -1"),
+    ((), "bad-pattern: sign pattern must be non-empty"),
+]
+
+
+@pytest.mark.parametrize("pattern,reason", _MALFORMED_PATTERNS)
+def test_audit_rejects_a_malformed_pattern(pattern, reason):
+    """A pattern with an entry other than +-1, or none, gets the
+    validator's bad-pattern verdict from the audit instead of a
+    ValueError."""
+    gp = GoodPartition(len(pattern), pattern, ())
+    assert validate_partition(gp).reason == reason
+    r = audit_build(gp)
+    assert not r and r.reason == reason
+
+
+@pytest.mark.parametrize("pattern,reason", _MALFORMED_PATTERNS)
+def test_impossible_configurations_rejects_a_malformed_pattern(pattern, reason):
+    """The scan gives the validator's bad-pattern verdict on a malformed
+    pattern instead of a ValueError."""
+    r = check_impossible_configurations(GoodPartition(len(pattern), pattern, ()))
+    assert not r and r.reason == reason
 
 
 def test_audit_rejects_a_consumed_block_with_a_repeated_member():

@@ -765,7 +765,7 @@ def test_sample_blockwise_domination_planted_failure_matches_reference(
         return _singletons(pat) if idx in planted else build_good_partition(pat)
 
     built = _materialize(monkeypatch, partition)
-    monkeypatch.setattr(search, "_GATHER_ELEMENTS", 6 * chunk_rows)
+    monkeypatch.setattr(search, "_GATHER_ELEMENTS", (3 * 3 + 1) * chunk_rows)
     r = sample_blockwise_domination(3, samples=400, seed=42)
     block, sample, vec = _first_block_failure(3, 400, 42, partition)
     assert not r

@@ -13,8 +13,9 @@ the JSON line run.py prints last; the lines before it are kept as
 BENCH_<label>.json at the repo root holds parent_sha, change_sha, env,
 runs and a summary per workload: for every end-to-end metric of
 BENCHMARK.json, median/q1/q3 of each side, the pairs the change won, the
-parent's relative IQR, and whether the change stays within the metric's
-bound.
+parent's relative IQR, whether the change stays within the metric's
+bound, and whether that is resolved: the parent's spread is within the
+bound, or every change run beats every parent run.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     worse_by is the change's relative loss against the parent median,
     negative for a gain, in the direction end_to_end[...]["better"]
     names; within_bound holds when it does not exceed the metric's bound.
+    resolved holds when the parent's relative IQR is within the bound, or
+    every change run is better than every parent run; an unresolved
+    metric's spread is too wide to tell whether it stayed within bound.
     """
     sides = ("parent", "change")
     out: dict = {
@@ -64,16 +68,20 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         parent = stats["parent"]["median"]
         rel = (stats["change"]["median"] - parent) / parent
         worse_by = -rel if higher else rel
+        iqr_rel = (stats["parent"]["q3"] - stats["parent"]["q1"]) / parent
+        clear_win = (min(values["change"]) > max(values["parent"]) if higher
+                     else max(values["change"]) < min(values["parent"]))
         out[name] = {
             **stats,
             "change_better_in_pairs": sum(
                 (c > p) if higher else (c < p)
                 for p, c in zip(values["parent"], values["change"])),
             "median_change_rel": rel,
-            "parent_iqr_rel": (stats["parent"]["q3"] - stats["parent"]["q1"]) / parent,
+            "parent_iqr_rel": iqr_rel,
             "worse_by": worse_by,
             "bound": metric["bound"],
             "within_bound": worse_by <= metric["bound"],
+            "resolved": iqr_rel <= metric["bound"] or clear_win,
         }
     return out
 
@@ -175,7 +183,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{w}: " + "  ".join(
             f"{m['name']} {s[m['name']]['parent']['median']:.4g} -> "
             f"{s[m['name']]['change']['median']:.4g} "
-            f"({s[m['name']]['change_better_in_pairs']}/{s['pairs']})"
+            f"({s[m['name']]['change_better_in_pairs']}/{s['pairs']}, "
+            f"{'resolved' if s[m['name']]['resolved'] else 'unresolved'})"
             for m in end_to_end))
     print(path)
     return 0
