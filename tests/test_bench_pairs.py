@@ -47,14 +47,13 @@ def test_summary_of_synthetic_pairs():
     setup = s["setup_s"]   # twice the parent's: outside its 0.25 bound
     assert setup["change_better_in_pairs"] == 0
     assert setup["worse_by"] == pytest.approx(1.0) and not setup["within_bound"]
-    # every parent spread is within its bound
-    assert ops["resolved"] and rss["resolved"] and setup["resolved"]
 
 
-def test_summary_marks_a_spread_wider_than_the_bound_unresolved():
+def test_summary_marks_each_metric_resolved_or_unresolved():
     """A parent IQR of 2/3 of its median is wider than every bound: a
     metric is resolved then only where every change run is better than
-    every parent run, here ops_per_s (higher) and setup_s (lower)."""
+    every parent run, here ops_per_s (higher) and setup_s (lower).  With
+    a parent IQR of 0 every metric is resolved, the worse ones too."""
     parent = [(10.0, 20.0, 1.0), (10.0, 20.0, 1.0), (20.0, 40.0, 2.0), (20.0, 40.0, 2.0)]
     change = [(21.0, 30.0, 0.9), (22.0, 30.0, 0.5), (23.0, 30.0, 0.8), (24.0, 30.0, 0.7)]
     runs = [{"parent": _result(*p), "change": _result(*c)} for p, c in zip(parent, change)]
@@ -64,6 +63,10 @@ def test_summary_marks_a_spread_wider_than_the_bound_unresolved():
     assert s["ops_per_s"]["resolved"] and s["setup_s"]["resolved"]
     rss = s["peak_rss_mb"]   # 30 MB is better than two parent runs, not all four
     assert rss["within_bound"] and not rss["resolved"]
+    # a parent spread within the bound resolves a metric either way
+    one = bench_pairs.summarize([{"parent": _result(4.0, 50.0, 0.3),
+                                  "change": _result(3.0, 50.0, 0.3)}], END_TO_END)
+    assert all(one[name]["resolved"] for name in ("ops_per_s", "peak_rss_mb", "setup_s"))
 
 
 def test_summary_of_one_pair():
