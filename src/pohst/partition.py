@@ -42,7 +42,12 @@ own prefix-product derivation of J instead of calling the builder-side
 noncanonical_set or prefix_classes: with r_k = (-1)^k x_1...x_k, a
 member (i, j) is in J iff r_{i-1} != r_j, and its sign is then
 (-1)^(i+j).  It checks each member in O(1), keyed by the int i(n+1) + j
-once its bounds are checked, and the cover by count.
+once its bounds are checked, and the cover by count.  validate_partition
+is the composition of its two halves: check_blocks, the per-block check,
+over every block, then check_cover.  The sweep (search.sweep_patterns)
+runs the same check_blocks row by row, on the blocks each row of a build
+creates, and at each leaf only on the listed blocks no row checked,
+before it counts the cover (covers_by_count).
 """
 
 from __future__ import annotations
@@ -87,6 +92,8 @@ MAX_BUILD_N = 2048
 _OP1_PROVENANCE = {"case1": "case1", "case2": "case2-op1", "case3": "case3-op1"}
 _OP2_PROVENANCE = {"case2": "case2-op2", "case3": "case3-op2"}
 _RECTANGLE_SIGNS = (1, -1, -1, 1)
+#: What AuditState.final reads for a member set that is not live.
+_ABSENT = object()
 
 
 def prec_key(t: TermIndex) -> tuple[int, int]:
@@ -407,31 +414,39 @@ def _non_pair_reason(members: Iterable) -> str | None:
     return None
 
 
-def validate_partition(gp: GoodPartition) -> CheckResult:
-    """Check a partition against the block-shape definition alone.
+def validator_classes(pattern: Sequence[int]) -> list[int]:
+    """The validator's own r_0..r_n of a checked pattern, r_k =
+    (-1)^k x_1...x_k: (i, j) is in J iff r_{i-1} != r_j, and its sign is
+    then (-1)^(i+j)."""
+    r = [1] * (len(pattern) + 1)
+    for k, x in enumerate(pattern, start=1):
+        r[k] = -r[k - 1] * x
+    return r
 
-    Re-derives the non-canonical set from the pattern; accepts iff the
-    blocks are disjoint, cover it exactly, carry correct signs, and
-    every block has one of the three legal shapes.
+
+def noncanonical_size(r: Sequence[int]) -> int:
+    """|J| of the pattern with classes r_0..r_n: the product of the
+    sizes of r's two classes."""
+    a = r.count(1)
+    return a * (len(r) - a)
+
+
+def check_blocks(blocks: Iterable[PartitionBlock], r: Sequence[int], top: int,
+                 seen: set[int]) -> CheckResult | None:
+    """The per-block half of validate_partition: the verdict on the first
+    block that is not a legal block of J, else None.
+
+    A legal block has a known kind and size, one sign per member, and
+    distinct members (i, j) with 1 <= i <= j <= top, each in J by
+    r_0..r_top with its true sign (-1)^(i+j), in one of the three
+    shapes.  top is the highest row a member may sit in: n for a whole
+    partition, j for the blocks row j of a build creates.  Each member
+    is keyed in seen by the int i (top+1) + j once its bounds are
+    checked, so a member met twice in one call, in one block or in two,
+    is a duplicate.
     """
-    try:
-        pat = as_sign_pattern(gp.pattern)
-    except ValueError as e:
-        return CheckResult(False, f"bad-pattern: {e}")
-    n = len(pat)
-    if gp.n != n:
-        return CheckResult(False, f"bad-pattern: n={gp.n} but pattern has {n} entries")
-
-    # r_k = (-1)^k x_1...x_k: (i, j) is in J iff r_{i-1} != r_j, and its
-    # sign is then (-1)^(i+j).  A member that passed the bounds check is
-    # keyed in seen by the int i (n+1) + j.
-    r = [1] * (n + 1)
-    for k in range(1, n + 1):
-        r[k] = -r[k - 1] * pat[k - 1]
-    width = n + 1
-
-    seen: set[int] = set()
-    for b in gp.blocks:
+    width = top + 1
+    for b in blocks:
         kind, members, signs = b.kind, b.members, b.signs
         if kind not in ("singleton", "doubleton", "quadrupleton"):
             return CheckResult(False, f"bad-kind: {kind!r}", b)
@@ -449,7 +464,7 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
             return CheckResult(False, f"bad-signs: {signs!r} for {len(members)} members", b)
         try:
             for (i, j), sign in zip(members, signs):
-                if not (1 <= i <= j <= n):
+                if not (1 <= i <= j <= top):
                     return CheckResult(False, f"bad-index: {(i, j)}", b)
                 if r[i - 1] == r[j]:
                     return CheckResult(False, f"not-noncanonical: {(i, j)}", b)
@@ -489,24 +504,30 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
                                    "row or above in the column", b)
         else:
             (i0, j0), (i1, j1), (i2, j2), (i3, j3) = members
-            cols, rows = sorted({i0, i1, i2, i3}), sorted({j0, j1, j2, j3})
+            cols, rows = {i0, i1, i2, i3}, {j0, j1, j2, j3}
             # Four distinct members on two columns and two rows are
             # exactly the four corners of the rectangle.
             if len(cols) != 2 or len(rows) != 2:
                 return CheckResult(False, "bad-quadrupleton: not a rectangle", b)
-            (c0, c1), (r0, r1) = cols, rows
-            for c, row, want in ((c1, r0, 1), (c0, r1, 1), (c0, r0, -1), (c1, r1, -1)):
-                if (1 if (c + row) % 2 == 0 else -1) != want:
-                    return CheckResult(False, f"bad-quadrupleton: corner {(c, row)} must "
-                                       f"have sign {want:+d}", b)
+            (c0, c1), (r0, r1) = sorted(cols), sorted(rows)
+            if (c1 + r0) & 1 or (c0 + r1) & 1 or not (c0 + r0) & 1 or not (c1 + r1) & 1:
+                for c, row, want in ((c1, r0, 1), (c0, r1, 1), (c0, r0, -1), (c1, r1, -1)):
+                    if (1 if (c + row) % 2 == 0 else -1) != want:
+                        return CheckResult(False, f"bad-quadrupleton: corner {(c, row)} "
+                                           f"must have sign {want:+d}", b)
+    return None
 
-    # seen holds distinct members of J, so the cover is complete iff
-    # |seen| = |J|: the product of the two class sizes of r.  Row i of J
-    # is the k >= i in the class opposite r_{i-1}.
-    classes = {c: [k for k in range(n + 1) if r[k] == c] for c in (1, -1)}
-    if len(seen) == len(classes[1]) * len(classes[-1]):
+
+def check_cover(r: Sequence[int], seen: set[int]) -> CheckResult:
+    """The cover half of validate_partition: seen holds the keys i (n+1) + j
+    of distinct members of J (check_blocks with top = n), so they cover J
+    iff they number |J|; else the first missing members, by row of J.
+    Row i of J is the k >= i in the class opposite r_{i-1}."""
+    if len(seen) == noncanonical_size(r):
         return ACCEPT
-
+    n = len(r) - 1
+    width = n + 1
+    classes = {c: [k for k in range(n + 1) if r[k] == c] for c in (1, -1)}
     missing: list[tuple[int, int]] = []
     for i in range(1, n + 1):
         other = classes[-r[i - 1]]
@@ -516,6 +537,41 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
             break
     return CheckResult(False, f"incomplete-cover: missing {missing[:4]}"
                        + ("..." if len(missing) > 4 else ""))
+
+
+def covers_by_count(blocks: Sequence[PartitionBlock], r: Sequence[int]) -> bool:
+    """check_cover for blocks that each passed check_blocks, though not
+    in one call: their members are in J and distinct within each block,
+    so they cover J exactly iff they are distinct across blocks and
+    number |J|.  Each member unpacked to two ints there, so the tuple of
+    a member that is not hashable, such as a list, is."""
+    members = [m for b in blocks for m in b.members]
+    if len(members) != noncanonical_size(r):
+        return False
+    try:
+        return len(set(members)) == len(members)
+    except TypeError:
+        return len(set(map(tuple, members))) == len(members)
+
+
+def validate_partition(gp: GoodPartition) -> CheckResult:
+    """Check a partition against the block-shape definition alone.
+
+    Re-derives the non-canonical set from the pattern; accepts iff the
+    blocks are disjoint, cover it exactly, carry correct signs, and
+    every block has one of the three legal shapes: check_blocks over
+    all blocks with top = n and one seen set, then check_cover.
+    """
+    try:
+        pat = as_sign_pattern(gp.pattern)
+    except ValueError as e:
+        return CheckResult(False, f"bad-pattern: {e}")
+    n = len(pat)
+    if gp.n != n:
+        return CheckResult(False, f"bad-pattern: n={gp.n} but pattern has {n} entries")
+    r, seen = validator_classes(pat), set()
+    bad = check_blocks(gp.blocks, r, n, seen)
+    return check_cover(r, seen) if bad is None else bad
 
 
 # ---------------------------------------------------------------------------
@@ -721,8 +777,21 @@ class AuditState:
         return ACCEPT
 
     def final(self, blocks: Iterable[PartitionBlock]) -> CheckResult:
-        """The replay must end in exactly the given blocks."""
-        if {(frozenset(b.members), b.provenance) for b in blocks} != set(self.live.items()):
+        """The replay must end in exactly the given blocks: each block's
+        member set is live with the block's provenance, and every live
+        block is listed.  A block listed twice counts once.  One lookup
+        per block: each is popped from a copy of live, and only a block
+        already popped is looked up in live itself."""
+        live = self.live
+        rest = live.copy()
+        for b in blocks:
+            key = frozenset(b.members)
+            provenance = rest.pop(key, _ABSENT)
+            if provenance is _ABSENT:
+                provenance = live.get(key, _ABSENT)
+            if provenance != b.provenance:
+                return CheckResult(False, "final state of the replay differs from gp.blocks")
+        if rest:
             return CheckResult(False, "final state of the replay differs from gp.blocks")
         return ACCEPT
 
@@ -824,9 +893,14 @@ def parity_counts(pattern: Sequence[int]) -> tuple[int, int]:
     """
     q = prefix_classes(pattern)
     n = len(q) - 1
-    border = {(1, j) for j in range(1, n + 1)} | {(i, n) for i in range(1, n + 1)}
-    signs = [1 if (i + j) % 2 == 0 else -1 for i, j in border if q[i - 1] != q[j]]
-    return signs.count(1), signs.count(-1)
+    # (1, j) is in J iff q_j != q_0, and positive iff j is odd; (i, n),
+    # 1 < i <= n, iff q_{i-1} != q_n, and positive iff i + n is even, that
+    # is, iff k = i - 1 has the parity of n + 1.  q has entries +-1.
+    first, last = -q[0], -q[n]
+    odd, even = q[1:n:2].count(last), q[2:n:2].count(last)
+    if n % 2:
+        odd, even = even, odd
+    return q[1::2].count(first) + odd, q[2::2].count(first) + even
 
 
 def sign_rectangle_relation(pattern: Sequence[int],

@@ -12,8 +12,14 @@ every consumer of builds: it walks the trie of the prefixes of a set of
 pattern indices and applies each row once per trie node, not once per
 pattern, and its leaves come in trie order, ascending bit-reversed
 index.  The sweep walks all 2^n patterns, never listing them, and
-carries the audit with the build; the validator and the parity check
-run on each leaf's materialized partition.  Any failure below a node is
+carries the audit and the validator with the build.  The validator is
+split as validate_partition composes it: each node runs check_blocks on
+the blocks its row creates, with the validator's own classes r_0..r_j,
+which the walk sets from the pattern bits, so a block that 2^(n-j)
+patterns share is checked once.  Each leaf lists its partition, runs
+check_blocks only on the listed blocks that are not its path's checked
+step.created objects (the surviving initial singletons), counts the
+cover, ends the audit and checks parity.  Any failure below a node is
 re-run through verify_pattern, the one-pattern reference.  With
 jobs > 1 the tree is split by prefix into 2^k subtrees, 2^k >= 4 jobs.
 
@@ -69,13 +75,18 @@ import numpy as np
 from .partition import (
     AuditState,
     BuildState,
+    BuildStep,
     CheckResult,
     ConstructionFailure,
     GoodPartition,
+    PartitionBlock,
     audit_build,
     build_good_partition,
+    check_blocks,
+    covers_by_count,
     parity_counts,
     validate_partition,
+    validator_classes,
 )
 from .triangle import as_sign_pattern, leq_with_tol, pohst_bound, prefix_classes
 
@@ -174,41 +185,62 @@ def _verify_leaves(n: int, depth: int, idx: int) -> list[tuple[int, str]]:
     return found
 
 
-def _apply_row(build: BuildState, audit: AuditState | None, q: list[int], j: int) -> bool:
-    """Row j of the build and, unless audit is None, of the audit; False
-    when either fails."""
+def _apply_row(build: BuildState, audit: AuditState | None, q: list[int], r: list[int],
+               j: int) -> bool:
+    """Row j of the build and, unless audit is None, the validator's
+    check_blocks on the blocks the row's steps create, with members in
+    rows <= j, r_0..r_j and one seen set for the row, and row j of the
+    audit; False when any of them fails."""
     k0 = len(build.steps)
     try:
         build.row(q, j)
     except ConstructionFailure:
         return False
-    return audit is None or bool(audit.row(q, j, build.steps, k0))
+    if audit is None:
+        return True
+    steps = build.steps
+    if check_blocks([s.created for s in steps[k0:]], r, j, set()) is not None:
+        return False
+    return bool(audit.row(q, j, steps, k0))
 
 
-def _leaf_ok(n: int, idx: int, build: BuildState, audit: AuditState) -> bool:
-    """validate_partition, the audit's final-state check and border
-    parity on the materialized partition of a leaf; a failing leaf
-    re-runs verify_pattern for its reason."""
+def _leaf_valid(r: list[int], blocks: tuple[PartitionBlock, ...],
+                steps: list[BuildStep]) -> bool:
+    """validate_partition's verdict on the listed blocks of a leaf whose
+    path checked the created block of every step in steps at its row:
+    check_blocks on the listed blocks that are none of those objects
+    (the initial singletons that survive), then the cover by count."""
+    checked = {id(s.created) for s in steps}
+    return (check_blocks([b for b in blocks if id(b) not in checked], r, len(r) - 1,
+                         set()) is None and covers_by_count(blocks, r))
+
+
+def _leaf_ok(n: int, idx: int, r: list[int], build: BuildState, audit: AuditState) -> bool:
+    """The leaf's share of the validator (_leaf_valid), the audit's
+    final-state check and border parity on the materialized partition of
+    a leaf; a failing leaf re-runs verify_pattern for its reason."""
     pat = pattern_from_index(n, idx)
-    gp = build.partition(pat)
-    if not validate_partition(gp) or not audit.final(gp.blocks):
+    blocks = build.partition(pat).blocks
+    if not _leaf_valid(r, blocks, build.steps) or not audit.final(blocks):
         return False
     return _parity_mismatch(pat) is None
 
 
-def _walk(n: int, j: int, idx: int, q: list[int], build: BuildState,
+def _walk(n: int, j: int, idx: int, q: list[int], r: list[int], build: BuildState,
           audit: AuditState | None, keys: list[int] | None,
-          leaf: Callable[[int, BuildState, AuditState | None], None],
+          leaf: Callable[[int, list[int], BuildState, AuditState | None], None],
           pruned: Callable[[int, int, list[int] | None], None]) -> None:
     """Walk the trie of the pattern indices keys, all of them when keys
     is None, below the node whose states hold rows 1..j of the patterns
     with low bits idx: each child applies its row (_apply_row) and
     descends, or calls pruned(depth, index, keys below) where the row
-    fails.  Each leaf calls leaf(index, build, audit), in trie order,
+    fails.  Each leaf calls leaf(index, r, build, audit), in trie order,
     which is ascending bit-reversed index.  A child works on a copy of
-    the node's states unless it is the node's last."""
+    the node's states unless it is the node's last.  q holds the
+    builder's prefix classes and r the validator's, both set from the
+    bits of the index before row j + 1 reads them."""
     if j == n:
-        leaf(idx, build, audit)
+        leaf(idx, r, build, audit)
         return
     children = [(0, None), (1, None)] if keys is None else \
         [(bit, sub) for bit in (0, 1) if (sub := [k for k in keys if k >> j & 1 == bit])]
@@ -217,9 +249,10 @@ def _walk(n: int, j: int, idx: int, q: list[int], build: BuildState,
         if c < len(children) - 1:
             b, a = build.copy(), None if audit is None else audit.copy()
         q[j + 1] = q[j] if bit else -q[j]   # q_{j+1} = -q_j x_{j+1}
+        r[j + 1] = -r[j] * (-1 if bit else 1)   # r_{j+1} = -r_j x_{j+1}
         child = idx | bit << j
-        if _apply_row(b, a, q, j + 1):
-            _walk(n, j + 1, child, q, b, a, sub, leaf, pruned)
+        if _apply_row(b, a, q, r, j + 1):
+            _walk(n, j + 1, child, q, r, b, a, sub, leaf, pruned)
         else:
             pruned(j + 1, child, sub)
 
@@ -228,22 +261,23 @@ def _sweep_subtree(args: tuple[int, int, int]) -> list[tuple[int, str]]:
     """Failures (pattern index, reason) among the patterns whose low k
     bits are prefix."""
     n, k, prefix = args
+    pattern = pattern_from_index(n, prefix)
     # Entries above k are overwritten by _walk before they are read.
-    q = list(prefix_classes(pattern_from_index(n, prefix)))
+    q, r = list(prefix_classes(pattern)), validator_classes(pattern)
     build, audit = BuildState(n), AuditState()
     for j in range(1, k + 1):
-        if not _apply_row(build, audit, q, j):
+        if not _apply_row(build, audit, q, r, j):
             return _verify_leaves(n, k, prefix)
     found: list[tuple[int, str]] = []
 
-    def leaf(idx: int, build: BuildState, audit: AuditState | None) -> None:
-        if not _leaf_ok(n, idx, build, audit):
+    def leaf(idx: int, r: list[int], build: BuildState, audit: AuditState | None) -> None:
+        if not _leaf_ok(n, idx, r, build, audit):
             found.extend(_verify_leaves(n, n, idx))
 
     def pruned(depth: int, idx: int, _: None) -> None:
         found.extend(_verify_leaves(n, depth, idx))
 
-    _walk(n, k, prefix, q, build, audit, None, leaf, pruned)
+    _walk(n, k, prefix, q, r, build, audit, None, leaf, pruned)
     return found
 
 
@@ -251,9 +285,11 @@ def sweep_patterns(n: int, jobs: int = 1) -> SweepReport:
     """Verify all 2^n sign patterns; failures are collected, not raised.
 
     Walks the pattern tree depth first: the node for x_1..x_j applies
-    row j of the build and of the audit to a copy of its parent's
-    states, and each leaf validates its materialized partition, ends the
-    audit and checks border parity.  Whatever fails below a node is
+    row j of the build to a copy of its parent's states, checks the
+    blocks the row creates with the validator's check_blocks and applies
+    row j of the audit; each leaf finishes the validator on its
+    materialized partition (_leaf_valid), ends the audit and checks
+    border parity.  Whatever fails below a node is
     re-run through verify_pattern, pattern by pattern, so the report is
     the per-pattern loop's.  With jobs > 1 the tree is split by prefix
     into 2^k subtrees, 2^k >= 4 jobs, over a pool of worker processes.
@@ -693,15 +729,15 @@ def _pattern_tables(n: int, keys: Sequence[int], cache: dict[int, np.ndarray]) -
     lowest of them raises what a per-pattern loop would raise first."""
     failed: list[int] = []
 
-    def leaf(idx: int, build: BuildState, _: None) -> None:
+    def leaf(idx: int, _r: list[int], build: BuildState, _: None) -> None:
         cache[idx] = _member_table(n, build.partition(pattern_from_index(n, idx)))
 
     def pruned(depth: int, idx: int, below: list[int]) -> None:
         failed.extend(below)
 
     new = [key for key in keys if key not in cache]
-    # q_0 = 1; _walk sets q_j before row j reads it.
-    _walk(n, 0, 0, [1] * (n + 1), BuildState(n), None, new, leaf, pruned)
+    # q_0 = r_0 = 1; _walk sets q_j and r_j before row j reads them.
+    _walk(n, 0, 0, [1] * (n + 1), [1] * (n + 1), BuildState(n), None, new, leaf, pruned)
     for key in sorted(failed):
         cache[key] = _member_table(n, build_good_partition(pattern_from_index(n, key)))
     tables = [cache[key] for key in keys]

@@ -39,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -101,8 +102,14 @@ def as_vector(v: Sequence[float] | np.ndarray) -> np.ndarray:
 
 
 def as_sign_pattern(p: Sequence[int]) -> tuple[int, ...]:
-    """Validate and return p as a tuple of +1/-1 entries."""
-    pat = tuple(int(s) for s in p)
+    """Validate and return p as a tuple of +1/-1 entries.  Entries are
+    read with operator.index, as list indexing reads them: numpy integers
+    pass, while None or a float, 1.0 included, is not an entry."""
+    entries = map(index, p)   # a p that is not iterable raises TypeError here
+    try:
+        pat = tuple(entries)
+    except TypeError:
+        raise ValueError("sign pattern entries must be +1 or -1") from None
     if not pat:
         raise ValueError("sign pattern must be non-empty")
     if any(s not in (-1, 1) for s in pat):

@@ -69,6 +69,39 @@ def test_summary_marks_each_metric_resolved_or_unresolved():
     assert all(one[name]["resolved"] for name in ("ops_per_s", "peak_rss_mb", "setup_s"))
 
 
+def _pairs(parent_ops, change_ops):
+    return [{"parent": _result(p, 50.0, 0.3), "change": _result(c, 50.0, 0.3)}
+            for p, c in zip(parent_ops, change_ops)]
+
+
+def test_summary_marks_a_gain_by_pairs_won_and_median_beyond_the_iqr():
+    """ops_per_s is a gain only where the change wins at least nine of
+    ten pairs, a tie counting for neither side, and its median beats the
+    parent's by more than the parent's relative IQR: here 10 / 100
+    (q1 95, q3 105).  Each case sits on one side of one condition."""
+    parent = [90.0, 95.0, 95.0, 95.0, 100.0, 100.0, 105.0, 105.0, 105.0, 110.0]
+    assert bench_pairs.quartiles(parent) == {"median": 100.0, "q1": 95.0, "q3": 105.0}
+
+    def ops(change):
+        return bench_pairs.summarize(_pairs(parent, change), END_TO_END)["ops_per_s"]
+
+    wide = [p + 20.0 for p in parent]            # 10 of 10 won, median +20 %
+    assert ops(wide)["change_better_in_pairs"] == 10 and ops(wide)["gain"]
+    nine = wide[:9] + [parent[9]]                # 9 won, one tie: still 9 of 10
+    assert ops(nine)["change_better_in_pairs"] == 9 and ops(nine)["gain"]
+    eight = wide[:8] + [parent[8], parent[9]]    # 8 won, two ties
+    assert ops(eight)["change_better_in_pairs"] == 8 and not ops(eight)["gain"]
+    narrow = [p + 9.0 for p in parent]           # 10 of 10 won, median +9 % < 10 %
+    assert ops(narrow)["change_better_in_pairs"] == 10 and not ops(narrow)["gain"]
+    beyond = [p + 11.0 for p in parent]          # median +11 % > 10 %
+    assert ops(beyond)["gain"]
+    # lower is better for setup_s: a change that halves it is a gain
+    halved = bench_pairs.summarize(
+        [{"parent": _result(1.0, 50.0, p / 100), "change": _result(1.0, 50.0, p / 200)}
+         for p in parent], END_TO_END)
+    assert halved["setup_s"]["gain"] and not halved["ops_per_s"]["gain"]
+
+
 def test_summary_of_one_pair():
     s = bench_pairs.summarize([{"parent": _result(4.0, 50.0, 0.3),
                                 "change": _result(3.0, 50.0, 0.3)}], END_TO_END)

@@ -346,6 +346,36 @@ def test_validator_rejects(mutate, reason_prefix):
     assert not r and r.reason.startswith(reason_prefix)
 
 
+_ENTRY = st.one_of(st.integers(-2, 10), st.floats(), st.booleans(), st.none())
+_PAIR = st.tuples(st.integers(0, 9), st.integers(0, 9))
+_ANY_BLOCK = st.builds(
+    PartitionBlock,
+    st.one_of(st.sampled_from(sorted(BLOCK_KINDS.values())), st.text(max_size=3), _ENTRY),
+    st.one_of(st.lists(st.one_of(_PAIR, st.lists(_ENTRY, max_size=3).map(tuple)),
+                       max_size=5).map(tuple), st.none(), _ENTRY),
+    st.one_of(st.lists(st.one_of(st.sampled_from((1, -1)), _ENTRY),
+                       max_size=5).map(tuple), st.none(), _ENTRY),
+    st.one_of(st.text(max_size=3), _ENTRY))
+
+
+@st.composite
+def _any_partition(draw):
+    pattern = tuple(draw(st.lists(st.one_of(st.sampled_from((1, -1)), _ENTRY), max_size=9)))
+    n = draw(st.one_of(st.just(len(pattern)), _ENTRY))
+    return GoodPartition(n, pattern, tuple(draw(st.lists(_ANY_BLOCK, max_size=6))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_partition())
+def test_validator_returns_a_verdict_on_any_partition(gp):
+    """Any n and pattern, and blocks whose members have any arity and
+    int, float, bool or None entries, whose kinds, signs and provenances
+    are any such value: validate_partition, and with it check_blocks,
+    which the sweep runs row by row, returns a CheckResult and raises
+    nothing."""
+    assert isinstance(validate_partition(gp), CheckResult)
+
+
 def test_validator_rejects_large_empty_cover_quickly():
     """Rejecting an empty cover costs time linear in the certificate,
     not in n^2, and names the first missing members as before."""
@@ -630,6 +660,19 @@ def test_impossible_configurations_rejects_a_malformed_pattern(pattern, reason):
     assert not r and r.reason == reason
 
 
+@pytest.mark.parametrize("pattern", [(None,), (1.5,)])
+def test_checkers_reject_a_pattern_entry_that_is_not_an_int(pattern):
+    """A None or float pattern entry gets the bad-pattern verdict from
+    the validator, the audit and the scan, instead of a TypeError or a
+    check of the pattern read as (1,); a build refuses it."""
+    gp = GoodPartition(1, pattern, ())
+    for check in (validate_partition, audit_build, check_impossible_configurations):
+        r = check(gp)
+        assert not r and r.reason == "bad-pattern: sign pattern entries must be +1 or -1"
+    with pytest.raises(ValueError):
+        build_good_partition(pattern)
+
+
 def test_audit_rejects_a_consumed_block_with_a_repeated_member():
     """Step 1 of (-1, 1) consuming the doubleton ((2, 2), (2, 2)), whose
     member set is that of the live singleton {(2, 2)}: the replay rejects
@@ -689,6 +732,18 @@ def test_audit_rejects_final_mismatch():
 ])
 def test_parity_counts_frozen(pattern, expected):
     assert parity_counts(pattern) == expected
+
+
+def test_parity_counts_match_the_border_set():
+    """parity_counts equals the count over the set of border pairs,
+    (1, j) and (i, n), of their signs in J, for every pattern with
+    n <= 12."""
+    for n in range(1, 13):
+        for pat in all_patterns(n):
+            q = prefix_classes(pat)
+            border = {(1, j) for j in range(1, n + 1)} | {(i, n) for i in range(1, n + 1)}
+            signs = [1 if (i + j) % 2 == 0 else -1 for i, j in border if q[i - 1] != q[j]]
+            assert parity_counts(pat) == (signs.count(1), signs.count(-1))
 
 
 def test_parity_balance_even_n_odd_negatives():

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pohst.partition as partition
 import pohst.search as search
 from pohst.cli import main
 from pohst.partition import (
@@ -28,6 +29,7 @@ from pohst.partition import (
     parity_counts,
     prec_key,
     validate_partition,
+    validator_classes,
 )
 from pohst.search import (
     RNG_NAME,
@@ -123,16 +125,20 @@ def test_sweep_patterns_rejects_bad_n(n):
 
 def test_sweep_walk_leaves_match_per_pattern_build(monkeypatch):
     """Every leaf of the prefix-sharing walk, n <= 10, materializes the
-    partition build_good_partition gives its pattern, trace included,
-    and the walk's audit verdict is audit_build's; so does every leaf of
-    the eight prefix subtrees that jobs=2 splits n=10 into."""
+    partition build_good_partition gives its pattern, trace included;
+    the walk's audit verdict is audit_build's, and its validator verdict,
+    every row's check_blocks (no leaf is pruned) plus the leaf's
+    _leaf_valid, is validate_partition's on that partition, with r the
+    validator's own classes of the pattern.  So does every leaf of the
+    eight prefix subtrees that jobs=2 splits n=10 into."""
     seen = []
     leaf_ok = search._leaf_ok
 
-    def record(n, idx, build, audit):
+    def record(n, idx, r, build, audit):
         gp = build.partition(pattern_from_index(n, idx))
-        seen.append((n, idx, gp, bool(audit.final(gp.blocks))))
-        return leaf_ok(n, idx, build, audit)
+        seen.append((n, idx, gp, bool(audit.final(gp.blocks)), list(r),
+                     search._leaf_valid(r, gp.blocks, build.steps)))
+        return leaf_ok(n, idx, r, build, audit)
 
     monkeypatch.setattr(search, "_leaf_ok", record)
     for n in range(1, 11):
@@ -140,10 +146,55 @@ def test_sweep_walk_leaves_match_per_pattern_build(monkeypatch):
     for prefix in range(8):
         assert search._sweep_subtree((10, 3, prefix)) == []
     assert len(seen) == 2 ** 11 - 2 + 2 ** 10
-    for n, idx, gp, audited in seen:
+    for n, idx, gp, audited, r, valid in seen:
         ref = build_good_partition(pattern_from_index(n, idx))
         assert gp == ref and repr(gp.trace) == repr(ref.trace)
         assert audited == bool(audit_build(ref))
+        assert r == validator_classes(ref.pattern)
+        assert valid == bool(validate_partition(gp))
+
+
+def _listing_mutations(blocks, rng):
+    """Copies of a leaf's listing: one seeded block dropped, listed twice,
+    given a flipped sign or another kind, its first member swapped with
+    the next block's, or its last member replaced by a member of the
+    next block (a duplicate across blocks with |J| members listed)."""
+    a = int(rng.integers(len(blocks)))
+    b, rest = blocks[a], blocks[:a] + blocks[a + 1:]
+    yield rest
+    yield blocks + (b,)
+    yield rest + (b._replace(signs=(-b.signs[0],) + b.signs[1:]),)
+    yield rest + (b._replace(kind="doubleton" if b.kind != "doubleton" else "singleton"),)
+    if len(blocks) > 1:
+        c = blocks[(a + 1) % len(blocks)]
+        others = tuple(x for x in blocks if x is not b and x is not c)
+        yield others + (b._replace(members=(c.members[0],) + b.members[1:]),
+                        c._replace(members=(b.members[0],) + c.members[1:]))
+        yield others + (b._replace(members=b.members[:-1] + c.members[-1:],
+                                   signs=b.signs[:-1] + c.signs[-1:]), c)
+
+
+def test_leaf_validator_matches_validate_partition_on_mutated_listings(monkeypatch):
+    """For every leaf of the walk with n <= 7 and seeded mutations of its
+    listing (_listing_mutations), _leaf_valid, which skips the blocks
+    its path checked at their rows, accepts exactly where
+    validate_partition accepts; every verdict occurs."""
+    rng = np.random.default_rng(24)
+    verdicts = set()
+
+    def compare(n, idx, r, build, audit):
+        pattern = pattern_from_index(n, idx)
+        blocks = build.partition(pattern).blocks
+        for listing in _listing_mutations(blocks, rng) if blocks else [blocks]:
+            valid = search._leaf_valid(r, listing, build.steps)
+            assert valid == bool(validate_partition(GoodPartition(n, pattern, listing)))
+            verdicts.add(valid)
+        return True
+
+    monkeypatch.setattr(search, "_leaf_ok", compare)
+    for n in range(1, 8):
+        assert sweep_patterns(n).failures == ()
+    assert verdicts == {True, False}
 
 
 _TARGET = pattern_from_index(8, 0b10110010)   # four negative signs
@@ -173,10 +224,17 @@ def _inject_dropped_step(monkeypatch):
 
 
 def _inject_invalid_leaf(monkeypatch):
-    def validate(gp):
-        return CheckResult(False, "injected") if gp.pattern == _TARGET else validate_partition(gp)
+    # through check_blocks, which validate_partition, the sweep's rows and
+    # its leaves share: it fails under _TARGET's classes with top = n
+    check, target = partition.check_blocks, validator_classes(_TARGET)
 
-    monkeypatch.setattr(search, "validate_partition", validate)
+    def checking(blocks, r, top, seen):
+        if top == len(_TARGET) and list(r) == target:
+            return CheckResult(False, "injected")
+        return check(blocks, r, top, seen)
+
+    monkeypatch.setattr(partition, "check_blocks", checking)
+    monkeypatch.setattr(search, "check_blocks", checking)
 
 
 def _inject_audit_rejection(monkeypatch):
@@ -227,6 +285,131 @@ def test_sweep_failures_match_per_pattern_loop(monkeypatch, inject):
     patterns = [pattern_from_index(n, idx) for idx in range(2 ** n)]
     expected = tuple((p, r) for p in patterns if (r := verify_pattern(p)) is not None)
     assert 0 < len(expected) < 2 ** n
+    for jobs in (1, 2):
+        report = sweep_patterns(n, jobs=jobs)
+        assert (report.patterns_checked, report.failures) == (2 ** n, expected)
+
+
+def _one(change):
+    """A maker (_inject_bad_block) that changes the last block row 8 creates."""
+    return lambda state, q, created: ([created[-1]], change(created[-1])) if created else None
+
+
+def _one_quadrupleton(change):
+    """A maker that changes the last quadrupleton row 8 creates; its
+    members are hdoub positive, hdoub negative, absorbed negative, corner."""
+    def make(state, q, created):
+        quads = [b for b in created if b.kind == "quadrupleton"]
+        return ([quads[-1]], change(quads[-1])) if quads else None
+    return make
+
+
+def _canonical_member(state, q, created):
+    """The last created block with its last member replaced by a pair of
+    row 8 outside J."""
+    outside = [i for i in range(1, 9) if q[i - 1] == q[8]]
+    if not created or not outside:
+        return None
+    b = created[-1]
+    return [b], b._replace(members=b.members[:-1] + (TermIndex(outside[0], 8),))
+
+
+def _merged_doubletons(state, q, created):
+    """The last two doubletons row 8 creates as one quadrupleton, when
+    their members are not a rectangle."""
+    doubletons = [b for b in created if b.kind == "doubleton"][-2:]
+    if len(doubletons) < 2:
+        return None
+    d1, d2 = doubletons
+    members = d1.members + d2.members
+    if len({i for i, _ in members}) == len({j for _, j in members}) == 2:
+        return None
+    return doubletons, PartitionBlock("quadrupleton", members, d1.signs + d2.signs,
+                                      d1.provenance)
+
+
+def _misplaced_rectangle(state, q, created):
+    """The first rectangle c0 < c1 <= r0 < r1 = 8 of J whose corner
+    parities break the quadrupleton rule, as one block with true signs,
+    in place of every block that holds a corner."""
+    for c0, c1 in itertools.combinations(range(1, 9), 2):
+        for r0 in range(c1, 8):
+            quad = ((c1, r0), (c0, r0), (c1, 8), (c0, 8))
+            if (all(q[c - 1] != q[row] for c, row in quad)
+                    and ((c1 + r0) % 2 or (c0 + 8) % 2 or not (c0 + r0) % 2)):
+                old = list({id(state.owner[t]): state.owner[t] for t in quad}.values())
+                return old, PartitionBlock(
+                    "quadrupleton", tuple(TermIndex(*t) for t in quad),
+                    tuple(1 if (c + row) % 2 == 0 else -1 for c, row in quad), "case2-op2")
+    return None
+
+
+#: (reason prefix, maker): a maker reads the state after row 8, the prefix
+#: classes and the blocks row 8 created, and returns the blocks to take
+#: out of the partition and the bad block in their place (None: none).
+_BAD_BLOCKS = [
+    ("bad-kind: 'triple'", _one(lambda b: b._replace(kind="triple"))),
+    ("bad-signs", _one(lambda b: b._replace(signs=b.signs[:-1]))),
+    ("bad-index", _one(lambda b: b._replace(
+        members=b.members[:-1] + (TermIndex(b.members[-1][0], 9),)))),
+    ("not-noncanonical", _canonical_member),
+    ("sign-mismatch", _one(lambda b: b._replace(signs=(-b.signs[0],) + b.signs[1:]))),
+    ("duplicate-member", _one(lambda b: b._replace(
+        members=b.members[:1] * len(b.members), signs=b.signs[:1] * len(b.signs)))),
+    ("bad-singleton", _one(lambda b: PartitionBlock(
+        "singleton", b.members[1:2], b.signs[1:2], b.provenance))),
+    ("bad-doubleton: must pair one + with one -", _one_quadrupleton(
+        lambda b: PartitionBlock("doubleton", b.members[::3], (1, 1), b.provenance))),
+    ("bad-doubleton: negative must sit left in the row or above in the column",
+     _one_quadrupleton(lambda b: PartitionBlock(
+         "doubleton", (b.members[3], b.members[1]), (1, -1), b.provenance))),
+    ("bad-quadrupleton: not a rectangle", _merged_doubletons),
+    ("bad-quadrupleton: corner", _misplaced_rectangle),
+    ("incomplete-cover", _one(lambda b: None)),
+]
+
+
+def _inject_bad_block(monkeypatch, make):
+    """Row 8 of every build ends with make's bad block in the partition:
+    owner maps each member of the blocks taken out to it (drops them when
+    it is None), and the first step that created one of them creates it
+    instead, so the row's check_blocks reads it."""
+    row = BuildState.row
+
+    def injecting(self, q, j):
+        k0 = len(self.steps)
+        row(self, q, j)
+        made = make(self, q, [s.created for s in self.steps[k0:]]) if j == 8 else None
+        if made is None:
+            return
+        old, bad = made
+        for block in old:
+            for t in block.members:
+                if bad is None:
+                    del self.owner[t]
+                else:
+                    self.owner[t] = bad
+        for k, s in enumerate(self.steps):
+            if bad is not None and any(s.created is block for block in old):
+                self.steps[k] = s._replace(created=bad)
+                break
+
+    monkeypatch.setattr(BuildState, "row", injecting)
+
+
+@pytest.mark.parametrize("reason,make", _BAD_BLOCKS, ids=[r for r, _ in _BAD_BLOCKS])
+def test_sweep_reports_each_injected_bad_block(monkeypatch, reason, make):
+    """A bad block put into row 8 of the build, one per validator reason:
+    verify_pattern rejects the patterns it reaches with that reason, and
+    the sweep, which checks blocks row by row and at its leaves, reports
+    exactly those, serially and over the worker pool."""
+    _inject_bad_block(monkeypatch, make)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    n = 8
+    patterns = [pattern_from_index(n, idx) for idx in range(2 ** n)]
+    expected = tuple((p, r) for p in patterns if (r := verify_pattern(p)) is not None)
+    assert 0 < len(expected) < 2 ** n
+    assert all(r.startswith(f"invalid-partition: {reason}") for _, r in expected)
     for jobs in (1, 2):
         report = sweep_patterns(n, jobs=jobs)
         assert (report.patterns_checked, report.failures) == (2 ** n, expected)

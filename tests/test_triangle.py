@@ -117,6 +117,16 @@ def test_as_sign_pattern_rejects(bad):
         as_sign_pattern(bad)
 
 
+def test_as_sign_pattern_reads_entries_as_integers():
+    """Entries are read with operator.index: numpy integers and bools
+    pass, None and floats, 1.0 included, are rejected as entries."""
+    assert as_sign_pattern(np.array([1, -1], dtype=np.int64)) == (1, -1)
+    assert as_sign_pattern([True, -1]) == (1, -1)
+    for bad in ((None,), (1.5,), (1.0,), (1, -1.0)):
+        with pytest.raises(ValueError, match="entries must be"):
+            as_sign_pattern(bad)
+
+
 def test_sign_pattern_of():
     assert sign_pattern_of((0.5, -0.5)) == (1, -1)
     with pytest.raises(ValueError):

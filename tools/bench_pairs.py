@@ -14,8 +14,10 @@ BENCH_<label>.json at the repo root holds parent_sha, change_sha, env,
 runs and a summary per workload: for every end-to-end metric of
 BENCHMARK.json, median/q1/q3 of each side, the pairs the change won, the
 parent's relative IQR, whether the change stays within the metric's
-bound, and whether that is resolved: the parent's spread is within the
-bound, or every change run beats every parent run.
+bound, whether that is resolved: the parent's spread is within the
+bound, or every change run beats every parent run, and whether the
+change is a gain: it won at least nine tenths of the pairs and its
+median beats the parent's by more than the parent's relative IQR.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     resolved holds when the parent's relative IQR is within the bound, or
     every change run is better than every parent run; an unresolved
     metric's spread is too wide to tell whether it stayed within bound.
+    gain holds when the change is better in at least nine tenths of the
+    pairs (a tie counts for neither side) and its median is better than
+    the parent's, relative to it, by more than the parent's relative IQR.
     """
     sides = ("parent", "change")
     out: dict = {
@@ -71,17 +76,18 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
         iqr_rel = (stats["parent"]["q3"] - stats["parent"]["q1"]) / parent
         clear_win = (min(values["change"]) > max(values["parent"]) if higher
                      else max(values["change"]) < min(values["parent"]))
+        wins = sum((c > p) if higher else (c < p)
+                   for p, c in zip(values["parent"], values["change"]))
         out[name] = {
             **stats,
-            "change_better_in_pairs": sum(
-                (c > p) if higher else (c < p)
-                for p, c in zip(values["parent"], values["change"])),
+            "change_better_in_pairs": wins,
             "median_change_rel": rel,
             "parent_iqr_rel": iqr_rel,
             "worse_by": worse_by,
             "bound": metric["bound"],
             "within_bound": worse_by <= metric["bound"],
             "resolved": iqr_rel <= metric["bound"] or clear_win,
+            "gain": 10 * wins >= 9 * len(runs) and -worse_by > iqr_rel,
         }
     return out
 
@@ -184,7 +190,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{m['name']} {s[m['name']]['parent']['median']:.4g} -> "
             f"{s[m['name']]['change']['median']:.4g} "
             f"({s[m['name']]['change_better_in_pairs']}/{s['pairs']}, "
-            f"{'resolved' if s[m['name']]['resolved'] else 'unresolved'})"
+            f"{'resolved' if s[m['name']]['resolved'] else 'unresolved'}, "
+            f"{'gain' if s[m['name']]['gain'] else 'no gain'})"
             for m in end_to_end))
     print(path)
     return 0
