@@ -45,9 +45,9 @@ member (i, j) is in J iff r_{i-1} != r_j, and its sign is then
 once its bounds are checked, and the cover by count.  validate_partition
 is the composition of its two halves: check_blocks, the per-block check,
 over every block, then check_cover.  The sweep (search.sweep_patterns)
-runs the same check_blocks row by row, on the blocks each row of a build
-creates, and at each leaf only on the listed blocks no row checked,
-before it counts the cover (covers_by_count).
+runs the same check_blocks row by row, on the blocks row j of a build
+creates, with the classes r_0..r_j, and at each leaf only on the listed
+blocks no row checked, before it counts the cover (covers_by_count).
 """
 
 from __future__ import annotations
@@ -431,7 +431,7 @@ def noncanonical_size(r: Sequence[int]) -> int:
     return a * (len(r) - a)
 
 
-def check_blocks(blocks: Iterable[PartitionBlock], r: Sequence[int], top: int,
+def check_blocks(blocks: Iterable[PartitionBlock], r: Sequence[int],
                  seen: set[int]) -> CheckResult | None:
     """The per-block half of validate_partition: the verdict on the first
     block that is not a legal block of J, else None.
@@ -439,13 +439,14 @@ def check_blocks(blocks: Iterable[PartitionBlock], r: Sequence[int], top: int,
     A legal block has a known kind and size, one sign per member, and
     distinct members (i, j) with 1 <= i <= j <= top, each in J by
     r_0..r_top with its true sign (-1)^(i+j), in one of the three
-    shapes.  top is the highest row a member may sit in: n for a whole
-    partition, j for the blocks row j of a build creates.  Each member
-    is keyed in seen by the int i (top+1) + j once its bounds are
-    checked, so a member met twice in one call, in one block or in two,
-    is a duplicate.
+    shapes.  The top row a member may sit in is len(r) - 1: n for the
+    classes of a whole pattern, j for r_0..r_j, which the sweep passes
+    with the blocks row j of a build creates.  Each member is keyed in
+    seen by the int i len(r) + j once its bounds are checked, so a
+    member met twice in one call, in one block or in two, is a duplicate.
     """
-    width = top + 1
+    width = len(r)
+    top = width - 1
     for b in blocks:
         kind, members, signs = b.kind, b.members, b.signs
         if kind not in ("singleton", "doubleton", "quadrupleton"):
@@ -520,7 +521,7 @@ def check_blocks(blocks: Iterable[PartitionBlock], r: Sequence[int], top: int,
 
 def check_cover(r: Sequence[int], seen: set[int]) -> CheckResult:
     """The cover half of validate_partition: seen holds the keys i (n+1) + j
-    of distinct members of J (check_blocks with top = n), so they cover J
+    of distinct members of J (check_blocks with r_0..r_n), so they cover J
     iff they number |J|; else the first missing members, by row of J.
     Row i of J is the k >= i in the class opposite r_{i-1}."""
     if len(seen) == noncanonical_size(r):
@@ -543,15 +544,10 @@ def covers_by_count(blocks: Sequence[PartitionBlock], r: Sequence[int]) -> bool:
     """check_cover for blocks that each passed check_blocks, though not
     in one call: their members are in J and distinct within each block,
     so they cover J exactly iff they are distinct across blocks and
-    number |J|.  Each member unpacked to two ints there, so the tuple of
-    a member that is not hashable, such as a list, is."""
+    number |J|.  Its one caller, the sweep's leaf, passes the builder's
+    blocks, whose members are tuples."""
     members = [m for b in blocks for m in b.members]
-    if len(members) != noncanonical_size(r):
-        return False
-    try:
-        return len(set(members)) == len(members)
-    except TypeError:
-        return len(set(map(tuple, members))) == len(members)
+    return len(members) == noncanonical_size(r) and len(set(members)) == len(members)
 
 
 def validate_partition(gp: GoodPartition) -> CheckResult:
@@ -560,7 +556,7 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
     Re-derives the non-canonical set from the pattern; accepts iff the
     blocks are disjoint, cover it exactly, carry correct signs, and
     every block has one of the three legal shapes: check_blocks over
-    all blocks with top = n and one seen set, then check_cover.
+    all blocks with r_0..r_n and one seen set, then check_cover.
     """
     try:
         pat = as_sign_pattern(gp.pattern)
@@ -570,7 +566,7 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
     if gp.n != n:
         return CheckResult(False, f"bad-pattern: n={gp.n} but pattern has {n} entries")
     r, seen = validator_classes(pat), set()
-    bad = check_blocks(gp.blocks, r, n, seen)
+    bad = check_blocks(gp.blocks, r, seen)
     return check_cover(r, seen) if bad is None else bad
 
 
@@ -593,7 +589,7 @@ class AuditState:
     as BuildState.row does; step is the one per-step check.  live is
     keyed by the frozenset of a block's members; anchors and the pairs
     step compares are plain (i, j) tuples.  check_row is one full scan
-    of its row, which sorts only the lists of two or more entries.
+    of its row's sorted spans and drops.
     """
 
     __slots__ = ("live", "anchors", "negatives", "nh", "nv", "vd")
@@ -655,12 +651,8 @@ class AuditState:
         return touched
 
     def check_row(self, row: int) -> CheckResult:
-        spans = self.nh.get(row, ())
-        if len(spans) > 1:
-            spans = sorted(spans)
-        drops = self.nv.get(row, ())
-        if len(drops) > 1:
-            drops = sorted(drops)
+        spans = sorted(self.nh.get(row, ()))
+        drops = sorted(self.nv.get(row, ()))
         for a in range(len(spans) - 1):
             i1, e1 = spans[a]
             for b in range(a + 1, len(spans)):
@@ -710,11 +702,15 @@ class AuditState:
         pair, that its consumed blocks are live, that it creates exactly
         their members plus the pair, as a block of two or four members,
         and that no affected row shows an impossible configuration.  The
-        pair is compared as a plain tuple, so one of other than two
-        entries is a wrong pair, not an error."""
+        pair is compared as a plain tuple, or as it is when it is not
+        iterable, so one of other than two entries is a wrong pair, not
+        an error."""
         if step.k != k:
             return CheckResult(False, f"step {k}: trace numbered {step.k}")
-        pair = tuple(step.pair)
+        try:
+            pair = tuple(step.pair)
+        except TypeError:
+            pair = step.pair
         if pair != expected:
             return CheckResult(False, f"step {k} absorbed {pair}, expected "
                                f"{tuple(expected)} next in prec order")
@@ -724,7 +720,7 @@ class AuditState:
         for blk in step.consumed:
             key = frozenset(blk.members)
             # members listed twice would match a live block of fewer members
-            if len(key) != len(blk.members) or live.pop(key, None) is None:
+            if len(key) != len(blk.members) or live.pop(key, _ABSENT) is _ABSENT:
                 return CheckResult(False, f"step {k}: consumed block "
                                    f"{sorted(key)} is not present")
             for struct, row, payload in self._entries(blk.members):
@@ -779,13 +775,17 @@ class AuditState:
     def final(self, blocks: Iterable[PartitionBlock]) -> CheckResult:
         """The replay must end in exactly the given blocks: each block's
         member set is live with the block's provenance, and every live
-        block is listed.  A block listed twice counts once.  One lookup
+        block is listed.  A block listed twice counts once, and one whose
+        members make no member set, such as None, is not live.  One lookup
         per block: each is popped from a copy of live, and only a block
         already popped is looked up in live itself."""
         live = self.live
         rest = live.copy()
         for b in blocks:
-            key = frozenset(b.members)
+            try:
+                key = frozenset(b.members)
+            except TypeError:
+                return CheckResult(False, "final state of the replay differs from gp.blocks")
             provenance = rest.pop(key, _ABSENT)
             if provenance is _ABSENT:
                 provenance = live.get(key, _ABSENT)
@@ -823,8 +823,11 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
         rows |= touched
     for s in gp.trace:
         if s.case == "case2":
-            pair = tuple(s.pair)
-            if len(pair) != 2:
+            try:
+                pair = tuple(s.pair)
+            except TypeError:
+                pair = s.pair
+            if type(pair) is not tuple or len(pair) != 2:
                 return CheckResult(False, f"step {s.k}: case2 pair {pair} is not "
                                    "an index pair (i, j)")
             state.anchors.add(pair)
@@ -839,15 +842,13 @@ def _negative_count(q: Sequence[int]) -> int:
     """The number of negatives of J, from the prefix classes q_0..q_n.
 
     (i, j) is a negative iff q[i-1] != q[j] and i + j is odd, that is,
-    k = i - 1 < j has the parity of j and the other class.  Of the j // 2
-    such k of j's parity, same[(q[j], j % 2)] lie in j's class."""
-    same: dict[tuple[int, int], int] = {}
-    total = 0
-    for j in range(1, len(q)):
-        prev = (q[j - 1], (j - 1) & 1)
-        same[prev] = same.get(prev, 0) + 1
-        total += j // 2 - same.get((q[j], j & 1), 0)
-    return total
+    k = i - 1 < j has the parity of j and the other class: one negative
+    per pair {k, j} of indices of one parity in opposite classes.  Of
+    the indices of parity p, A_p lie in class 1 and B_p in class -1,
+    so there are A_0 B_0 + A_1 B_1."""
+    even, odd = q[::2], q[1::2]
+    a, b = even.count(1), odd.count(1)
+    return a * (len(even) - a) + b * (len(odd) - b)
 
 
 def audit_build(gp: GoodPartition) -> CheckResult:

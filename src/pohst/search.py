@@ -188,8 +188,8 @@ def _verify_leaves(n: int, depth: int, idx: int) -> list[tuple[int, str]]:
 def _apply_row(build: BuildState, audit: AuditState | None, q: list[int], r: list[int],
                j: int) -> bool:
     """Row j of the build and, unless audit is None, the validator's
-    check_blocks on the blocks the row's steps create, with members in
-    rows <= j, r_0..r_j and one seen set for the row, and row j of the
+    check_blocks on the blocks the row's steps create, with r_0..r_j, so
+    members in rows <= j, and one seen set for the row, and row j of the
     audit; False when any of them fails."""
     k0 = len(build.steps)
     try:
@@ -199,7 +199,7 @@ def _apply_row(build: BuildState, audit: AuditState | None, q: list[int], r: lis
     if audit is None:
         return True
     steps = build.steps
-    if check_blocks([s.created for s in steps[k0:]], r, j, set()) is not None:
+    if check_blocks([s.created for s in steps[k0:]], r[:j + 1], set()) is not None:
         return False
     return bool(audit.row(q, j, steps, k0))
 
@@ -211,8 +211,8 @@ def _leaf_valid(r: list[int], blocks: tuple[PartitionBlock, ...],
     check_blocks on the listed blocks that are none of those objects
     (the initial singletons that survive), then the cover by count."""
     checked = {id(s.created) for s in steps}
-    return (check_blocks([b for b in blocks if id(b) not in checked], r, len(r) - 1,
-                         set()) is None and covers_by_count(blocks, r))
+    return (check_blocks([b for b in blocks if id(b) not in checked], r, set()) is None
+            and covers_by_count(blocks, r))
 
 
 def _leaf_ok(n: int, idx: int, r: list[int], build: BuildState, audit: AuditState) -> bool:
@@ -337,34 +337,25 @@ def enumerate_maximizers(n: int) -> list[tuple[int, ...]]:
 
 
 def eval_f_batch(X: np.ndarray) -> np.ndarray:
-    """Vectorized f_n over the rows of X, in cache-sized row slices; the
-    numeric twin of eval_f.  X is one vector or a 2-d array of them;
+    """Vectorized f_n over the rows of X, the numeric twin of eval_f:
+    _f_into over cache-sized row slices, each transposed into one work
+    array allocated per call.  X is one vector or a 2-d array of them;
     like eval_f, it refuses rows without entries and entries outside
     [-1, 1], NaN included."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2 or X.shape[1] == 0:
         raise ValueError("X must be a vector or a 2-d array of vectors, each non-empty")
-    f = np.empty(len(X))
-    for s in range(0, len(X), _BATCH_ROWS):
-        rows = X[s:s + _BATCH_ROWS]
-        # min and max propagate NaN, make no temporary, and leave the
-        # slice in cache for the kernel
-        if not (rows.min() >= -1.0 and rows.max() <= 1.0):
-            raise ValueError("entries of X must lie in [-1, 1]")
-        f[s:s + _BATCH_ROWS] = _eval_f_batch(rows)
-    return f
-
-
-def _eval_f_batch(X: np.ndarray) -> np.ndarray:
-    """eval_f_batch without its input checks, for 2-d float arrays whose
-    entries are known to lie in [-1, 1]: _f_into over cache-sized row
-    slices, each transposed into one work array allocated per call."""
     m, n = X.shape
     rows = min(m, _BATCH_ROWS)
     f, VT, p, t = np.empty(m), np.empty((n, rows)), np.empty(rows), np.empty(rows)
     for s in range(0, m, _BATCH_ROWS):
         k = min(_BATCH_ROWS, m - s)
-        np.copyto(VT[:, :k], X[s:s + k].T)
+        block = X[s:s + k]
+        # min and max propagate NaN, make no temporary, and leave the
+        # slice in cache for the copy
+        if not (block.min() >= -1.0 and block.max() <= 1.0):
+            raise ValueError("entries of X must lie in [-1, 1]")
+        np.copyto(VT[:, :k], block.T)
         _f_into(VT[:, :k], f[s:s + k], p[:k], t[:k])
     return f
 
@@ -507,7 +498,7 @@ def _grid_top(points: np.ndarray, n: int, keep: int) -> tuple[np.ndarray, np.nda
     for c in range(n - 1, -1, -1):
         rest, digit = np.divmod(rest, m)
         X[:, c] = points[digit]
-    ref = _eval_f_batch(X)
+    ref = eval_f_batch(X)
     order = np.lexsort((idx, -ref))[:keep]
     return ref[order], X[order]
 
@@ -530,7 +521,7 @@ def _terms(X: np.ndarray) -> np.ndarray:
 
 
 def _eval_f_probe(X: np.ndarray) -> np.ndarray:
-    """_eval_f_batch on a few rows, bit for bit: the ascent's probe kernel.
+    """eval_f_batch on a few rows, bit for bit: the ascent's probe kernel.
     _terms lists running_terms' terms in order, and the 1.0s multiply
     exactly; at n^2 entries a row, it loses beyond some thousands of rows."""
     return np.multiply.reduce(_terms(X), axis=0)
@@ -614,7 +605,7 @@ def maximize_f(n: int, grid_step: float = 0.25) -> MaximizeResult:
     if n > 8:
         rng = np.random.default_rng(_MULTISTART_SEED)
         R = rng.uniform(-1.0, 1.0, size=(_RANDOM_STARTS, n))
-        vals, X = np.concatenate((vals, _eval_f_batch(R))), np.concatenate((X, R))
+        vals, X = np.concatenate((vals, eval_f_batch(R))), np.concatenate((X, R))
         evaluations += _RANDOM_STARTS
     starts = [(float(v), x) for v, x in zip(vals, X)]
 
@@ -681,7 +672,7 @@ def sample_domination(n: int, samples: int = 100_000, seed: int = 42) -> CheckRe
     (sample index, vector).  Each batch is drawn into one reused buffer
     and copied, transposed, into one reused work array, its mirror
     beside it; one _f_into pass over the array's columns gives
-    _eval_f_batch's bits on the batch and on -|batch|.
+    eval_f_batch's bits on the batch and on -|batch|.
     """
     _check_sampling(n, samples, seed)
     bound = pohst_bound(n)

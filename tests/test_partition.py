@@ -420,6 +420,23 @@ def test_validator_rejects_rectangle_with_misplaced_signs():
     assert not r and "corner" in r.reason
 
 
+def test_validator_reads_a_doubleton_written_negative_first():
+    """A doubleton may list its negative first: with signs (-1, 1) the
+    well-placed one is accepted, and a misplaced one gets the reason its
+    positive-first twin gets."""
+    pat = (1, -1, 1, -1, -1)
+    gp = build_good_partition(pat)
+    first = gp.blocks[0]
+    assert first.signs == (1, -1)
+    swapped = first._replace(members=first.members[::-1], signs=(-1, 1))
+    assert validate_partition(state_of(pat, (swapped,) + gp.blocks[1:]))
+    # (3, 4) is a negative right of the positive (2, 4) in row 4
+    reasons = {validate_partition(state_of(pat, [block_of(members, pat)])).reason
+               for members in ([(2, 4), (3, 4)], [(3, 4), (2, 4)])}
+    assert reasons == {"bad-doubleton: negative must sit left in the row or above in "
+                       "the column"}
+
+
 @pytest.mark.parametrize("bad", [(2.0, 2.0), (2, 2, 0), (2,), (None, 2), None, "ab"])
 def test_validator_rejects_members_that_are_not_int_pairs(bad):
     """An in-process block may hold any member: one that is not a pair of
@@ -615,6 +632,16 @@ def test_impossible_configurations_rejects_a_one_entry_case2_pair():
     assert not r and r.reason == "step 1: case2 pair (1,) is not an index pair (i, j)"
 
 
+def test_impossible_configurations_rejects_a_case2_pair_that_is_not_iterable():
+    """Step 1 of (1, -1, 1, -1, -1) is a Case-2 step: given the pair 7,
+    the scan rejects it by its step instead of raising TypeError."""
+    gp = build_good_partition((1, -1, 1, -1, -1))
+    assert gp.trace[0].case == "case2"
+    trace = (gp.trace[0]._replace(pair=7),) + gp.trace[1:]
+    r = check_impossible_configurations(GoodPartition(gp.n, gp.pattern, gp.blocks, trace))
+    assert not r and r.reason == "step 1: case2 pair 7 is not an index pair (i, j)"
+
+
 def test_impossible_configurations_rejects_four_members_in_one_column():
     """Four members in one column have no corner roles: the scan rejects
     the block before it reads them, instead of raising IndexError."""
@@ -683,6 +710,36 @@ def test_audit_rejects_a_consumed_block_with_a_repeated_member():
     trace = (BuildStep(1, s.pair, s.case, s.operation, (twice,), s.created),)
     r = audit_build(GoodPartition(gp.n, gp.pattern, gp.blocks, trace))
     assert not r and r.reason == "step 1: consumed block [(2, 2)] is not present"
+
+
+def test_audit_reads_a_live_block_of_provenance_none_as_present():
+    """Step 1 of (-1, 1, -1) creates a block of provenance None, and
+    step 2 consumes it: the block is live, so the replay goes on, and
+    the final listing, which carries step 2's block, matches."""
+    gp = build_good_partition((-1, 1, -1))
+    s1, s2 = gp.trace
+    created = s1.created._replace(provenance=None)
+    trace = (s1._replace(created=created), s2._replace(consumed=(created,) + s2.consumed[1:]))
+    r = audit_build(GoodPartition(gp.n, gp.pattern, gp.blocks, trace))
+    assert r and r.reason is None
+
+
+def test_audit_rejects_a_pair_that_is_not_iterable():
+    """Step 1 of (1, -1, 1, -1, -1) given the pair 7 is not the negative
+    the replay expects: the audit rejects the step instead of raising
+    TypeError."""
+    gp = build_good_partition((1, -1, 1, -1, -1))
+    trace = (gp.trace[0]._replace(pair=7),) + gp.trace[1:]
+    r = audit_build(GoodPartition(gp.n, gp.pattern, gp.blocks, trace))
+    assert not r and r.reason == "step 1 absorbed 7, expected (1, 2) next in prec order"
+
+
+def test_audit_rejects_a_listed_block_of_members_none():
+    """A listed block whose members are None is no live block: the
+    replay's final state differs, instead of a TypeError."""
+    gp = GoodPartition(1, (1,), (PartitionBlock(None, None, (), "initial"),))
+    r = audit_build(gp)
+    assert not r and r.reason == "final state of the replay differs from gp.blocks"
 
 
 def test_audit_rejects_a_created_block_of_four_members_in_one_column():

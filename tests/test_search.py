@@ -225,13 +225,13 @@ def _inject_dropped_step(monkeypatch):
 
 def _inject_invalid_leaf(monkeypatch):
     # through check_blocks, which validate_partition, the sweep's rows and
-    # its leaves share: it fails under _TARGET's classes with top = n
+    # its leaves share: it fails under all n + 1 of _TARGET's classes
     check, target = partition.check_blocks, validator_classes(_TARGET)
 
-    def checking(blocks, r, top, seen):
-        if top == len(_TARGET) and list(r) == target:
+    def checking(blocks, r, seen):
+        if list(r) == target:
             return CheckResult(False, "injected")
-        return check(blocks, r, top, seen)
+        return check(blocks, r, seen)
 
     monkeypatch.setattr(partition, "check_blocks", checking)
     monkeypatch.setattr(search, "check_blocks", checking)
@@ -685,7 +685,7 @@ def test_grid_values_match_eval_f_batch(n, m, rows):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_probe_kernel_equals_eval_f_batch(n):
-    """The ascent's probe kernel gives _eval_f_batch's bits and eval_f's,
+    """The ascent's probe kernel gives eval_f_batch's bits and eval_f's,
     on rows holding 0, -0.0 and +-1 entries as well as interior ones,
     and on a lone row (S = 1), which is how a lone start is polished."""
     rng = np.random.default_rng(n)
@@ -697,7 +697,7 @@ def test_probe_kernel_equals_eval_f_batch(n):
         # a maximizer for odd n, then a row of signed zeros and ones
         X[:2] = [np.resize([-1.0, 0.0], n), np.resize([-0.0, 1.0, -1.0], n)][:S]
         probe = search._eval_f_probe(X).tobytes()
-        assert probe == search._eval_f_batch(X).tobytes()
+        assert probe == search.eval_f_batch(X).tobytes()
         assert probe == np.array([eval_f(x) for x in X]).tobytes()
 
 
@@ -743,13 +743,13 @@ def test_grid_top_reevaluates_few_candidates(monkeypatch):
     n = 9 hands eval_f_batch 44 of its 5^9 points, not the 2^16 points
     of its first chunk, where x_1 = x_2 = -1 and every value is 0."""
     rows = []
-    kernel = search._eval_f_batch
+    kernel = search.eval_f_batch
 
     def counting(X):
         rows.append(len(X))
         return kernel(X)
 
-    monkeypatch.setattr(search, "_eval_f_batch", counting)
+    monkeypatch.setattr(search, "eval_f_batch", counting)
     search._grid_top(np.linspace(-1.0, 1.0, 5), 9, 32)
     assert rows == [44]
 
@@ -804,6 +804,27 @@ def test_sample_domination_accepts_and_is_deterministic():
     assert a and b and a == b
 
 
+def test_sample_domination_reports_the_first_failing_sample(monkeypatch):
+    """With batches of 100 and the bound planted at the largest mirror
+    value of the first batch, the failure names the first sample past it
+    whose value or mirror fails, by stream index and vector, with the
+    values a per-sample eval_f loop over the same stream gives."""
+    n, samples, seed = 3, 1_000, 9
+    monkeypatch.setattr(search, "_SAMPLE_BATCH", 100)
+    stream = [x.copy() for _, X in _sample_batches(n, samples, seed) for x in X]
+    fv = [eval_f(x) for x in stream]
+    fm = [eval_f(-np.abs(x)) for x in stream]
+    bound = max(fm[:100])
+    monkeypatch.setattr(search, "pohst_bound", lambda n: bound)
+    bad = next(k for k in range(samples)
+               if not (leq_with_tol(fv[k], fm[k]) and leq_with_tol(fm[k], bound)))
+    assert bad >= 100
+    r = sample_domination(n, samples, seed)
+    assert not r and r.witness == (bad, tuple(stream[bad]))
+    assert r.reason == (f"domination failed at sample {bad}: f={fv[bad]}, "
+                        f"mirror={fm[bad]}, bound={bound}")
+
+
 def _reference_stream(n, samples, seed):
     """The documented stream: batches of 20 000 rows drawn with
     rng.uniform(-1, 1), zero entries redrawn the same way."""
@@ -839,7 +860,7 @@ def test_sample_batches_pin_the_uniform_stream(n, samples, seed):
 @pytest.mark.parametrize("n", range(1, 13))
 def test_sample_domination_kernel_equals_eval_f_batch(monkeypatch, n):
     """The one kernel pass over a batch and its mirror, side by side in
-    one work array, gives _eval_f_batch's bits on the batch and on
+    one work array, gives eval_f_batch's bits on the batch and on
     -|batch|."""
     batches, values = [], []
     stream, kernel = search._sample_batches, search._f_into
@@ -858,8 +879,8 @@ def test_sample_domination_kernel_equals_eval_f_batch(monkeypatch, n):
     assert sample_domination(n, 3_001, n)
     monkeypatch.undo()
     [X], [f] = batches, values
-    assert f.tobytes() == (search._eval_f_batch(X).tobytes()
-                           + search._eval_f_batch(-np.abs(X)).tobytes())
+    assert f.tobytes() == (search.eval_f_batch(X).tobytes()
+                           + search.eval_f_batch(-np.abs(X)).tobytes())
 
 
 def test_sample_domination_memory_does_not_grow_with_samples():
@@ -1033,6 +1054,18 @@ def _inject_prefix_failures(monkeypatch, failing):
         row(self, q, j)
 
     monkeypatch.setattr(BuildState, "row", failing_row)
+
+
+def test_sweep_subtree_reruns_a_failing_prefix_row(monkeypatch):
+    """A row failing at depth 2, below the prefix x = (-, +), fails a
+    prefix row of the (10, 3, prefix) subtrees under it: each returns
+    the per-pattern loop's failures, and every other subtree none."""
+    _inject_prefix_failures(monkeypatch, {(2, 0b01): (1, 2)})
+    for prefix in range(8):
+        expected = [(idx, reason) for idx in range(prefix, 2 ** 10, 8)
+                    if (reason := verify_pattern(pattern_from_index(10, idx))) is not None]
+        assert search._sweep_subtree((10, 3, prefix)) == expected
+        assert len(expected) == (128 if prefix & 0b11 == 0b01 else 0)
 
 
 @pytest.mark.parametrize("failing", [
