@@ -41,6 +41,7 @@ def test_unreached_lines_of_a_small_module(tmp_path):
         assert module.pick(1) == "positive"
         worker = threading.Thread(target=module.never)
         worker.start()
-        worker.join()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
     assert reach.unreached(tracer) == {path.resolve(): [7],
                                        idle.resolve(): [1, 4, 5, 6, 7, 10, 11]}
