@@ -92,7 +92,7 @@ MAX_BUILD_N = 2048
 _OP1_PROVENANCE = {"case1": "case1", "case2": "case2-op1", "case3": "case3-op1"}
 _OP2_PROVENANCE = {"case2": "case2-op2", "case3": "case3-op2"}
 _RECTANGLE_SIGNS = (1, -1, -1, 1)
-#: What AuditState.final reads for a member set that is not live.
+#: What AuditState.step pops for a member set that is not live.
 _ABSENT = object()
 
 
@@ -478,11 +478,10 @@ def check_blocks(blocks: Iterable[PartitionBlock], r: Sequence[int],
         except (TypeError, ValueError):
             # A member that is not a pair of ints raises here (the
             # certificate parser admits none).  The members before it
-            # passed, so it is the first such member; without one, the
-            # error is not a member's and goes on.
-            reason = _non_pair_reason(members)
-            if reason is None:
-                raise
+            # passed, so it is the first such member; without one, a
+            # sign raised, such as an array, whose truth is ambiguous.
+            reason = _non_pair_reason(members) or (
+                f"bad-signs: {signs!r} for {len(members)} members")
             return CheckResult(False, reason, b)
 
         # From here on the members of b are distinct and each claimed
@@ -511,8 +510,11 @@ def check_blocks(blocks: Iterable[PartitionBlock], r: Sequence[int],
             if len(cols) != 2 or len(rows) != 2:
                 return CheckResult(False, "bad-quadrupleton: not a rectangle", b)
             (c0, c1), (r0, r1) = sorted(cols), sorted(rows)
-            if (c1 + r0) & 1 or (c0 + r1) & 1 or not (c0 + r0) & 1 or not (c1 + r1) & 1:
-                for c, row, want in ((c1, r0, 1), (c0, r1, 1), (c0, r0, -1), (c1, r1, -1)):
+            # Three corners decide the fourth: c1 + r1 = (c1 + r0) +
+            # (c0 + r1) - (c0 + r0) is odd once the first two sums are
+            # even and the third odd, so (c1, r1) is then negative.
+            if (c1 + r0) & 1 or (c0 + r1) & 1 or not (c0 + r0) & 1:
+                for c, row, want in ((c1, r0, 1), (c0, r1, 1), (c0, r0, -1)):
                     if (1 if (c + row) % 2 == 0 else -1) != want:
                         return CheckResult(False, f"bad-quadrupleton: corner {(c, row)} "
                                            f"must have sign {want:+d}", b)
@@ -773,25 +775,19 @@ class AuditState:
         return ACCEPT
 
     def final(self, blocks: Iterable[PartitionBlock]) -> CheckResult:
-        """The replay must end in exactly the given blocks: each block's
-        member set is live with the block's provenance, and every live
-        block is listed.  A block listed twice counts once, and one whose
-        members make no member set, such as None, is not live.  One lookup
-        per block: each is popped from a copy of live, and only a block
-        already popped is looked up in live itself."""
-        live = self.live
-        rest = live.copy()
+        """The replay must end in exactly the given blocks: the listing,
+        read as member set -> provenance, must equal live.  A block listed
+        twice counts once, and twice with two provenances, or with members
+        that make no member set, such as None, differs."""
+        listed: dict[frozenset, str] = {}
         for b in blocks:
             try:
                 key = frozenset(b.members)
             except TypeError:
                 return CheckResult(False, "final state of the replay differs from gp.blocks")
-            provenance = rest.pop(key, _ABSENT)
-            if provenance is _ABSENT:
-                provenance = live.get(key, _ABSENT)
-            if provenance != b.provenance:
+            if listed.setdefault(key, b.provenance) != b.provenance:
                 return CheckResult(False, "final state of the replay differs from gp.blocks")
-        if rest:
+        if listed != self.live:
             return CheckResult(False, "final state of the replay differs from gp.blocks")
         return ACCEPT
 
@@ -827,10 +823,14 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
                 pair = tuple(s.pair)
             except TypeError:
                 pair = s.pair
-            if type(pair) is not tuple or len(pair) != 2:
-                return CheckResult(False, f"step {s.k}: case2 pair {pair} is not "
-                                   "an index pair (i, j)")
-            state.anchors.add(pair)
+            if type(pair) is tuple and len(pair) == 2:
+                try:
+                    state.anchors.add(pair)
+                    continue
+                except TypeError:   # an entry that cannot be hashed, such as a list
+                    pass
+            return CheckResult(False, f"step {s.k}: case2 pair {pair} is not "
+                               "an index pair (i, j)")
     for row in sorted(rows):
         r = state.check_row(row)
         if not r:
@@ -919,8 +919,8 @@ def sign_rectangle_relation(pattern: Sequence[int],
         raise ValueError("need four distinct corners")
     cols = sorted({p[0] for p in pts})
     rows = sorted({p[1] for p in pts})
-    if len(cols) != 2 or len(rows) != 2 or set(pts) != {
-            TermIndex(c, r) for c in cols for r in rows}:
+    # four distinct points on two columns and two rows are the four corners
+    if len(cols) != 2 or len(rows) != 2:
         raise ValueError("corners do not form an axis-aligned rectangle")
     if not (1 <= cols[0] and cols[1] <= rows[0] and rows[1] <= n):
         raise ValueError("rectangle leaves the triangle")

@@ -412,13 +412,10 @@ def _extend(f: np.ndarray, runs: np.ndarray, pts: np.ndarray,
     starts a run of its own, and f_{k+1} = f_k * prod_i (1 - x_i..x_{k+1}).
     Every run product is formed as in running_terms, so each term has
     running_terms' bits; only the order in which f multiplies them
-    differs.  The work is laid out with the longer of the two axes last,
-    where numpy's inner loop runs, and transposed at the end."""
-    by_point = len(f) > len(pts)
-    if by_point:
-        x, f, runs = pts[:, None], f[None, :], runs[:, None, :]
-    else:
-        x, f, runs = pts[None, :], f[:, None], runs[:, :, None]
+    differs.  The work is laid out points by prefixes: the prefixes, which
+    outnumber the points on every level where the work is, go last, where
+    numpy's inner loop runs, and the result is transposed at the end."""
+    x, f, runs = pts[:, None], f[None, :], runs[:, None, :]
     vals = f * (1.0 - x)
     term = np.empty(vals.shape)
     new = np.empty((len(runs) + 1,) + vals.shape) if keep_runs else None
@@ -429,8 +426,8 @@ def _extend(f: np.ndarray, runs: np.ndarray, pts: np.ndarray,
         vals *= term
     if keep_runs:
         new[-1] = x
-        new = (new.transpose(0, 2, 1) if by_point else new).reshape(len(new), -1)
-    return (vals.T if by_point else vals).ravel(), new
+        new = new.transpose(0, 2, 1).reshape(len(new), -1)
+    return vals.T.ravel(), new
 
 
 def _grid_values(points: np.ndarray, n: int,
@@ -440,20 +437,18 @@ def _grid_values(points: np.ndarray, n: int,
 
     A walk of the prefix tree: each node extends its parent's prefixes
     by one coordinate (_extend), which costs O(n) per point where
-    running_terms costs O(n^2).  Nodes whose subtrees fit in one chunk
-    are extended together, larger ones one prefix and a slice of points
-    at a time, so no level holds more than rows prefixes."""
+    running_terms costs O(n^2).  A node extends its prefixes by step
+    points at a time, step the most points whose subtrees, under all its
+    prefixes, fit in one chunk, and at least one.  Where the whole level
+    fits, that is all m points at once; where it does not, the node holds
+    one prefix.  So no level holds more than rows prefixes."""
     m = len(points)
 
     def walk(f: np.ndarray, runs: np.ndarray, k: int) -> Iterator[np.ndarray]:
         if k == n:
             yield f
             return
-        below = m ** (n - k - 1)   # lattice points under each child
-        if len(f) * m * below <= rows:
-            yield from walk(*_extend(f, runs, points, k + 1 < n), k + 1)
-            return
-        step = max(1, rows // below)   # here f holds one prefix
+        step = max(1, rows // (len(f) * m ** (n - k - 1)))
         for c in range(0, m, step):
             yield from walk(*_extend(f, runs, points[c:c + step], k + 1 < n), k + 1)
 

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import pohst.cli as cli
+import pohst.search as search
 from pohst.cli import main
 from pohst.partition import (
     MAX_BUILD_N,
@@ -235,6 +236,14 @@ def test_maximize_json(capsys):
 def test_maximize_text_shows_gap(capsys):
     rc, out, _ = run(capsys, ["maximize", "--n", "2"])
     assert rc == 0 and "bound 2" in out and "gap" in out
+
+
+def test_maximize_reports_a_bound_exceeded(capsys, monkeypatch):
+    """With the bound planted below the maximum, maximize prints BOUND
+    EXCEEDED and exits 1, a failed verification."""
+    monkeypatch.setattr(search, "pohst_bound", lambda n: 1.0)
+    rc, out, _ = run(capsys, ["maximize", "--n", "2"])
+    assert rc == 1 and "vs bound 1 " in out and "BOUND EXCEEDED" in out
 
 
 def test_maximize_rejects_bad_grid(capsys):

@@ -437,6 +437,17 @@ def test_validator_reads_a_doubleton_written_negative_first():
                        "the column"}
 
 
+def test_validator_rejects_a_sign_that_is_an_array():
+    """A sign whose comparison has no truth value, such as an array, gets
+    the bad-signs verdict with its block as witness, instead of the
+    ValueError of an ambiguous truth value."""
+    signs = (np.array([1, 1]),)
+    block = PartitionBlock("singleton", ((1, 1),), signs, "initial")
+    r = validate_partition(GoodPartition(1, (1,), (block,)))
+    assert not r and r.witness is block
+    assert r.reason == f"bad-signs: {signs!r} for 1 members"
+
+
 @pytest.mark.parametrize("bad", [(2.0, 2.0), (2, 2, 0), (2,), (None, 2), None, "ab"])
 def test_validator_rejects_members_that_are_not_int_pairs(bad):
     """An in-process block may hold any member: one that is not a pair of
@@ -642,6 +653,33 @@ def test_impossible_configurations_rejects_a_case2_pair_that_is_not_iterable():
     assert not r and r.reason == "step 1: case2 pair 7 is not an index pair (i, j)"
 
 
+def test_impossible_configurations_rejects_a_case2_pair_of_unhashable_entries():
+    """Step 1 of (1, -1, 1, -1, -1) given the pair ([1], [2]), two entries
+    that cannot be anchors, is rejected by its step instead of raising
+    TypeError."""
+    gp = build_good_partition((1, -1, 1, -1, -1))
+    trace = (gp.trace[0]._replace(pair=([1], [2])),) + gp.trace[1:]
+    r = check_impossible_configurations(GoodPartition(gp.n, gp.pattern, gp.blocks, trace))
+    assert not r and r.reason == "step 1: case2 pair ([1], [2]) is not an index pair (i, j)"
+
+
+#: Four members on two columns and three rows, and on three columns and
+#: two rows: each has two columns or two rows but not both, so a check of
+#: either count alone passes it.
+_OFF_RECTANGLES = [((1, 2), (1, 3), (2, 3), (2, 4)), ((1, 3), (2, 3), (3, 3), (1, 4))]
+
+
+@pytest.mark.parametrize("members", _OFF_RECTANGLES)
+def test_impossible_configurations_rejects_four_members_off_a_rectangle(members):
+    """Four members that are not on two columns and two rows have no
+    corner roles, though they do lie on two columns or on two rows."""
+    pat = (1, 1, 1, 1)
+    block = block_of(members, pat, "quadrupleton", "x")
+    r = check_impossible_configurations(state_of(pat, [block]))
+    assert not r and r.witness is block and r.reason == (
+        f"block {sorted(members)} of four members is not on two columns and two rows")
+
+
 def test_impossible_configurations_rejects_four_members_in_one_column():
     """Four members in one column have no corner roles: the scan rejects
     the block before it reads them, instead of raising IndexError."""
@@ -742,6 +780,19 @@ def test_audit_rejects_a_listed_block_of_members_none():
     assert not r and r.reason == "final state of the replay differs from gp.blocks"
 
 
+def test_audit_reads_a_block_listed_twice_by_its_provenances():
+    """A block listed twice counts once with one provenance; listed again
+    with another, the replay's final state differs."""
+    gp = build_good_partition((-1, 1, -1))
+
+    def again(b):
+        return audit_build(GoodPartition(gp.n, gp.pattern, gp.blocks + (b,), gp.trace))
+
+    assert again(gp.blocks[0])
+    r = again(gp.blocks[0]._replace(provenance="other"))
+    assert not r and r.reason == "final state of the replay differs from gp.blocks"
+
+
 def test_audit_rejects_a_created_block_of_four_members_in_one_column():
     """Step 3 of (1, 1, 1, 1, 1, -1) absorbs (1, 6) with the three live
     singletons of its column: the union checks pass, and the replay
@@ -758,6 +809,23 @@ def test_audit_rejects_a_created_block_of_four_members_in_one_column():
     assert not r and r.reason == (
         "step 3: created block [(1, 1), (1, 3), (1, 5), (1, 6)] is not on two "
         "columns and two rows")
+
+
+@pytest.mark.parametrize("members", _OFF_RECTANGLES)
+def test_audit_rejects_a_created_block_off_a_rectangle(members):
+    """A replay state holding the first three members as one live block:
+    step 1 absorbs the fourth into it, the union checks pass, and the
+    step rejects the block, which lies on two columns or on two rows but
+    not on both, by its step number."""
+    pat = (1, 1, 1, 1)
+    *rest, pair = members
+    consumed = block_of(rest, pat, "triple", "x")
+    created = block_of(members, pat, "quadrupleton", "case2-op2")
+    state = AuditState()
+    state.live[frozenset(consumed.members)] = "x"
+    r = state.step(1, BuildStep(1, TermIndex(*pair), "case2", 2, (consumed,), created), pair)
+    assert not r and r.reason == (
+        f"step 1: created block {sorted(members)} is not on two columns and two rows")
 
 
 def test_negative_count_matches_the_row_scan():
@@ -857,6 +925,11 @@ def test_ideal_case_covers_triangle():
         flat = [t for b in blocks for t in b]
         assert len(flat) == n * (n + 1) // 2
         assert set(flat) == set(term_indices(n))
+
+
+def test_ideal_case_factorization_rejects_n_below_one():
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        ideal_case_factorization(0)
 
 
 def test_ideal_case_product_identity():

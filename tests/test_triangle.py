@@ -65,6 +65,12 @@ def test_eval_f_frozen_nondyadic():
     assert close(eval_f((0.3, -0.7, 0.9, -0.2)), 0.33230879015410264)
 
 
+def test_eval_f_reads_a_scalar_as_a_vector_of_one():
+    """as_vector reshapes a 0-d input to one entry: f_1(x) = 1 - x."""
+    assert as_vector(0.5).shape == (1,)
+    assert eval_f(0.5) == eval_f((0.5,)) == 0.5
+
+
 def test_eval_f_matches_definition():
     rng = np.random.default_rng(7)
     for n in range(1, 9):
