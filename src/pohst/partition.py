@@ -479,7 +479,8 @@ def check_blocks(blocks: Iterable[PartitionBlock], r: Sequence[int],
             # A member that is not a pair of ints raises here (the
             # certificate parser admits none).  The members before it
             # passed, so it is the first such member; without one, a
-            # sign raised, such as an array, whose truth is ambiguous.
+            # sign's comparison raised (an array's truth is ambiguous),
+            # and the block's signs are bad.
             reason = _non_pair_reason(members) or (
                 f"bad-signs: {signs!r} for {len(members)} members")
             return CheckResult(False, reason, b)
