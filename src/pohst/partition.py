@@ -577,6 +577,14 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
 # Impossible configurations
 
 
+def _plain_pair(pair: object) -> object:
+    """A trace step's pair as a plain tuple, or as it is if not iterable."""
+    try:
+        return tuple(pair)
+    except TypeError:
+        return pair
+
+
 class AuditState:
     """The audit's replay state: the live blocks (members -> provenance),
     the Case-2 anchors so far, and the per-row view that the five
@@ -613,6 +621,17 @@ class AuditState:
         c.nv = {r: v[:] for r, v in self.nv.items()}
         c.vd = {r: v[:] for r, v in self.vd.items()}
         return c
+
+    def anchor(self, pair: object) -> bool:
+        """Add a Case-2 pair, read by _plain_pair, to anchors; False, and
+        nothing added, when it is not a tuple of two hashable entries."""
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        try:
+            self.anchors.add(pair)
+        except TypeError:   # an entry that cannot be hashed, such as a list
+            return False
+        return True
 
     def _entries(self, idx: tuple[TermIndex, ...]) -> tuple | None:
         """(structure, row, payload) contributions of one block; none for
@@ -705,20 +724,18 @@ class AuditState:
         pair, that its consumed blocks are live, that it creates exactly
         their members plus the pair, as a block of two or four members,
         and that no affected row shows an impossible configuration.  The
-        pair is compared as a plain tuple, or as it is when it is not
-        iterable, so one of other than two entries is a wrong pair, not
-        an error."""
+        pair is compared as _plain_pair reads it, so one of other than two
+        entries is a wrong pair, not an error, and a Case-2 pair equal to
+        expected that cannot be an anchor is rejected."""
         if step.k != k:
             return CheckResult(False, f"step {k}: trace numbered {step.k}")
-        try:
-            pair = tuple(step.pair)
-        except TypeError:
-            pair = step.pair
+        pair = _plain_pair(step.pair)
         if pair != expected:
             return CheckResult(False, f"step {k} absorbed {pair}, expected "
                                f"{tuple(expected)} next in prec order")
-        if step.case == "case2":
-            self.anchors.add(pair)
+        if step.case == "case2" and not self.anchor(pair):
+            return CheckResult(False, f"step {k}: case2 pair {pair} is not "
+                               "an index pair (i, j)")
         live, union = self.live, {pair}
         for blk in step.consumed:
             key = frozenset(blk.members)
@@ -785,12 +802,13 @@ class AuditState:
             try:
                 key = frozenset(b.members)
             except TypeError:
-                return CheckResult(False, "final state of the replay differs from gp.blocks")
+                break
             if listed.setdefault(key, b.provenance) != b.provenance:
-                return CheckResult(False, "final state of the replay differs from gp.blocks")
-        if listed != self.live:
-            return CheckResult(False, "final state of the replay differs from gp.blocks")
-        return ACCEPT
+                break
+        else:
+            if listed == self.live:
+                return ACCEPT
+        return CheckResult(False, "final state of the replay differs from gp.blocks")
 
 
 def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
@@ -820,18 +838,10 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
         rows |= touched
     for s in gp.trace:
         if s.case == "case2":
-            try:
-                pair = tuple(s.pair)
-            except TypeError:
-                pair = s.pair
-            if type(pair) is tuple and len(pair) == 2:
-                try:
-                    state.anchors.add(pair)
-                    continue
-                except TypeError:   # an entry that cannot be hashed, such as a list
-                    pass
-            return CheckResult(False, f"step {s.k}: case2 pair {pair} is not "
-                               "an index pair (i, j)")
+            pair = _plain_pair(s.pair)
+            if not state.anchor(pair):
+                return CheckResult(False, f"step {s.k}: case2 pair {pair} is not "
+                                   "an index pair (i, j)")
     for row in sorted(rows):
         r = state.check_row(row)
         if not r:

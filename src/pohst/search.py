@@ -412,10 +412,15 @@ def _extend(f: np.ndarray, runs: np.ndarray, pts: np.ndarray,
     starts a run of its own, and f_{k+1} = f_k * prod_i (1 - x_i..x_{k+1}).
     Every run product is formed as in running_terms, so each term has
     running_terms' bits; only the order in which f multiplies them
-    differs.  The work is laid out points by prefixes: the prefixes, which
-    outnumber the points on every level where the work is, go last, where
-    numpy's inner loop runs, and the result is transposed at the end."""
-    x, f, runs = pts[:, None], f[None, :], runs[:, None, :]
+    differs.  The work is laid out with the longer of the two axes last,
+    where numpy's inner loop runs, and transposed at the end.  Prefixes
+    are the longer below the first two levels while m^2 fits in a chunk;
+    points at the root and, past m = 256, on the last level."""
+    by_point = len(f) > len(pts)
+    if by_point:
+        x, f, runs = pts[:, None], f[None, :], runs[:, None, :]
+    else:
+        x, f, runs = pts[None, :], f[:, None], runs[:, :, None]
     vals = f * (1.0 - x)
     term = np.empty(vals.shape)
     new = np.empty((len(runs) + 1,) + vals.shape) if keep_runs else None
@@ -426,8 +431,8 @@ def _extend(f: np.ndarray, runs: np.ndarray, pts: np.ndarray,
         vals *= term
     if keep_runs:
         new[-1] = x
-        new = new.transpose(0, 2, 1).reshape(len(new), -1)
-    return vals.T.ravel(), new
+        new = (new.transpose(0, 2, 1) if by_point else new).reshape(len(new), -1)
+    return (vals.T if by_point else vals).ravel(), new
 
 
 def _grid_values(points: np.ndarray, n: int,

@@ -663,6 +663,22 @@ def test_impossible_configurations_rejects_a_case2_pair_of_unhashable_entries():
     assert not r and r.reason == "step 1: case2 pair ([1], [2]) is not an index pair (i, j)"
 
 
+def test_audit_rejects_a_case2_pair_that_cannot_be_an_anchor():
+    """Step 1 of (1, -1, 1, -1, -1) given the pair (np.array(1), 2), which
+    equals the expected (1, 2) entry by entry but cannot be hashed: the
+    replay rejects it by its step, as the one-shot scan does, instead of
+    raising TypeError."""
+    gp = build_good_partition((1, -1, 1, -1, -1))
+    assert gp.trace[0].case == "case2"
+    trace = (gp.trace[0]._replace(pair=(np.array(1), 2)),) + gp.trace[1:]
+    bad = GoodPartition(gp.n, gp.pattern, gp.blocks, trace)
+    reason = "step 1: case2 pair (array(1), 2) is not an index pair (i, j)"
+    r = audit_build(bad)
+    assert not r and r.reason == reason
+    r = check_impossible_configurations(bad)
+    assert not r and r.reason == reason
+
+
 #: Four members on two columns and three rows, and on three columns and
 #: two rows: each has two columns or two rows but not both, so a check of
 #: either count alone passes it.
