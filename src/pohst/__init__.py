@@ -25,11 +25,13 @@ from .partition import (
     audit_build,
     build_good_partition,
     certificate_from_json,
+    certificate_payload,
     certificate_to_json,
     check_impossible_configurations,
     domination_check,
     ideal_case_factorization,
     parity_counts,
+    prec_key,
     sign_rectangle_relation,
     validate_partition,
 )
@@ -47,6 +49,7 @@ from .search import (
 from .triangle import (
     NonCanonicalSet,
     TermIndex,
+    close,
     eval_f,
     eval_term,
     negate_abs,

@@ -78,8 +78,6 @@ from .triangle import (
 #: Serialized certificate format version.
 CERTIFICATE_VERSION = "1"
 
-BLOCK_KINDS = {1: "singleton", 2: "doubleton", 4: "quadrupleton"}
-
 #: The longest pattern build_good_partition accepts.  A build holds about
 #: 400 B per member of J and |J| is about n^2/4: a seeded random pattern
 #: of this length has 1,048,670 members and peaked at 425 MB under
@@ -212,11 +210,14 @@ def _collector_paused(fn):
     return paused
 
 
-def _row_columns(q: Sequence[int], j: int) -> list[int]:
-    """First indices i, ascending, of the members (i, j) of J in row j,
-    from the prefix classes q_0..q_j: (i, j) is in J iff q[i-1] != q[j]."""
-    qj = q[j]
-    return [i for i in range(1, j + 1) if q[i - 1] != qj]
+def _row_members(q: Sequence[int], j: int) -> tuple[list[int], list[int]]:
+    """First indices i, ascending, of the positive and of the negative
+    members (i, j) of J in row j, from the prefix classes q_0..q_j:
+    (i, j) is in J iff q[i-1] != q[j], and positive iff i = j (mod 2), so
+    each half is a stride-2 range, the positives' ending at i = j."""
+    qj, p = q[j], 2 - (j & 1)
+    return ([i for i in range(p, j + 1, 2) if q[i - 1] != qj],
+            [i for i in range(3 - p, j, 2) if q[i - 1] != qj])
 
 
 class BuildState:
@@ -253,25 +254,22 @@ class BuildState:
         a block's first member is a positive, and a reassigned key keeps
         its slot, so owner lists block heads in prec order, unsorted.
 
-        J-membership comes from the prefix classes q_0..q_j alone:
-        (i, r) is in J iff q[i-1] != q[r], with sign (-1)^(i+r).  Raises
+        The row's members of J and their signs come from the prefix
+        classes q_0..q_j alone, split once by _row_members.  Raises
         ConstructionFailure when a case's existence or uniqueness
         assertion fails; the exception carries the trace up to that point.
         """
         owner, sing, steps = self.owner, self.sing, self.steps
-        cols = _row_columns(q, j)
+        positives, negatives = _row_members(q, j)
         mask = 0
-        for i in reversed(cols):
-            if (i + j) % 2 == 0:
-                p = _term((i, j))
-                owner[p] = _block(("singleton", (p,), (1,), "initial"))
-                mask |= 1 << i
+        for i in reversed(positives):
+            p = _term((i, j))
+            owner[p] = _block(("singleton", (p,), (1,), "initial"))
+            mask |= 1 << i
         sing[j] = mask
         anchor = None   # the row's first Case-1 failure
 
-        for i in reversed(cols):
-            if (i + j) % 2 == 0:
-                continue
+        for i in reversed(negatives):
             neg = _term((i, j))
             k = len(steps) + 1
 
@@ -444,19 +442,22 @@ def check_blocks(blocks: Iterable[PartitionBlock], r: Sequence[int],
     with the blocks row j of a build creates.  Each member is keyed in
     seen by the int i len(r) + j once its bounds are checked, so a
     member met twice in one call, in one block or in two, is a duplicate.
+    A listed entry that is not a block, such as None, is a bad kind.
     """
     width = len(r)
     top = width - 1
     for b in blocks:
-        kind, members, signs = b.kind, b.members, b.signs
-        if kind not in ("singleton", "doubleton", "quadrupleton"):
-            return CheckResult(False, f"bad-kind: {kind!r}", b)
         try:
+            kind, members, signs = b.kind, b.members, b.signs
+            if kind not in ("singleton", "doubleton", "quadrupleton"):
+                return CheckResult(False, f"bad-kind: {kind!r}", b)
             if len(members) != _SHAPE_SIZES[kind]:
                 return CheckResult(False, f"bad-kind: {kind} with {len(members)} members", b)
             if len(signs) != len(members):
                 return CheckResult(False, f"bad-signs: {len(signs)} signs for "
                                    f"{len(members)} members", b)
+        except AttributeError:   # a listed entry that is not a block, such as None
+            return CheckResult(False, f"bad-kind: {b!r} is not a block", b)
         except TypeError:
             # members or signs without a length, such as None (the
             # certificate parser admits neither): members are read first.
@@ -766,15 +767,13 @@ class AuditState:
         return ACCEPT
 
     def seed(self, q: Sequence[int], j: int) -> list[int]:
-        """Put row j's positive members of J, from the prefix classes
-        q_0..q_j, in as initial singletons; return the first indices of
-        its negatives, ascending."""
-        negatives = []
-        for i in _row_columns(q, j):
-            if (i + j) % 2 == 0:
-                self.live[frozenset(((i, j),))] = "initial"
-            else:
-                negatives.append(i)
+        """Put row j's positive members of J, split from its negatives by
+        _row_members as BuildState.row splits them, in as initial
+        singletons; store and return the first indices of its negatives,
+        ascending."""
+        positives, negatives = _row_members(q, j)
+        for i in positives:
+            self.live[frozenset(((i, j),))] = "initial"
         self.negatives[j] = negatives
         return negatives
 
@@ -801,7 +800,7 @@ class AuditState:
         for b in blocks:
             try:
                 key = frozenset(b.members)
-            except TypeError:
+            except (TypeError, AttributeError):   # no members, or not a block
                 break
             if listed.setdefault(key, b.provenance) != b.provenance:
                 break
@@ -818,7 +817,9 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
     Each row's negatives come from the prefix classes, as in the audit.
     Case-2 history is read from gp.trace; for states assembled by hand
     pass a trace whose steps carry the intended cases.  A Case-2 step
-    whose pair is not an (i, j) pair is rejected by its step number.
+    whose pair is not an (i, j) pair is rejected by its step number; a
+    listing or a trace that cannot be read as blocks of index pairs and
+    steps, by one guard.
     """
     try:
         q = prefix_classes(gp.pattern)
@@ -828,24 +829,27 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
     for j in range(1, len(q)):
         state.seed(q, j)
     rows: set[int] = set()
-    for b in gp.blocks:
-        if not isinstance(b.members, Sized):
-            return CheckResult(False, f"block members {b.members!r} are not a sequence", b)
-        touched = state.add(b.members)
-        if touched is None:
-            return CheckResult(False, f"block {sorted(map(tuple, b.members))} of four "
-                               "members is not on two columns and two rows", b)
-        rows |= touched
-    for s in gp.trace:
-        if s.case == "case2":
-            pair = _plain_pair(s.pair)
-            if not state.anchor(pair):
-                return CheckResult(False, f"step {s.k}: case2 pair {pair} is not "
-                                   "an index pair (i, j)")
-    for row in sorted(rows):
-        r = state.check_row(row)
-        if not r:
-            return r
+    try:
+        for b in gp.blocks:
+            if not isinstance(b.members, Sized):
+                return CheckResult(False, f"block members {b.members!r} are not a sequence", b)
+            touched = state.add(b.members)
+            if touched is None:
+                return CheckResult(False, f"block {sorted(map(tuple, b.members))} of four "
+                                   "members is not on two columns and two rows", b)
+            rows |= touched
+        for s in gp.trace:
+            if s.case == "case2":
+                pair = _plain_pair(s.pair)
+                if not state.anchor(pair):
+                    return CheckResult(False, f"step {s.k}: case2 pair {pair} is not "
+                                       "an index pair (i, j)")
+        for row in sorted(rows):
+            r = state.check_row(row)
+            if not r:
+                return r
+    except (TypeError, AttributeError, IndexError):
+        return CheckResult(False, "a listed block or a trace step cannot be read")
     return ACCEPT
 
 
@@ -873,23 +877,26 @@ def audit_build(gp: GoodPartition) -> CheckResult:
     order, the created block is exactly the consumed members plus that
     pair (so coverage grows by one and no later negative sneaks in), and
     no affected row shows an impossible configuration.  The replay must
-    end in gp.blocks.
+    end in gp.blocks.  A trace, step or block it cannot read is rejected.
     """
     try:
         q = prefix_classes(gp.pattern)
     except ValueError as e:
         return CheckResult(False, f"bad-pattern: {e}")
     total = _negative_count(q)
-    if len(gp.trace) != total:
-        return CheckResult(False, f"trace has {len(gp.trace)} steps for "
-                           f"{total} negative pairs")
     state, k = AuditState(), 0
-    for j in range(1, len(q)):
-        for i in reversed(state.seed(q, j)):
-            k += 1
-            r = state.step(k, gp.trace[k - 1], (i, j))
-            if not r:
-                return r
+    try:
+        if len(gp.trace) != total:
+            return CheckResult(False, f"trace has {len(gp.trace)} steps for "
+                               f"{total} negative pairs")
+        for j in range(1, len(q)):
+            for i in reversed(state.seed(q, j)):
+                r = state.step(k + 1, gp.trace[k], (i, j))
+                if not r:
+                    return r
+                k += 1
+    except (TypeError, AttributeError):   # a trace, step or block that cannot be read
+        return CheckResult(False, f"trace cannot be read after {k} steps")
     return state.final(gp.blocks)
 
 

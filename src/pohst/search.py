@@ -435,10 +435,10 @@ def _extend(f: np.ndarray, runs: np.ndarray, pts: np.ndarray,
     return (vals.T if by_point else vals).ravel(), new
 
 
-def _grid_values(points: np.ndarray, n: int,
-                 rows: int = _SCREEN_ROWS) -> Iterator[np.ndarray]:
+def _grid_values(points: np.ndarray, n: int) -> Iterator[np.ndarray]:
     """Screen values of f_n over points^n in mixed-radix order, as
-    consecutive chunks of at most rows values.
+    consecutive chunks of at most rows = _SCREEN_ROWS values, read when
+    the screen starts.
 
     A walk of the prefix tree: each node extends its parent's prefixes
     by one coordinate (_extend), which costs O(n) per point where
@@ -447,7 +447,7 @@ def _grid_values(points: np.ndarray, n: int,
     prefixes, fit in one chunk, and at least one.  Where the whole level
     fits, that is all m points at once; where it does not, the node holds
     one prefix.  So no level holds more than rows prefixes."""
-    m = len(points)
+    m, rows = len(points), _SCREEN_ROWS
 
     def walk(f: np.ndarray, runs: np.ndarray, k: int) -> Iterator[np.ndarray]:
         if k == n:
@@ -475,7 +475,8 @@ def _grid_top(points: np.ndarray, n: int, keep: int) -> tuple[np.ndarray, np.nda
     every point within that band of the running keep-th largest value,
     which only rises, and prunes the kept set whenever it does; a chunk
     below the band costs one max pass.  eval_f_batch re-evaluates the
-    candidates, which are ranked by (-value, index)."""
+    candidates, decoded from their mixed-radix indices by
+    np.unravel_index, and they are ranked by (-value, index)."""
     floor = -np.inf                     # the band's lower edge
     idx = np.empty(0, dtype=np.int64)   # candidates, ascending
     val = np.empty(0)                   # and their screen values
@@ -492,12 +493,7 @@ def _grid_top(points: np.ndarray, n: int, keep: int) -> tuple[np.ndarray, np.nda
                     band = val >= floor
                     idx, val = idx[band], val[band]
         start += len(vals)
-    m = len(points)
-    X = np.empty((len(idx), n))
-    rest = idx
-    for c in range(n - 1, -1, -1):
-        rest, digit = np.divmod(rest, m)
-        X[:, c] = points[digit]
+    X = points[np.column_stack(np.unravel_index(idx, (len(points),) * n))]
     ref = eval_f_batch(X)
     order = np.lexsort((idx, -ref))[:keep]
     return ref[order], X[order]
@@ -527,11 +523,11 @@ def _eval_f_probe(X: np.ndarray) -> np.ndarray:
     return np.multiply.reduce(_terms(X), axis=0)
 
 
-def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
-            rounds: int) -> list[tuple[np.ndarray, float, int]]:
-    """Per-coordinate golden-section ascent from every (value, point)
-    start; never descends.  Returns (x, value, evals) per start, in start
-    order.
+def _polish(starts: Sequence[tuple[float, np.ndarray]],
+            radius: float) -> list[tuple[np.ndarray, float, int]]:
+    """Per-coordinate golden-section ascent, rounds = _POLISH_ROUNDS
+    passes over the coordinates, from every (value, point) start; never
+    descends.  Returns (x, value, evals) per start, in start order.
 
     Each coordinate probes the two ends of its bracket, two golden points
     and 48 golden steps, so every ascent makes rounds * n * 52 probes and
@@ -543,7 +539,7 @@ def _polish(starts: Sequence[tuple[float, np.ndarray]], radius: float,
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     X = np.array([x for _, x in starts], dtype=float)
     value = np.array([v for v, _ in starts], dtype=float)
-    n = X.shape[1]
+    n, rounds = X.shape[1], _POLISH_ROUNDS
 
     def f(k: int, t: np.ndarray) -> np.ndarray:
         X[:, k] = t
@@ -610,7 +606,7 @@ def maximize_f(n: int, grid_step: float = 0.25) -> MaximizeResult:
     starts = [(float(v), x) for v, x in zip(vals, X)]
 
     best_x, best_v = None, -np.inf
-    for x, v, used in _polish(starts, radius, _POLISH_ROUNDS):
+    for x, v, used in _polish(starts, radius):
         evaluations += used
         if v > best_v:
             best_v, best_x = v, x

@@ -63,7 +63,9 @@ class NonCanonicalSet:
 
     Every member (i, j) has sign (-1)^(i+j), so no sign is stored here:
     signs are stored only where a certificate claims them
-    (PartitionBlock.signs), and the validator re-derives them.
+    (PartitionBlock.signs), and the validator re-derives them.  signs
+    maps each member to that sign, for display; the builder and the
+    checkers split a row by sign from the prefix classes instead.
     """
 
     n: int
@@ -75,18 +77,6 @@ class NonCanonicalSet:
 
     def __contains__(self, t: TermIndex) -> bool:
         return tuple(t) in self.members
-
-    def sign_of(self, t: TermIndex) -> int | None:
-        """Sign of a member index, or None when t is canonical."""
-        return self.signs.get(tuple(t))
-
-    @cached_property
-    def positives(self) -> tuple[TermIndex, ...]:
-        return tuple(sorted(t for t, s in self.signs.items() if s > 0))
-
-    @cached_property
-    def negatives(self) -> tuple[TermIndex, ...]:
-        return tuple(sorted(t for t, s in self.signs.items() if s < 0))
 
 
 def as_vector(v: Sequence[float] | np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every module-level private name is read somewhere in the package, and
-neither the package nor its tests import an undeclared dependency."""
+every module-level name is read somewhere in the package, or exported
+by it if public, and neither the package nor its tests import an
+undeclared dependency."""
 
 import ast
 import sys
@@ -25,9 +26,11 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def test_every_private_name_is_used():
-    """Every module-level private name (_x) defined in the package is
-    read somewhere in the package outside the statement that defines it."""
+def _unread_module_names(private: bool) -> list[str]:
+    """The module-level names defined in the package, private (_x) or
+    public, that no statement of the package reads outside the statement
+    that defines them.  An import reads the names it imports, so the
+    re-exports of pohst/__init__.py count."""
     defined, reads = [], []
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
@@ -47,10 +50,22 @@ def test_every_private_name_is_used():
             else:
                 targets = []
             defined += [(path.name, stmt, name) for name in targets
-                        if name.startswith("_") and not name.startswith("__")]
-    unused = [f"{file}:{stmt.lineno} {name}" for file, stmt, name in defined
-              if not any(name in names for other, names in reads if other is not stmt)]
-    assert unused == []
+                        if not name.startswith("__") and name.startswith("_") == private]
+    return [f"{file}:{stmt.lineno} {name}" for file, stmt, name in defined
+            if not any(name in names for other, names in reads if other is not stmt)]
+
+
+def test_every_private_name_is_used():
+    """Every module-level private name (_x) defined in the package is
+    read somewhere in the package outside the statement that defines it."""
+    assert _unread_module_names(private=True) == []
+
+
+def test_every_public_name_is_exported_or_used():
+    """Every public module-level name defined in the package is exported
+    by pohst/__init__.py or read in another statement of the package, so
+    no name lives on only because a test reads it."""
+    assert _unread_module_names(private=False) == []
 
 
 def test_every_private_method_is_used():

@@ -16,7 +16,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pohst.partition import (
-    BLOCK_KINDS,
     AuditState,
     BuildState,
     BuildStep,
@@ -40,7 +39,7 @@ from pohst.partition import (
     validate_partition,
     _block_layout,
     _negative_count,
-    _row_columns,
+    _row_members,
 )
 from pohst.search import pattern_from_index
 from pohst.triangle import (
@@ -54,13 +53,17 @@ from pohst.triangle import (
 )
 
 
+#: The kind of a block by its number of members.
+KINDS = {1: "singleton", 2: "doubleton", 4: "quadrupleton"}
+
+
 def all_patterns(n):
     return itertools.product((1, -1), repeat=n)
 
 
 def block_of(idx, pattern, kind=None, prov="initial"):
     """Assemble a block whose member signs are the true product signs."""
-    kind = kind or {1: "singleton", 2: "doubleton", 4: "quadrupleton"}[len(idx)]
+    kind = kind or KINDS[len(idx)]
     return PartitionBlock(kind, tuple(TermIndex(*t) for t in idx),
                           tuple(product_sign(pattern, t) for t in idx), prov)
 
@@ -97,21 +100,26 @@ def test_prec_total_order(a, b):
 # rows of J from the prefix classes
 
 
-def test_row_columns_frozen():
-    assert _row_columns(prefix_classes((-1, 1)), 2) == [1, 2]
-    assert _row_columns(prefix_classes((1, 1)), 1) == [1]
+def test_row_members_frozen():
+    assert _row_members(prefix_classes((-1, 1)), 2) == ([2], [1])
+    assert _row_members(prefix_classes((1, 1)), 1) == ([1], [])
     # (1,1) is a member, (1,2) is not
-    assert _row_columns(prefix_classes((1, 1, 1, 1)), 2) == [2]
+    assert _row_members(prefix_classes((1, 1, 1, 1)), 2) == ([2], [])
 
 
-def test_row_columns_match_noncanonical_set():
+def test_row_members_match_noncanonical_set():
     """Row by row, and so column by column, the prefix classes give
-    exactly the members of J."""
+    exactly the members of J, each half in ascending order and of the
+    sign (-1)^(i+j) its name says."""
     for n in range(1, 7):
         for pat in all_patterns(n):
             q = prefix_classes(pat)
-            rows = {TermIndex(i, j) for j in range(1, n + 1) for i in _row_columns(q, j)}
-            assert rows == noncanonical_set(pat).members
+            J = noncanonical_set(pat).members
+            for sign, half in ((1, 0), (-1, 1)):
+                firsts = [_row_members(q, j)[half] for j in range(1, n + 1)]
+                assert all(f == sorted(f) for f in firsts)
+                rows = {TermIndex(i, j) for j, f in enumerate(firsts, start=1) for i in f}
+                assert rows == {t for t in J if (-1) ** (t.i + t.j) == sign}
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +215,7 @@ def test_build_writes_blocks_in_final_shape():
             b = step.created
             assert b.members == tuple(sorted(b.members, key=prec_key))
             assert b.signs == tuple(1 if (i + j) % 2 == 0 else -1 for i, j in b.members)
-            assert b.kind == BLOCK_KINDS[len(b.members)]
+            assert b.kind == KINDS[len(b.members)]
             assert b.provenance == (
                 "case1" if step.case == "case1" else f"{step.case}-op{step.operation}")
 
@@ -243,7 +251,8 @@ def test_trace_steps_grow_cover_by_one():
 def test_trace_absorbs_negatives_in_prec_order():
     for pat in all_patterns(6):
         gp = build_good_partition(pat)
-        negs = sorted(noncanonical_set(pat).negatives, key=prec_key)
+        negs = sorted((t for t in noncanonical_set(pat).members if (t.i + t.j) % 2),
+                      key=prec_key)
         assert [TermIndex(*s.pair) for s in gp.trace] == negs
 
 
@@ -350,7 +359,7 @@ _ENTRY = st.one_of(st.integers(-2, 10), st.floats(), st.booleans(), st.none())
 _PAIR = st.tuples(st.integers(0, 9), st.integers(0, 9))
 _ANY_BLOCK = st.builds(
     PartitionBlock,
-    st.one_of(st.sampled_from(sorted(BLOCK_KINDS.values())), st.text(max_size=3), _ENTRY),
+    st.one_of(st.sampled_from(sorted(KINDS.values())), st.text(max_size=3), _ENTRY),
     st.one_of(st.lists(st.one_of(_PAIR, st.lists(_ENTRY, max_size=3).map(tuple)),
                        max_size=5).map(tuple), st.none(), _ENTRY),
     st.one_of(st.lists(st.one_of(st.sampled_from((1, -1)), _ENTRY),
@@ -362,18 +371,56 @@ _ANY_BLOCK = st.builds(
 def _any_partition(draw):
     pattern = tuple(draw(st.lists(st.one_of(st.sampled_from((1, -1)), _ENTRY), max_size=9)))
     n = draw(st.one_of(st.just(len(pattern)), _ENTRY))
-    return GoodPartition(n, pattern, tuple(draw(st.lists(_ANY_BLOCK, max_size=6))))
+    listing = st.lists(st.one_of(_ANY_BLOCK, _ENTRY), max_size=6)
+    return GoodPartition(n, pattern, tuple(draw(listing)))
 
 
 @settings(max_examples=200, deadline=None)
 @given(_any_partition())
 def test_validator_returns_a_verdict_on_any_partition(gp):
-    """Any n and pattern, and blocks whose members have any arity and
-    int, float, bool or None entries, whose kinds, signs and provenances
-    are any such value: validate_partition, and with it check_blocks,
-    which the sweep runs row by row, returns a CheckResult and raises
-    nothing."""
+    """Any n and pattern, and listed entries that are no blocks or blocks
+    whose members have any arity and int, float, bool or None entries,
+    whose kinds, signs and provenances are any such value:
+    validate_partition, and with it check_blocks, which the sweep runs
+    row by row, returns a CheckResult and raises nothing."""
     assert isinstance(validate_partition(gp), CheckResult)
+
+
+#: A value for one field of a trace step or one listed entry: an entry, a
+#: block of any shape, or a tuple of them.
+_ANY_VALUE = st.one_of(_ENTRY, _ANY_BLOCK,
+                       st.lists(st.one_of(_ENTRY, _ANY_BLOCK), max_size=3).map(tuple))
+
+
+@st.composite
+def _tampered_build(draw):
+    """A build of a pattern with n <= 6 with one step field (k, pair,
+    case, consumed or created) or one listed entry replaced by _ANY_VALUE;
+    an empty listing gets the value as its one entry."""
+    gp = build_good_partition(draw(st.lists(st.sampled_from((1, -1)),
+                                            min_size=1, max_size=6)))
+    value = draw(_ANY_VALUE)
+    fields = ("k", "pair", "case", "consumed", "created") if gp.trace else ()
+    field = draw(st.sampled_from(fields + ("listed",)))
+    blocks, trace = list(gp.blocks), list(gp.trace)
+    if field == "listed":
+        at = draw(st.integers(0, max(0, len(blocks) - 1)))
+        blocks[at:at + 1] = [value]
+    else:
+        at = draw(st.integers(0, len(trace) - 1))
+        trace[at] = trace[at]._replace(**{field: value})
+    return GoodPartition(gp.n, gp.pattern, tuple(blocks), tuple(trace))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tampered_build())
+def test_checkers_return_a_verdict_on_any_tampered_build(gp):
+    """audit_build, check_impossible_configurations and validate_partition
+    return a CheckResult, and raise nothing, on a build with one trace
+    field or one listed entry replaced by an entry, a block of any shape
+    or a tuple of them."""
+    for check in (audit_build, check_impossible_configurations, validate_partition):
+        assert isinstance(check(gp), CheckResult)
 
 
 def test_validator_rejects_large_empty_cover_quickly():
@@ -809,6 +856,80 @@ def test_audit_reads_a_block_listed_twice_by_its_provenances():
     assert not r and r.reason == "final state of the replay differs from gp.blocks"
 
 
+def _case2_build():
+    """The build of (1, -1, 1, -1, -1), whose step 1 is the Case-2
+    absorption of (1, 2)."""
+    gp = build_good_partition((1, -1, 1, -1, -1))
+    assert gp.trace[0].case == "case2" and tuple(gp.trace[0].pair) == (1, 2)
+    return gp
+
+
+def _with_step_1(gp, **fields):
+    return GoodPartition(gp.n, gp.pattern, gp.blocks,
+                         (gp.trace[0]._replace(**fields),) + gp.trace[1:])
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda gp: _with_step_1(gp, consumed=None),
+    lambda gp: _with_step_1(gp, consumed=3),
+    lambda gp: _with_step_1(gp, consumed=(1, 2)),
+    lambda gp: _with_step_1(gp, consumed=(PartitionBlock("singleton", None, (1,), "initial"),)),
+    # members that do not sort, so no reason can list them sorted
+    lambda gp: _with_step_1(gp, consumed=(
+        PartitionBlock("doubleton", ((1, 1), ("a", 2)), (1, -1), "initial"),)),
+    lambda gp: _with_step_1(gp, created=None),
+    lambda gp: _with_step_1(gp, created=PartitionBlock("doubleton", None, (1, -1), "case2-op1")),
+    lambda gp: GoodPartition(gp.n, gp.pattern, gp.blocks, None),
+    lambda gp: GoodPartition(gp.n, gp.pattern, gp.blocks, tuple(range(len(gp.trace)))),
+])
+def test_audit_rejects_a_trace_it_cannot_read(tamper):
+    """Step 1 consuming no sequence of blocks, entries that are not
+    blocks, or a block whose members are None or do not sort; step 1
+    creating no block or a block of members None; no trace, or a trace
+    of ints: the replay rejects each before its first step is through,
+    instead of raising TypeError or AttributeError."""
+    r = audit_build(tamper(_case2_build()))
+    assert not r and r.reason == "trace cannot be read after 0 steps"
+
+
+@pytest.mark.parametrize("entry", [3, None])
+def test_checkers_reject_a_listed_entry_that_is_not_a_block(entry):
+    """A listed entry 3 or None is a bad kind to the validator, no live
+    block to the replay and unreadable to the scan, instead of an
+    AttributeError."""
+    gp = _case2_build()
+    bad = GoodPartition(gp.n, gp.pattern, gp.blocks + (entry,), gp.trace)
+    r = validate_partition(bad)
+    assert not r and r.witness is entry and r.reason == f"bad-kind: {entry!r} is not a block"
+    r = audit_build(bad)
+    assert not r and r.reason == "final state of the replay differs from gp.blocks"
+    r = check_impossible_configurations(bad)
+    assert not r and r.reason == "a listed block or a trace step cannot be read"
+
+
+def _plus_block(gp, members):
+    block = PartitionBlock(KINDS[len(members)], members, (1,) * len(members), "x")
+    return GoodPartition(gp.n, gp.pattern, gp.blocks + (block,), gp.trace)
+
+
+@pytest.mark.parametrize("tamper", [
+    lambda gp: _plus_block(gp, ((1, 1), 1)),
+    lambda gp: _plus_block(gp, ((1, 1), None)),
+    lambda gp: _plus_block(gp, ((1, 1), ())),
+    lambda gp: _plus_block(gp, ((1, 1), (1, 2), (2, 2), 1)),
+    # ("a", 2) sorted beside the ints of the drops in row 2
+    lambda gp: _plus_block(gp, ((1, 1), ("a", 2))),
+    lambda gp: GoodPartition(gp.n, gp.pattern, gp.blocks, (3,)),
+])
+def test_impossible_configurations_rejects_what_it_cannot_read(tamper):
+    """A member the scan cannot read as an index pair, where the corner
+    roles read it or where check_row compares it with the row's other
+    entries, and a trace entry that is not a step: the scan rejects
+    them instead of raising TypeError, IndexError or AttributeError."""
+    r = check_impossible_configurations(tamper(_case2_build()))
+    assert not r and r.reason == "a listed block or a trace step cannot be read"
+
+
 def test_audit_rejects_a_created_block_of_four_members_in_one_column():
     """Step 3 of (1, 1, 1, 1, 1, -1) absorbs (1, 6) with the three live
     singletons of its column: the union checks pass, and the replay
@@ -851,7 +972,7 @@ def test_negative_count_matches_the_row_scan():
         for pat in all_patterns(n):
             q = prefix_classes(pat)
             assert _negative_count(q) == sum(
-                (i + j) % 2 for j in range(1, n + 1) for i in _row_columns(q, j))
+                (i + j) % 2 for i, j in noncanonical_set(pat).members)
 
 
 def test_audit_rejects_final_mismatch():
@@ -998,6 +1119,14 @@ def test_domination_check_rejects_undominated_block():
     assert not r
     assert r.reason == "block-domination-failed: 1.25 > 0.75"
     assert r.witness == neg
+
+
+def test_domination_check_rejects_a_global_failure(monkeypatch):
+    """Every block dominates, but with eval_f replaced by x_1 the mirror's
+    value is the smaller one: the global check rejects."""
+    monkeypatch.setattr("pohst.partition.eval_f", lambda v: float(v[0]))
+    r = domination_check((0.5, -0.5), build_good_partition((1, -1)))
+    assert not r and r.reason == "global-domination-failed: 0.5 > -0.5"
 
 
 def test_domination_random_small_n():
@@ -1557,7 +1686,7 @@ def _case2_writes(monkeypatch, drop):
         absorb(self, k, neg, case, *args)
         if case == "case2":
             members = (neg,) if drop is None else (TermIndex(neg[0], neg[1] - drop), neg)
-            self.owner[neg] = PartitionBlock(BLOCK_KINDS[len(members)], members,
+            self.owner[neg] = PartitionBlock(KINDS[len(members)], members,
                                              (1, -1)[-len(members):], "case2-op1")
 
     monkeypatch.setattr(BuildState, "_absorb", patched)

@@ -633,7 +633,7 @@ def test_maximize_does_not_depend_on_simd_dispatch():
 POLISH_DIGEST = "9b693642fd6fb638b9a62ea642d28c906ba5abff3ad498859982c76e1118b4d8"
 
 
-def test_polish_together_matches_one_by_one():
+def test_polish_together_matches_one_by_one(monkeypatch):
     """Random, lattice and +-1-clipped starts, n = 1 starts (an (S, 1)
     array), two identical starts and n = 9 starts give the same ascents
     whether polished together or one at a time, both through the probe
@@ -652,14 +652,15 @@ def test_polish_together_matches_one_by_one():
     for group in groups:
         starts = [(eval_f(x), x) for x in group]
         for radius, rounds in ((0.5, 2), (0.25, 1)):
-            together = search._polish(starts, radius, rounds)
+            monkeypatch.setattr(search, "_POLISH_ROUNDS", rounds)
+            together = search._polish(starts, radius)
             for (v0, x0), (x, v, used) in zip(starts, together):
-                [(x1, v1, used1)] = search._polish([(v0, x0)], radius, rounds)
+                [(x1, v1, used1)] = search._polish([(v0, x0)], radius)
                 assert np.array_equal(x, x1) and v == v1 and used == used1
                 assert v >= v0 and used == rounds * len(x0) * 52
                 digest.update(repr((x.tolist(), v, used)).encode())
     assert digest.hexdigest() == POLISH_DIGEST
-    assert search._polish([], 0.5, 1) == []
+    assert search._polish([], 0.5) == []
 
 
 @pytest.mark.parametrize("n,m,rows", [
@@ -670,12 +671,13 @@ def test_polish_together_matches_one_by_one():
     (5, 2, 1),
     (3, 6, 216),    # the whole lattice in one chunk
 ])
-def test_grid_values_match_eval_f_batch(n, m, rows):
+def test_grid_values_match_eval_f_batch(monkeypatch, n, m, rows):
     """The screen visits points^n in mixed-radix order in chunks of at
-    most rows values, each within the rounding of a product of n(n+1)/2
-    terms of eval_f_batch's value at the same point."""
+    most rows = _SCREEN_ROWS values, each within the rounding of a
+    product of n(n+1)/2 terms of eval_f_batch's value at the same point."""
+    monkeypatch.setattr(search, "_SCREEN_ROWS", rows)
     points = np.linspace(-1.0, 1.0, m)
-    chunks = list(search._grid_values(points, n, rows))
+    chunks = list(search._grid_values(points, n))
     assert all(1 <= len(c) <= rows for c in chunks)
     got = np.concatenate(chunks)
     ref = eval_f_batch(np.array(list(itertools.product(points, repeat=n))))
@@ -857,6 +859,29 @@ def test_sample_batches_pin_the_uniform_stream(n, samples, seed):
                    for offset, X in _reference_stream(n, samples, seed)]
 
 
+def test_sample_batches_redraw_zero_entries(monkeypatch):
+    """A generator whose random writes an exact 0.5 makes every entry
+    -1 + 2 * 0.5 = 0.0: each batch is redrawn with uniform(-1, 1), in
+    C order, and holds no zero."""
+    real = np.random.default_rng
+
+    class Halves:
+        def __init__(self, seed):
+            self.rng = real(seed)
+
+        def random(self, out):
+            out.fill(0.5)
+
+        def uniform(self, low, high, size):
+            return self.rng.uniform(low, high, size)
+
+    monkeypatch.setattr(search.np.random, "default_rng", Halves)
+    ref = real(3)
+    for _, X in _sample_batches(2, 25_000, 3):
+        assert X.all()
+        assert X.tobytes() == ref.uniform(-1.0, 1.0, X.size).tobytes()
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_sample_domination_kernel_equals_eval_f_batch(monkeypatch, n):
     """The one kernel pass over a batch and its mirror, side by side in
@@ -907,7 +932,7 @@ def test_sample_blockwise_domination_accepts():
 def _singletons(pattern):
     J = noncanonical_set(pattern)
     members = sorted(J.members, key=prec_key)
-    blocks = tuple(PartitionBlock("singleton", (m,), (J.sign_of(m),), "initial")
+    blocks = tuple(PartitionBlock("singleton", (m,), ((-1) ** (m.i + m.j),), "initial")
                    for m in members)
     return GoodPartition(len(pattern), tuple(pattern), blocks)
 
