@@ -570,7 +570,10 @@ def validate_partition(gp: GoodPartition) -> CheckResult:
     if gp.n != n:
         return CheckResult(False, f"bad-pattern: n={gp.n} but pattern has {n} entries")
     r, seen = validator_classes(pat), set()
-    bad = check_blocks(gp.blocks, r, seen)
+    try:
+        bad = check_blocks(gp.blocks, r, seen)
+    except TypeError:   # a listing that cannot be iterated, such as None
+        return CheckResult(False, f"bad-kind: listing {gp.blocks!r} is not a sequence of blocks")
     return check_cover(r, seen) if bad is None else bad
 
 
@@ -794,19 +797,20 @@ class AuditState:
     def final(self, blocks: Iterable[PartitionBlock]) -> CheckResult:
         """The replay must end in exactly the given blocks: the listing,
         read as member set -> provenance, must equal live.  A block listed
-        twice counts once, and twice with two provenances, or with members
-        that make no member set, such as None, differs."""
+        twice counts once, and twice with two provenances differs, as does
+        a listing it cannot read: one that cannot be iterated, an entry
+        that is not a block, or members that make no member set, such as
+        None."""
         listed: dict[frozenset, str] = {}
-        for b in blocks:
-            try:
-                key = frozenset(b.members)
-            except (TypeError, AttributeError):   # no members, or not a block
-                break
-            if listed.setdefault(key, b.provenance) != b.provenance:
-                break
-        else:
-            if listed == self.live:
-                return ACCEPT
+        try:
+            for b in blocks:
+                if listed.setdefault(frozenset(b.members), b.provenance) != b.provenance:
+                    break
+            else:
+                if listed == self.live:
+                    return ACCEPT
+        except (TypeError, AttributeError):   # a listing, entry or members it cannot read
+            pass
         return CheckResult(False, "final state of the replay differs from gp.blocks")
 
 

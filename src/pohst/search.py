@@ -33,15 +33,17 @@ its last coordinate, and the runs ending there are its prefix's times
 that coordinate, so a point costs O(n), not O(n^2).  The screen
 multiplies the same terms as eval_f_batch in another order, so the
 points within a relative 2e-12 of its keep-th largest value are
-re-evaluated with eval_f_batch, and the chosen points and values are
-the ones eval_f_batch alone would give, ties going to the lower lattice
-index.  Every ascent makes the same number of probes, so the starts are
-polished together as the rows of one array, a lone start too, and
-each golden step evaluates one probe per start with _terms, the one
-term kernel of this module, in O(n) numpy calls.  The known maximizers
-are 0/-1 vectors, which every grid with an even number of intervals
-contains, so the interesting assertion is that nothing anywhere else
-climbs higher.
+re-evaluated with eval_f_batch, and the chosen points are the ones
+eval_f_batch alone would give, ties going to the lower lattice index.
+Every ascent makes the same number of probes, so the starts are
+polished together as the rows of one array, a lone start too: the
+screen's points, then any random starts, ascended in place.  The ascent
+evaluates the starts and each golden step's probes with _terms, the one
+term kernel of this module, in O(n) numpy calls per step, and returns
+each row's value; the best is the first row with the largest.  The
+known maximizers are 0/-1 vectors, which every grid with an even
+number of intervals contains, so the interesting assertion is that
+nothing anywhere else climbs higher.
 
 Domination sampling checks a seeded stream of samples against the
 mirror -|v|, globally and block by block.  Both samplers draw every
@@ -381,24 +383,14 @@ def _f_into(VT: np.ndarray, f: np.ndarray, p: np.ndarray, t: np.ndarray) -> None
             f *= t
 
 
-def _grid_intervals(grid_step: float) -> int:
-    """The number of grid intervals on [-1, 1], once the step is known to
-    lie in [2/_LATTICE_CAP, 2] and to divide 2."""
+def _axis_points(grid_step: float) -> np.ndarray:
+    """The points of the grid of step grid_step on [-1, 1], once the step
+    is known to lie in [2/_LATTICE_CAP, 2] and to divide 2."""
     if not 2.0 / _LATTICE_CAP <= grid_step <= 2.0:   # also NaN and infinities
         raise ValueError(f"grid_step must lie in [2/{_LATTICE_CAP}, 2], got {grid_step}")
     k = round(2.0 / grid_step)
     if abs(k * grid_step - 2.0) > 1e-12:
         raise ValueError("grid_step must divide the interval length 2 evenly")
-    return k
-
-
-def _axis_points(grid_step: float, n: int) -> np.ndarray:
-    """The grid's points on [-1, 1], once the step is known to divide 2
-    and the lattice, their n-th power, to hold at most _LATTICE_CAP points."""
-    k = _grid_intervals(grid_step)
-    if (k + 1) ** n > _LATTICE_CAP:
-        raise ValueError(f"grid_step {grid_step} at n={n} asks for {k + 1}^{n} "
-                         f"lattice points, more than {_LATTICE_CAP} (9^8)")
     return np.linspace(-1.0, 1.0, k + 1)
 
 
@@ -460,9 +452,9 @@ def _grid_values(points: np.ndarray, n: int) -> Iterator[np.ndarray]:
     yield from walk(np.ones(1), np.empty((0, 1)), 0)
 
 
-def _grid_top(points: np.ndarray, n: int, keep: int) -> tuple[np.ndarray, np.ndarray]:
+def _grid_top(points: np.ndarray, n: int, keep: int) -> np.ndarray:
     """The keep points of points^n at which eval_f_batch is largest, as
-    (values, points), best first, ties going to the first in
+    the rows of one array, best first, ties going to the first in
     mixed-radix order; all of points^n when it holds fewer.
 
     The screen (_grid_values) forms the same terms as eval_f_batch, bit
@@ -494,9 +486,7 @@ def _grid_top(points: np.ndarray, n: int, keep: int) -> tuple[np.ndarray, np.nda
                     idx, val = idx[band], val[band]
         start += len(vals)
     X = points[np.column_stack(np.unravel_index(idx, (len(points),) * n))]
-    ref = eval_f_batch(X)
-    order = np.lexsort((idx, -ref))[:keep]
-    return ref[order], X[order]
+    return X[np.lexsort((idx, -eval_f_batch(X)))[:keep]]
 
 
 def _terms(X: np.ndarray) -> np.ndarray:
@@ -523,29 +513,27 @@ def _eval_f_probe(X: np.ndarray) -> np.ndarray:
     return np.multiply.reduce(_terms(X), axis=0)
 
 
-def _polish(starts: Sequence[tuple[float, np.ndarray]],
-            radius: float) -> list[tuple[np.ndarray, float, int]]:
-    """Per-coordinate golden-section ascent, rounds = _POLISH_ROUNDS
-    passes over the coordinates, from every (value, point) start; never
-    descends.  Returns (x, value, evals) per start, in start order.
+def _polish(X: np.ndarray, radius: float) -> np.ndarray:
+    """Per-coordinate golden-section ascent, _POLISH_ROUNDS passes over
+    the coordinates, from each row of the (S, n) array X, which it
+    ascends in place; never descends.  Returns each row's value at its
+    end, which is eval_f_batch's value there, bit for bit.
 
     Each coordinate probes the two ends of its bracket, two golden points
-    and 48 golden steps, so every ascent makes rounds * n * 52 probes and
-    only the branch of a step differs between starts.  The starts are
-    the rows of one array, a lone start too, and each probe evaluates
-    every row with _eval_f_probe, which gives eval_f_batch's bits."""
-    if not starts:
-        return []
+    and 48 golden steps, so every ascent makes _POLISH_ROUNDS * n * 52
+    probes and only the branch of a step differs between rows.  The
+    starts' values and each probe evaluate every row with _eval_f_probe,
+    which gives eval_f_batch's bits, and a row keeps its value until a
+    probe of a point beats it."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    X = np.array([x for _, x in starts], dtype=float)
-    value = np.array([v for v, _ in starts], dtype=float)
-    n, rounds = X.shape[1], _POLISH_ROUNDS
+    value = _eval_f_probe(X)
+    n = X.shape[1]
 
     def f(k: int, t: np.ndarray) -> np.ndarray:
         X[:, k] = t
         return _eval_f_probe(X)
 
-    for _ in range(rounds):
+    for _ in range(_POLISH_ROUNDS):
         for k in range(n):
             x_k = X[:, k].copy()
             lo = np.maximum(-1.0, x_k - radius)
@@ -566,8 +554,7 @@ def _polish(starts: Sequence[tuple[float, np.ndarray]],
                 up = v > value   # the first strict improvement wins
                 x_k, value = np.where(up, t, x_k), np.where(up, v, value)
             X[:, k] = x_k
-    evals = rounds * n * 52
-    return [(x, float(v), evals) for x, v in zip(X, value)]
+    return value
 
 
 def maximize_f(n: int, grid_step: float = 0.25) -> MaximizeResult:
@@ -579,40 +566,36 @@ def maximize_f(n: int, grid_step: float = 0.25) -> MaximizeResult:
     and its first point where eval_f_batch is largest, the one start.
     Larger n: the _SCREEN_KEEP best points of the coarse 0.5-step
     lattice, best first and ties by lattice index, then _RANDOM_STARTS
-    seeded random points.  The best is the first strict improvement in
-    start order, and evaluations counts each lattice point once.  The
-    coarse lattice has 5^n points, so n is capped at 12.  A grid_step
-    outside [2/9^8, 2] or not dividing 2 is refused for every n, before
-    any screen.
+    seeded random points.  The best is the first start with the largest
+    value after the ascent, and evaluations counts each lattice point and
+    random start once, plus the ascents' probes.  The coarse lattice has
+    5^n points, so n is capped at 12.  A grid_step outside [2/9^8, 2] or
+    not dividing 2 is refused for every n, before any screen.
     """
     if not 1 <= n <= 12:
         raise ValueError("n must be between 1 and 12")
-    _grid_intervals(grid_step)
+    axis = _axis_points(grid_step)
     if n <= 8:
-        points, keep, radius = _axis_points(grid_step, n), 1, grid_step
+        if len(axis) ** n > _LATTICE_CAP:
+            raise ValueError(f"grid_step {grid_step} at n={n} asks for {len(axis)}^{n} "
+                             f"lattice points, more than {_LATTICE_CAP} (9^8)")
+        points, keep, radius = axis, 1, grid_step
         method = f"grid(step={grid_step})+golden-ascent(rounds={_POLISH_ROUNDS})"
     else:
-        points = np.linspace(-1.0, 1.0, round(2.0 / _COARSE_STEP) + 1)
-        keep, radius = _SCREEN_KEEP, _COARSE_STEP
+        points, keep, radius = _axis_points(_COARSE_STEP), _SCREEN_KEEP, _COARSE_STEP
         method = (f"coarse-screen(step={_COARSE_STEP},keep={_SCREEN_KEEP})"
                   f"+multistart({_RANDOM_STARTS})+golden-ascent(rounds={_POLISH_ROUNDS})")
-    vals, X = _grid_top(points, n, keep)
+    X = _grid_top(points, n, keep)
     evaluations = len(points) ** n
     if n > 8:
         rng = np.random.default_rng(_MULTISTART_SEED)
-        R = rng.uniform(-1.0, 1.0, size=(_RANDOM_STARTS, n))
-        vals, X = np.concatenate((vals, eval_f_batch(R))), np.concatenate((X, R))
+        X = np.concatenate((X, rng.uniform(-1.0, 1.0, size=(_RANDOM_STARTS, n))))
         evaluations += _RANDOM_STARTS
-    starts = [(float(v), x) for v, x in zip(vals, X)]
-
-    best_x, best_v = None, -np.inf
-    for x, v, used in _polish(starts, radius):
-        evaluations += used
-        if v > best_v:
-            best_v, best_x = v, x
-    assert best_x is not None
-    return MaximizeResult(n, best_v, tuple(float(c) for c in best_x), pohst_bound(n),
-                          method, evaluations)
+    values = _polish(X, radius)
+    best = int(np.argmax(values))   # the first start with the largest value
+    return MaximizeResult(n, float(values[best]), tuple(float(c) for c in X[best]),
+                          pohst_bound(n), method,
+                          evaluations + _POLISH_ROUNDS * n * 52 * len(X))
 
 
 # ---------------------------------------------------------------------------

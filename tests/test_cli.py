@@ -3,6 +3,8 @@
 import dataclasses
 import gc
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -323,6 +325,22 @@ def test_main_shares_one_parser(capsys, tmp_path):
     assert shared == fresh
     assert [rc for rc, _, _ in shared] == [0, 0, 2]
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_reads_sys_argv_and_runs_as_a_script(capsys, monkeypatch):
+    """main() without arguments parses sys.argv[1:], and the module run
+    as __main__ exits with main's code after printing the same report.
+    pohst.cli leaves sys.modules meanwhile, so runpy runs a fresh copy of
+    it without warning that the module was imported already."""
+    monkeypatch.setattr(sys, "argv", ["pohst", "verify", "--n", "3"])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert "8 patterns verified, 0 failures" in out
+    monkeypatch.delitem(sys.modules, "pohst.cli")
+    with pytest.raises(SystemExit) as done:
+        runpy.run_module("pohst.cli", run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out == out
 
 
 def test_help_exits_cleanly(capsys):

@@ -395,14 +395,17 @@ _ANY_VALUE = st.one_of(_ENTRY, _ANY_BLOCK,
 @st.composite
 def _tampered_build(draw):
     """A build of a pattern with n <= 6 with one step field (k, pair,
-    case, consumed or created) or one listed entry replaced by _ANY_VALUE;
-    an empty listing gets the value as its one entry."""
+    case, consumed or created), one listed entry or the whole listing
+    replaced by _ANY_VALUE; an empty listing gets the value as its one
+    entry."""
     gp = build_good_partition(draw(st.lists(st.sampled_from((1, -1)),
                                             min_size=1, max_size=6)))
     value = draw(_ANY_VALUE)
     fields = ("k", "pair", "case", "consumed", "created") if gp.trace else ()
-    field = draw(st.sampled_from(fields + ("listed",)))
+    field = draw(st.sampled_from(fields + ("listed", "listing")))
     blocks, trace = list(gp.blocks), list(gp.trace)
+    if field == "listing":
+        return GoodPartition(gp.n, gp.pattern, value, gp.trace)
     if field == "listed":
         at = draw(st.integers(0, max(0, len(blocks) - 1)))
         blocks[at:at + 1] = [value]
@@ -417,8 +420,8 @@ def _tampered_build(draw):
 def test_checkers_return_a_verdict_on_any_tampered_build(gp):
     """audit_build, check_impossible_configurations and validate_partition
     return a CheckResult, and raise nothing, on a build with one trace
-    field or one listed entry replaced by an entry, a block of any shape
-    or a tuple of them."""
+    field, one listed entry or the whole listing replaced by an entry, a
+    block of any shape or a tuple of them."""
     for check in (audit_build, check_impossible_configurations, validate_partition):
         assert isinstance(check(gp), CheckResult)
 
@@ -901,6 +904,21 @@ def test_checkers_reject_a_listed_entry_that_is_not_a_block(entry):
     bad = GoodPartition(gp.n, gp.pattern, gp.blocks + (entry,), gp.trace)
     r = validate_partition(bad)
     assert not r and r.witness is entry and r.reason == f"bad-kind: {entry!r} is not a block"
+    r = audit_build(bad)
+    assert not r and r.reason == "final state of the replay differs from gp.blocks"
+    r = check_impossible_configurations(bad)
+    assert not r and r.reason == "a listed block or a trace step cannot be read"
+
+
+@pytest.mark.parametrize("listing", [None, 3])
+def test_checkers_reject_a_listing_that_cannot_be_iterated(listing):
+    """A listing None or 3 is a bad kind to the validator, a final state
+    the replay does not end in and unreadable to the scan, instead of a
+    TypeError."""
+    gp = build_good_partition((-1, 1))
+    bad = GoodPartition(2, (-1, 1), listing, gp.trace)
+    r = validate_partition(bad)
+    assert not r and r.reason == f"bad-kind: listing {listing!r} is not a sequence of blocks"
     r = audit_build(bad)
     assert not r and r.reason == "final state of the replay differs from gp.blocks"
     r = check_impossible_configurations(bad)

@@ -637,7 +637,9 @@ def test_polish_together_matches_one_by_one(monkeypatch):
     """Random, lattice and +-1-clipped starts, n = 1 starts (an (S, 1)
     array), two identical starts and n = 9 starts give the same ascents
     whether polished together or one at a time, both through the probe
-    kernel, and the ascents that POLISH_DIGEST recorded."""
+    kernel, and the ascents that POLISH_DIGEST recorded.  Each returned
+    value is _eval_f_probe's at the row's end, bit for bit, and never
+    below the start's."""
     rng = np.random.default_rng(5)
     points = [rng.uniform(-1.0, 1.0, size=5) for _ in range(6)]
     points += [np.array(p, dtype=float) for p in
@@ -650,17 +652,19 @@ def test_polish_together_matches_one_by_one(monkeypatch):
               [rng.uniform(-1.0, 1.0, size=9) for _ in range(3)]]
     digest = hashlib.sha256()
     for group in groups:
-        starts = [(eval_f(x), x) for x in group]
         for radius, rounds in ((0.5, 2), (0.25, 1)):
             monkeypatch.setattr(search, "_POLISH_ROUNDS", rounds)
-            together = search._polish(starts, radius)
-            for (v0, x0), (x, v, used) in zip(starts, together):
-                [(x1, v1, used1)] = search._polish([(v0, x0)], radius)
-                assert np.array_equal(x, x1) and v == v1 and used == used1
-                assert v >= v0 and used == rounds * len(x0) * 52
-                digest.update(repr((x.tolist(), v, used)).encode())
+            X = np.array(group)
+            values = search._polish(X, radius)
+            assert values.tobytes() == search._eval_f_probe(X).tobytes()
+            evals = rounds * X.shape[1] * 52
+            for x0, x, v in zip(group, X, values):
+                x1 = x0[None, :].copy()
+                [v1] = search._polish(x1, radius)
+                assert np.array_equal(x, x1[0]) and v == v1
+                assert v >= eval_f(x0)
+                digest.update(repr((x.tolist(), float(v), evals)).encode())
     assert digest.hexdigest() == POLISH_DIGEST
-    assert search._polish([], 0.5) == []
 
 
 @pytest.mark.parametrize("n,m,rows", [
@@ -716,7 +720,8 @@ def _reference_top(points, n, keep):
 
 
 def _assert_top(points, n, keep):
-    values, X = search._grid_top(points, n, keep)
+    X = search._grid_top(points, n, keep)
+    values = eval_f_batch(X)
     ref_values, ref_X = _reference_top(points, n, keep)
     assert values.tobytes() == ref_values.tobytes()
     assert np.array_equal(X, ref_X)
@@ -730,7 +735,7 @@ def test_grid_best_is_first_maximum_of_eval_f_batch(n, step):
     """With keep = 1 the grid screen picks the point and value that
     eval_f_batch over the whole lattice gives, ties (the all-zero grid of
     step 2 among them) going to the first in mixed-radix order."""
-    _assert_top(search._axis_points(step, n), n, 1)
+    _assert_top(search._axis_points(step), n, 1)
 
 
 def test_grid_top_matches_eval_f_batch_on_the_multistart_lattice():
@@ -765,7 +770,7 @@ def test_grid_top_reevaluates_few_candidates(monkeypatch):
     (5, 0.5, 7),    # cut inside six points tied at 4.5
 ])
 def test_grid_top_breaks_ties_by_index(n, step, keep):
-    _assert_top(search._axis_points(step, n), n, keep)
+    _assert_top(search._axis_points(step), n, keep)
 
 
 def _no_screen(monkeypatch):
@@ -783,9 +788,9 @@ def test_maximize_rejects_large_lattice_before_screening(monkeypatch, capsys):
         maximize_f(8, grid_step=0.001)
     assert main(["maximize", "--n", "8", "--grid-step", "0.001"]) == 2
     assert "9^8" in capsys.readouterr().err
-    assert len(search._axis_points(0.25, 8)) == 9   # the default n=8 grid: 9^8 points
+    assert len(search._axis_points(0.25)) == 9   # the default n=8 grid: 9^8 points
     with pytest.raises(ValueError, match="11\\^8"):
-        search._axis_points(0.2, 8)
+        maximize_f(8, grid_step=0.2)
 
 
 def test_maximize_rejects_large_n_before_screening(monkeypatch, capsys):
