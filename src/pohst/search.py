@@ -32,9 +32,18 @@ point's value is its prefix's value times the terms whose runs end at
 its last coordinate, and the runs ending there are its prefix's times
 that coordinate, so a point costs O(n), not O(n^2).  The screen
 multiplies the same terms as eval_f_batch in another order, so the
-points within a relative 2e-12 of its keep-th largest value are
-re-evaluated with eval_f_batch, and the chosen points are the ones
+points within a relative 2e-12 of its keep-th largest value, the band,
+are re-evaluated with eval_f_batch, and the chosen points are the ones
 eval_f_batch alone would give, ties going to the lower lattice index.
+The walk is a branch and bound: no completion of a prefix x_1..x_k with
+value f_k and runs r_i = x_i..x_k exceeds
+f_k (prod_i (1 + |r_i|))^d 2^(d(d+1)/2), d = n - k, since each cross
+term is at most 1 + |r_i| and each term within the suffix at most 2, so
+a prefix whose bound lies below the band's edge, which only rises, is
+dropped with all its completions.  A first walk over the 3-point
+sub-axis of the ends and the middle, {-1, 0, 1} on grids of an even
+number of intervals, starts the edge near its final height; only a few
+percent of the last level's prefixes are then extended.
 Every ascent makes the same number of probes, so the starts are
 polished together as the rows of one array, a lone start too: the
 screen's points, then any random starts, ascended in place.  The ascent
@@ -427,56 +436,75 @@ def _extend(f: np.ndarray, runs: np.ndarray, pts: np.ndarray,
     return (vals.T if by_point else vals).ravel(), new
 
 
-def _grid_values(points: np.ndarray, n: int) -> Iterator[np.ndarray]:
-    """Screen values of f_n over points^n in mixed-radix order, as
-    consecutive chunks of at most rows = _SCREEN_ROWS values, read when
-    the screen starts.
+def _reach(f: np.ndarray, runs: np.ndarray, d: int) -> np.ndarray:
+    """For each prefix x_1..x_k, f[p] its screen value f_k and runs[i, p]
+    its run x_{i+1}..x_k, a bound, slack included, on the screen value of
+    every completion by d more coordinates:
+    f_k (prod_i (1 + |r_i|))^d 2^(d(d+1)/2) (1 + 2 _CONFIRM_REL).
 
-    A walk of the prefix tree: each node extends its parent's prefixes
-    by one coordinate (_extend), which costs O(n) per point where
-    running_terms costs O(n^2).  A node extends its prefixes by step
-    points at a time, step the most points whose subtrees, under all its
-    prefixes, fit in one chunk, and at least one.  Where the whole level
-    fits, that is all m points at once; where it does not, the node holds
-    one prefix.  So no level holds more than rows prefixes."""
+    Completing the prefix multiplies f_k by d k cross terms
+    1 - r_i x_{k+1}..x_j, each at most 1 + |r_i| as |x| <= 1, and by the
+    d(d+1)/2 terms within the suffix, each at most 2.  Every factor is
+    >= 0 and the screen rounds the runs, terms and products monotonically,
+    so its value exceeds the exact product of these bounds by at most
+    about n^2 roundings, as this one falls short of it, far inside the
+    slack."""
+    acc, t = np.ones(len(f)), np.empty(len(f))
+    for r in runs:
+        np.abs(r, out=t)
+        t += 1.0
+        acc *= t
+    np.power(acc, d, out=acc)
+    acc *= f
+    acc *= 2.0 ** (d * (d + 1) // 2) * (1.0 + 2 * _CONFIRM_REL)
+    return acc
+
+
+def _screen(points: np.ndarray, n: int, keep: int,
+            floor: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """The band of the lattice points^n: the mixed-radix indices,
+    ascending, and the screen values of every point whose value is at
+    least floor, the band's lower edge, when the walk reaches it; and the
+    edge at the end.  The edge starts at floor and rises to the running
+    keep-th largest value less 2 _CONFIRM_REL of it, dropping the points
+    below it; with fewer than keep points it stays where it starts.
+
+    A branch-and-bound walk of the prefix tree.  Each node extends its
+    prefixes by one coordinate (_extend), which costs O(n) per point
+    where running_terms costs O(n^2), step points at a time, step the
+    most points whose subtrees, under all its prefixes, fit in one chunk
+    of _SCREEN_ROWS values, and at least one: all m points where the
+    whole level fits, else one prefix.  Before it extends them, a node
+    drops every prefix that _reach puts below the edge: the edge only
+    rises, so no completion of it could ever enter the band.  Each node
+    carries one int64 mixed-radix index per prefix, and a leaf forms the
+    indices of its hits only.  With floor at -inf and keep beyond the
+    lattice, nothing is dropped and the walk visits every point, in
+    mixed-radix order, in chunks of at most _SCREEN_ROWS values."""
     m, rows = len(points), _SCREEN_ROWS
+    idx = np.empty(0, dtype=np.int64)
+    val = np.empty(0)
 
-    def walk(f: np.ndarray, runs: np.ndarray, k: int) -> Iterator[np.ndarray]:
-        if k == n:
-            yield f
-            return
-        step = max(1, rows // (len(f) * m ** (n - k - 1)))
+    def walk(f: np.ndarray, runs: np.ndarray, ids: np.ndarray, k: int) -> None:
+        nonlocal floor, idx, val
+        d = n - k
+        ok = _reach(f, runs, d) >= floor
+        if not ok.all():
+            f, runs, ids = f[ok], runs[:, ok], ids[ok]
+            if not len(f):
+                return
+        step = max(1, rows // (len(f) * m ** (d - 1)))
         for c in range(0, m, step):
-            yield from walk(*_extend(f, runs, points[c:c + step], k + 1 < n), k + 1)
-
-    yield from walk(np.ones(1), np.empty((0, 1)), 0)
-
-
-def _grid_top(points: np.ndarray, n: int, keep: int) -> np.ndarray:
-    """The keep points of points^n at which eval_f_batch is largest, as
-    the rows of one array, best first, ties going to the first in
-    mixed-radix order; all of points^n when it holds fewer.
-
-    The screen (_grid_values) forms the same terms as eval_f_batch, bit
-    for bit, and multiplies them in another order, so both lie within
-    about n^2 2^-53 of the exact product of those terms: relatively, as
-    f >= 0, and far inside _CONFIRM_REL.  Moving every value by at most
-    that much moves each order statistic by at most as much, so each of
-    eval_f_batch's top keep points has a screen value within
-    2 _CONFIRM_REL of the screen's keep-th largest.  The screen keeps
-    every point within that band of the running keep-th largest value,
-    which only rises, and prunes the kept set whenever it does; a chunk
-    below the band costs one max pass.  eval_f_batch re-evaluates the
-    candidates, decoded from their mixed-radix indices by
-    np.unravel_index, and they are ranked by (-value, index)."""
-    floor = -np.inf                     # the band's lower edge
-    idx = np.empty(0, dtype=np.int64)   # candidates, ascending
-    val = np.empty(0)                   # and their screen values
-    start = 0
-    for vals in _grid_values(points, n):
-        if vals.max() >= floor:
+            pts = points[c:c + step]
+            if d > 1:
+                walk(*_extend(f, runs, pts, True),
+                     (ids[:, None] * m + np.arange(c, c + len(pts))).ravel(), k + 1)
+                continue
+            vals = _extend(f, runs, pts, False)[0]
+            if vals.max() < floor:
+                continue
             hit = np.flatnonzero(vals >= floor)
-            idx = np.concatenate((idx, start + hit))
+            idx = np.concatenate((idx, ids[hit // len(pts)] * m + c + hit % len(pts)))
             val = np.concatenate((val, vals[hit]))
             if len(val) >= keep:
                 kth = np.partition(val, len(val) - keep)[len(val) - keep]
@@ -484,8 +512,35 @@ def _grid_top(points: np.ndarray, n: int, keep: int) -> np.ndarray:
                     floor = kth - 2 * _CONFIRM_REL * kth
                     band = val >= floor
                     idx, val = idx[band], val[band]
-        start += len(vals)
-    X = points[np.column_stack(np.unravel_index(idx, (len(points),) * n))]
+
+    walk(np.ones(1), np.empty((0, 1)), np.zeros(1, dtype=np.int64), 0)
+    return idx, val, floor
+
+
+def _grid_top(points: np.ndarray, n: int, keep: int) -> np.ndarray:
+    """The keep points of points^n at which eval_f_batch is largest, as
+    the rows of one array, best first, ties going to the first in
+    mixed-radix order; all of points^n when it holds fewer.
+
+    The screen (_screen) forms the same terms as eval_f_batch, bit for
+    bit, and multiplies them in another order, so both lie within about
+    n^2 2^-53 of the exact product of those terms: relatively, as f >= 0,
+    and far inside _CONFIRM_REL.  Moving every value by at most that much
+    moves each order statistic by at most as much, so each of
+    eval_f_batch's top keep points has a screen value within
+    2 _CONFIRM_REL of the screen's keep-th largest, the band's final
+    edge, and is kept.  The edge starts at the final edge of the 3-point
+    sub-axis {points[0], points[m // 2], points[-1]}, when m > 3: a
+    point's screen value does not depend on the lattice it lies in, and a
+    subset's keep-th largest value cannot exceed the whole lattice's, so
+    this only lets the walk drop more prefixes sooner; the band at the
+    end, every point within the final edge, is the same.  eval_f_batch
+    re-evaluates the band, decoded from its mixed-radix indices by
+    np.unravel_index, and it is ranked by (-value, index)."""
+    m = len(points)
+    floor = -np.inf if m <= 3 else _screen(points[[0, m // 2, -1]], n, keep, -np.inf)[2]
+    idx = _screen(points, n, keep, floor)[0]
+    X = points[np.column_stack(np.unravel_index(idx, (m,) * n))]
     return X[np.lexsort((idx, -eval_f_batch(X)))[:keep]]
 
 
@@ -567,10 +622,15 @@ def maximize_f(n: int, grid_step: float = 0.25) -> MaximizeResult:
     Larger n: the _SCREEN_KEEP best points of the coarse 0.5-step
     lattice, best first and ties by lattice index, then _RANDOM_STARTS
     seeded random points.  The best is the first start with the largest
-    value after the ascent, and evaluations counts each lattice point and
-    random start once, plus the ascents' probes.  The coarse lattice has
-    5^n points, so n is capped at 12.  A grid_step outside [2/9^8, 2] or
-    not dividing 2 is refused for every n, before any screen.
+    value after the ascent.  The screen's branch and bound forms the
+    values of only the lattice points whose prefixes could still reach
+    its band, and it drops only points that could never enter it, so the
+    points it returns are those of a screen of every point (_grid_top).
+    evaluations counts each lattice point once, whether its value was
+    formed or ruled out by a prefix's bound, and each random start once,
+    plus the ascents' probes.  The coarse lattice has 5^n points, so n
+    is capped at 12.  A grid_step outside [2/9^8, 2] or not dividing 2 is
+    refused for every n, before any screen.
     """
     if not 1 <= n <= 12:
         raise ValueError("n must be between 1 and 12")

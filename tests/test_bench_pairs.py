@@ -108,3 +108,34 @@ def test_summary_of_one_pair():
     assert s["ops_per_s"]["parent"] == {"median": 4.0, "q1": 4.0, "q3": 4.0}
     assert s["ops_per_s"]["worse_by"] == pytest.approx(0.25)
     assert s["ops_per_s"]["within_bound"] and s["all_correct"]
+
+
+def _figures(grid_s, rows_per_s):
+    return [f"{'setup_s':50s} {0.3:16.6f} s",
+            f"{'numeric.maximize_grid_s':50s} {grid_s:16.6f} s",
+            f"{'numeric.sample_rows_per_s':50s} {rows_per_s:16.6f} 1/s",
+            "GATE FAILED: 3 bad",
+            'env {"nproc": 2, "seed": 1}']
+
+
+def test_summary_lists_median_figures_per_side():
+    """Each named figure gets its median on each side; gate and env lines
+    are no figures, and a run without figures lists none."""
+    grid = [(0.09, 0.05), (0.10, 0.06), (0.08, 0.04)]
+    runs = [{"parent": _result(4.5, 50.0, 0.3), "change": _result(5.0, 50.0, 0.3),
+             "parent_figures": _figures(p, 1e6), "change_figures": _figures(c, 2e6)}
+            for p, c in grid]
+    runs.append({"parent": _result(4.5, 50.0, 0.3), "change": _result(5.0, 50.0, 0.3),
+                 "parent_figures": [], "change_figures": _figures(0.07, 3e6)})
+    figures = bench_pairs.summarize(runs, END_TO_END)["figures"]
+    assert list(figures) == ["numeric.maximize_grid_s", "numeric.sample_rows_per_s",
+                             "setup_s"]
+    assert figures["numeric.maximize_grid_s"] == pytest.approx(
+        {"parent": 0.09, "change": 0.055})
+    assert figures["numeric.sample_rows_per_s"] == pytest.approx(
+        {"parent": 1e6, "change": 2e6})
+    assert bench_pairs.summarize(runs[:1], END_TO_END)["figures"]["setup_s"] == {
+        "parent": 0.3, "change": 0.3}
+    assert bench_pairs.summarize([{"parent": _result(4.0, 50.0, 0.3),
+                                   "change": _result(3.0, 50.0, 0.3)}],
+                                 END_TO_END)["figures"] == {}

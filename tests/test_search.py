@@ -570,7 +570,9 @@ def test_maximize_rejects_bad_arguments():
 #: SHA-256 of repr(maximize_f(*args)), recorded before the ascents were
 #: polished in lockstep and the lattice filled by slices; (8,), (6, 2/3)
 #: and (5, 0.4) were recorded before the grid screen extended prefixes,
-#: and (10,) before the multistart path screened by prefix extension.
+#: and (10,) before the multistart path screened by prefix extension;
+#: (11,) and (3, 2/349), whose 350 points per axis outnumber the
+#: prefixes of the last level, before the screen pruned prefixes.
 #: n = 8 has five tied maximizers, and the grids of steps 2/3 and 0.4
 #: hold no 0, so their maximum sits where the screen's values and
 #: eval_f_batch's differ in the last bits.
@@ -589,6 +591,8 @@ MAXIMIZE_DIGESTS = {
     (4, 0.125): "3684548c0b5875f5598bda10a3dd14795bb17142d616e22f896681cd1cd03b0f",
     (6, 2 / 3): "5daf08f1d293e3cf6ea2b16ca28047dc3269b3eb0bcd8497c3c3ace417c85553",
     (5, 0.4): "a4cb1cf099a598b4595b2d5c5b080def2e118e1d4708ccc633b7d3bd0f5c61d3",
+    (11,): "7865b98d132ddcbb10e5672bce581bb232dfb7c5f9946308848e4762ab979cad",
+    (3, 2 / 349): "56760ee88a3c6893d58d0a8241399f8b4cb63b62287ed496b7fd7029c650a9ea",
 }
 
 
@@ -676,17 +680,74 @@ def test_polish_together_matches_one_by_one(monkeypatch):
     (3, 6, 216),    # the whole lattice in one chunk
 ])
 def test_grid_values_match_eval_f_batch(monkeypatch, n, m, rows):
-    """The screen visits points^n in mixed-radix order in chunks of at
-    most rows = _SCREEN_ROWS values, each within the rounding of a
-    product of n(n+1)/2 terms of eval_f_batch's value at the same point."""
+    """With the band's edge at -inf and keep beyond the lattice, the
+    screen's walk drops nothing: it visits points^n once, in mixed-radix
+    order, forming its last-level values in chunks of at most rows =
+    _SCREEN_ROWS, each within the rounding of a product of n(n+1)/2
+    terms of eval_f_batch's value at the same point."""
     monkeypatch.setattr(search, "_SCREEN_ROWS", rows)
+    chunks = _last_level_values(monkeypatch)
     points = np.linspace(-1.0, 1.0, m)
-    chunks = list(search._grid_values(points, n))
-    assert all(1 <= len(c) <= rows for c in chunks)
-    got = np.concatenate(chunks)
+    idx, got, floor = search._screen(points, n, m ** n + 1, -np.inf)
+    assert floor == -np.inf
+    assert all(1 <= c <= rows for c in chunks) and sum(chunks) == m ** n
+    assert np.array_equal(idx, np.arange(m ** n))
     ref = eval_f_batch(np.array(list(itertools.product(points, repeat=n))))
     assert got.shape == ref.shape
     assert np.all(np.abs(got - ref) <= n * (n + 1) * 2.0 ** -53 * ref)
+
+
+def _last_level_values(monkeypatch):
+    """A list that gets the number of values of each last-level _extend
+    call, the only calls that keep no runs."""
+    counts = []
+    extend = search._extend
+
+    def spy(f, runs, pts, keep_runs):
+        out = extend(f, runs, pts, keep_runs)
+        if not keep_runs:
+            counts.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(search, "_extend", spy)
+    return counts
+
+
+@pytest.mark.parametrize("step", [0.5, 0.4, 2 / 3, 1.0])
+def test_reach_bounds_every_completion(step):
+    """For n <= 5, at every prefix of every length k, _reach, slack
+    included, is at least the screen value of each completion of the
+    prefix by d = n - k coordinates.  Negative control: without the
+    2^(d(d+1)/2) bound on the terms within the suffix, some prefix's
+    completion exceeds it."""
+    points = search._axis_points(step)
+    m = len(points)
+    short = False
+    for n in range(1, 6):
+        vals = search._screen(points, n, m ** n + 1, -np.inf)[1]
+        f, runs = np.ones(1), np.empty((0, 1))
+        for k in range(n + 1):
+            d = n - k
+            best = vals.reshape(m ** k, m ** d).max(axis=1)
+            reach = search._reach(f, runs, d)
+            assert np.all(reach >= best), (n, k)
+            short |= bool(np.any(reach / 2.0 ** (d * (d + 1) // 2) < best))
+            if d:
+                f, runs = search._extend(f, runs, points, True)
+    assert short
+
+
+@pytest.mark.parametrize("points,n,keep,formed", [
+    (np.linspace(-1.0, 1.0, 9), 7, 1, 96_840),     # the n = 7 grid: 9^7 = 4,782,969
+    (np.linspace(-1.0, 1.0, 5), 9, 32, 50_873),    # the n = 9 coarse lattice: 5^9 = 1,953,125
+])
+def test_grid_top_prunes_the_last_level(monkeypatch, points, n, keep, formed):
+    """The branch-and-bound screen forms few of the lattice's values, the
+    seed's walk over the 3-point sub-axis included: the counts recorded
+    when the prune came in, so a change that stops it pruning fails."""
+    counts = _last_level_values(monkeypatch)
+    search._grid_top(points, n, keep)
+    assert sum(counts) == formed
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -778,7 +839,7 @@ def _no_screen(monkeypatch):
     def no_lattice(*args, **kwargs):
         raise AssertionError("the lattice screen was started")
 
-    for name in ("_grid_values", "_grid_top"):
+    for name in ("_screen", "_grid_top"):
         monkeypatch.setattr(search, name, no_lattice)
 
 

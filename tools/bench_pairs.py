@@ -17,7 +17,10 @@ parent's relative IQR, whether the change stays within the metric's
 bound, whether that is resolved: the parent's spread is within the
 bound, or every change run beats every parent run, and whether the
 change is a gain: it won at least nine tenths of the pairs and its
-median beats the parent's by more than the parent's relative IQR.
+median beats the parent's by more than the parent's relative IQR.  The
+summary's "figures" holds each side's median of every named figure, the
+`name value unit` lines among *_figures (numeric.maximize_grid_s, say),
+so the file shows which call moved.
 """
 
 from __future__ import annotations
@@ -89,7 +92,28 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             "resolved": iqr_rel <= metric["bound"] or clear_win,
             "gain": 10 * wins >= 9 * len(runs) and -worse_by > iqr_rel,
         }
+    out["figures"] = figure_medians(runs)
     return out
+
+
+def figure_medians(runs: list[dict]) -> dict[str, dict[str, float]]:
+    """Name -> side -> median of the figure over the pairs whose
+    *_figures list it as a `name value unit` line; a run without
+    *_figures lists none."""
+    found: dict[str, dict[str, list[float]]] = {}
+    for r in runs:
+        for side in ("parent", "change"):
+            for line in r.get(f"{side}_figures", ()):
+                parts = line.split()
+                if len(parts) != 3:
+                    continue
+                try:
+                    value = float(parts[1])
+                except ValueError:
+                    continue
+                found.setdefault(parts[0], {}).setdefault(side, []).append(value)
+    return {name: {side: statistics.median(v) for side, v in sides.items()}
+            for name, sides in sorted(found.items())}
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, list[str], int]:
