@@ -25,50 +25,52 @@ jobs > 1 the tree is split by prefix into 2^k subtrees, 2^k >= 4 jobs.
 
 Numeric maximization reproduces the bound 2^floor((n+1)/2) without
 assuming it: a lattice search over the cube followed by per-coordinate
-golden-section ascent.  One screen serves both paths: the grid of
-n <= 8 for its best point, the coarse lattice of larger n for its 32
-best.  It walks the lattice by prefix extension: in mixed-radix order a
-point's value is its prefix's value times the terms whose runs end at
-its last coordinate, and the runs ending there are its prefix's times
-that coordinate, so a point costs O(n), not O(n^2).  The screen
-multiplies the same terms as eval_f_batch in another order, so the
-points within a relative 2e-12 of its keep-th largest value, the band,
-are re-evaluated with eval_f_batch, and the chosen points are the ones
-eval_f_batch alone would give, ties going to the lower lattice index.
-The walk is a branch and bound: no completion of a prefix x_1..x_k with
-value f_k and runs r_i = x_i..x_k exceeds
-f_k (prod_i (1 + |r_i|))^d 2^(d(d+1)/2), d = n - k, since each cross
-term is at most 1 + |r_i| and each term within the suffix at most 2, so
-a prefix whose bound lies below the band's edge, which only rises, is
-dropped with all its completions.  A first walk over the 3-point
-sub-axis of the ends and the middle, {-1, 0, 1} on grids of an even
-number of intervals, starts the edge near its final height; only a few
-percent of the last level's prefixes are then extended.
-Every ascent makes the same number of probes, so the starts are
+golden-section ascent.  One screen serves both paths: the grid of n <= 8
+for its best point, the coarse lattice of larger n for its 32 best.  It
+walks the lattice by prefix extension: in mixed-radix order a point's
+value is its prefix's value times the terms whose runs end at its last
+coordinate, and the runs ending there are its prefix's times that
+coordinate, so a point costs O(n), not O(n^2).  The screen multiplies
+the same terms as eval_f_batch in another order, so the points within a
+relative 2e-12 of its keep-th largest value, the band, are re-evaluated
+with eval_f_batch, and the chosen points are the ones eval_f_batch alone
+would give, ties going to the lower lattice index.  The walk is a branch
+and bound: no completion of a prefix x_1..x_k with value f_k and runs
+r_i = x_i..x_k exceeds f_k (prod_i (1 + |r_i|))^d 2^(d(d+1)/2),
+d = n - k, since each cross term is at most 1 + |r_i| and each term
+within the suffix at most 2, so a prefix whose bound lies below the
+band's edge, which only rises, is dropped with all its completions.  A
+first walk over the 3-point sub-axis of the ends and the middle,
+{-1, 0, 1} on grids of an even number of intervals, starts the edge near
+its final height; only a few percent of the last level's prefixes are
+then extended.  A node extends at most _SCREEN_ROWS = 2^17 values at
+once.  Every ascent makes the same number of probes, so the starts are
 polished together as the rows of one array, a lone start too: the
 screen's points, then any random starts, ascended in place.  The ascent
 evaluates the starts and each golden step's probes with _terms, the one
-term kernel of this module, in O(n) numpy calls per step, and returns
-each row's value; the best is the first row with the largest.  The
-known maximizers are 0/-1 vectors, which every grid with an even
-number of intervals contains, so the interesting assertion is that
-nothing anywhere else climbs higher.
+term kernel of this module, in O(n) numpy calls per step, a coordinate's
+four bracket points in one call, and returns each row's value; the best
+is the first row with the largest.  The known maximizers are 0/-1
+vectors, which every grid with an even number of intervals contains, so
+the interesting assertion is that nothing anywhere else climbs higher.
 
-Domination sampling checks a seeded stream of samples against the
-mirror -|v|, globally and block by block.  Both samplers draw every
-batch of the stream into one buffer, reused from batch to batch.  The
-global check copies each batch, transposed, and its mirror side by side
-into one work array, also reused, and evaluates both with one pass of
+Domination sampling checks a seeded stream of samples against the mirror
+-|v|, globally and block by block.  Both samplers draw every batch of
+the stream into one buffer, reused from batch to batch.  The global
+check copies each batch, transposed, and its mirror side by side into
+one work array, also reused, and evaluates both with one pass of
 _f_into, the in-place kernel under eval_f_batch, which multiplies
 running_terms' terms in running_terms' order and allocates nothing;
-sample and mirror get eval_f_batch's bits.  The block-wise check forms
-the terms of a row chunk once with _terms.  Each pattern's partition
-becomes a small table of its blocks' term rows, padded with the 1.0
-row to four members, and every block product of the chunk is one
-gather from the term array.  The tables of a batch's new patterns come from the same walk
-over just those patterns, with the build alone; where a row fails, the
-patterns below it are rebuilt one by one in ascending index, so the
-failure raised is the one a per-pattern loop meets first.
+sample and mirror get eval_f_batch's bits.  Both checks run an exact
+a <= b first and leq_with_tol only where it fails: the tolerance only
+widens the compare.  The block-wise check forms the terms of a row chunk
+once with _terms.  Each pattern's partition becomes a small table of its
+blocks' term rows, padded with the 1.0 row to four members, and every
+block product of the chunk is one gather from the term array.  The
+tables of a batch's new patterns come from the same walk over just those
+patterns, with the build alone; where a row fails, the patterns below it
+are rebuilt one by one in ascending index, so the failure raised is the
+one a per-pattern loop meets first.
 """
 
 from __future__ import annotations
@@ -116,8 +118,10 @@ _LATTICE_CAP = 9 ** 8
 _BATCH_ROWS = 16_384
 #: Samples per batch of the sampling stream.
 _SAMPLE_BATCH = 20_000
-#: Points per chunk of the lattice screen of maximize_f.
-_SCREEN_ROWS = 1 << 16
+#: Points per chunk of the lattice screen of maximize_f.  At 2^17 > 9^5
+#: the n = 8 grid's upper nodes hold two prefixes, not one, and its walk
+#: makes 1,586 _extend calls, not 2,962; 2^18 forms more values of n = 9.
+_SCREEN_ROWS = 1 << 17
 #: Relative rounding allowance of the lattice screen: eval_f_batch
 #: re-evaluates the points within twice it of the screen's keep-th
 #: largest value.
@@ -376,18 +380,21 @@ def _f_into(VT: np.ndarray, f: np.ndarray, p: np.ndarray, t: np.ndarray) -> None
     column, written into f, with running_terms' terms in running_terms'
     order; p and t are scratch of f's length, VT's rows contiguous.
 
-    Each run's product p starts as a copy of x_i, which 1.0 * x_i equals
-    bit for bit, and is extended in place; each term is 1 - p in t, and
-    f, starting at 1.0, multiplies it in place.  So f holds the bits of
-    eval_f on every column, and nothing is allocated."""
-    n = len(VT)
-    f.fill(1.0)
-    for i in range(n):
-        np.copyto(p, VT[i])
-        np.subtract(1.0, p, out=t)
-        f *= t
-        for j in range(i + 1, n):
-            p *= VT[j]
+    Each run starts as VT[i] itself, which 1.0 * x_i equals bit for bit:
+    its first extension x_i * x_{i+1} goes into p, and later ones extend p
+    in place; each term is 1 - run in t.  f starts as the first term,
+    which 1.0 times it equals, and multiplies every later one in place.
+    So f holds the bits of eval_f on every column, and nothing is
+    allocated."""
+    np.subtract(1.0, VT[0], out=f)
+    for i in range(len(VT)):
+        if i:
+            np.subtract(1.0, VT[i], out=t)
+            f *= t
+        run = VT[i]
+        for j in range(i + 1, len(VT)):
+            np.multiply(run, VT[j], out=p)
+            run = p
             np.subtract(1.0, p, out=t)
             f *= t
 
@@ -579,7 +586,8 @@ def _polish(X: np.ndarray, radius: float) -> np.ndarray:
     probes and only the branch of a step differs between rows.  The
     starts' values and each probe evaluate every row with _eval_f_probe,
     which gives eval_f_batch's bits, and a row keeps its value until a
-    probe of a point beats it."""
+    probe of a point beats it.  The four bracket points lo, hi, c and d
+    are one _eval_f_probe call on a stack of 4 S rows."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     value = _eval_f_probe(X)
     n = X.shape[1]
@@ -593,11 +601,11 @@ def _polish(X: np.ndarray, radius: float) -> np.ndarray:
             x_k = X[:, k].copy()
             lo = np.maximum(-1.0, x_k - radius)
             hi = np.minimum(1.0, x_k + radius)
-            g_lo, g_hi = f(k, lo), f(k, hi)
-            a, b = lo, hi
-            w = inv * (b - a)
-            c, d = b - w, a + w
-            gc, gd = f(k, c), f(k, d)
+            w = inv * (hi - lo)
+            a, b, c, d = lo, hi, hi - w, lo + w
+            Y = np.tile(X, (4, 1))   # the four bracket points, one probe
+            Y[:, k] = np.concatenate((lo, hi, c, d))
+            g_lo, g_hi, gc, gd = _eval_f_probe(Y).reshape(4, -1)
             for _ in range(48):
                 m = gc > gd
                 a, b = np.where(m, a, c), np.where(m, d, b)
@@ -710,8 +718,10 @@ def sample_domination(n: int, samples: int = 100_000, seed: int = 42) -> CheckRe
     Deterministic given (n, samples, seed).  On failure the witness is
     (sample index, vector).  Each batch is drawn into one reused buffer
     and copied, transposed, into one reused work array, its mirror
-    beside it; one _f_into pass over the array's columns gives
-    eval_f_batch's bits on the batch and on -|batch|.
+    (copysign) beside it; one _f_into pass over the array's columns gives
+    eval_f_batch's bits on the batch and on -|batch|.  A batch that the
+    exact compares pass is accepted: leq_with_tol adds a tolerance of at
+    least ABS_TOL > 0, so it would pass it too; it decides the rest.
     """
     _check_sampling(n, samples, seed)
     bound = pohst_bound(n)
@@ -722,10 +732,11 @@ def sample_domination(n: int, samples: int = 100_000, seed: int = 42) -> CheckRe
         m = len(X)
         V, M = W[:, :m], W[:, m:2 * m]   # the batch's columns, then its mirror's
         np.copyto(V, X.T)
-        np.abs(V, out=M)
-        np.negative(M, out=M)
+        np.copysign(V, -1.0, out=M)
         _f_into(W[:, :2 * m], f[:2 * m], p[:2 * m], t[:2 * m])
         fv, fm = f[:m], f[m:2 * m]
+        if (fv <= fm).all() and (fm <= bound).all():
+            continue
         ok = leq_with_tol(fv, fm) & leq_with_tol(fm, bound)
         if not ok.all():
             bad = int(np.argmin(ok))
@@ -832,7 +843,9 @@ def sample_blockwise_domination(n: int, samples: int = 100_000,
         first = None   # (pattern slot, block, row) of the batch's first failure
         for s in range(0, len(X), chunk):
             C, cols = X[s:s + chunk], stacked[inverse[s:s + chunk]]
-            P = _gathered_block_products(np.stack((C, -np.abs(C))), cols)
+            P = _gathered_block_products(np.stack((C, np.copysign(C, -1.0))), cols)
+            if (P[0] <= P[1]).all():
+                continue
             ok = leq_with_tol(P[0], P[1])
             rows, blocks = np.nonzero(~ok)
             if len(rows):

@@ -740,6 +740,7 @@ def test_reach_bounds_every_completion(step):
 @pytest.mark.parametrize("points,n,keep,formed", [
     (np.linspace(-1.0, 1.0, 9), 7, 1, 96_840),     # the n = 7 grid: 9^7 = 4,782,969
     (np.linspace(-1.0, 1.0, 5), 9, 32, 50_873),    # the n = 9 coarse lattice: 5^9 = 1,953,125
+    (np.linspace(-1.0, 1.0, 9), 8, 1, 799_173),    # the n = 8 grid: 9^8 = 43,046,721
 ])
 def test_grid_top_prunes_the_last_level(monkeypatch, points, n, keep, formed):
     """The branch-and-bound screen forms few of the lattice's values, the
@@ -892,6 +893,19 @@ def test_sample_domination_reports_the_first_failing_sample(monkeypatch):
     assert r.reason == (f"domination failed at sample {bad}: f={fv[bad]}, "
                         f"mirror={fm[bad]}, bound={bound}")
 
+
+def test_sample_domination_tolerance_decides_what_the_exact_compare_refuses(monkeypatch):
+    """With the bound planted just below the stream's largest mirror
+    value, within leq_with_tol's tolerance, the exact compare that runs
+    first fails on that sample's batch; the call is still accepted, as
+    leq_with_tol decides every batch the exact compare does not pass."""
+    n, samples, seed = 3, 1_000, 9
+    monkeypatch.setattr(search, "_SAMPLE_BATCH", 100)
+    fm = max(eval_f_batch(-np.abs(X)).max() for _, X in _sample_batches(n, samples, seed))
+    bound = fm * (1.0 - 1e-13)
+    assert bound < fm and leq_with_tol(fm, bound)
+    monkeypatch.setattr(search, "pohst_bound", lambda n: bound)
+    assert sample_domination(n, samples, seed)
 
 def _reference_stream(n, samples, seed):
     """The documented stream: batches of 20 000 rows drawn with
@@ -1069,6 +1083,25 @@ def test_sample_blockwise_domination_planted_failure_matches_reference(
     assert pattern_from_index(3, pattern) == tuple(np.where(np.array(vec) > 0, 1, -1))
     assert sorted(built) == sorted(pattern_from_index(3, idx) for idx in range(8))
 
+
+def test_sample_blockwise_domination_tolerance_decides_what_the_exact_compare_refuses(
+        monkeypatch):
+    """With every sample's block products planted at (1 + 1e-13) times its
+    mirror's, the exact compare that runs first fails on every chunk; the
+    call is still accepted, as leq_with_tol decides every chunk the exact
+    compare does not pass."""
+    products = search._gathered_block_products
+    planted = []
+
+    def spy(X, cols):
+        P = products(X, cols)
+        P[0] = P[1] * (1.0 + 1e-13)
+        planted.append(bool(np.any(P[0] > P[1])))
+        return P
+
+    monkeypatch.setattr(search, "_gathered_block_products", spy)
+    assert sample_blockwise_domination(4, samples=2_000, seed=42)
+    assert planted and all(planted)
 
 def test_sample_blockwise_domination_builds_each_pattern_once(monkeypatch):
     built = _materialize(monkeypatch)
