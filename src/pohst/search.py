@@ -603,7 +603,7 @@ def _polish(X: np.ndarray, radius: float) -> np.ndarray:
             hi = np.minimum(1.0, x_k + radius)
             w = inv * (hi - lo)
             a, b, c, d = lo, hi, hi - w, lo + w
-            Y = np.tile(X, (4, 1))   # the four bracket points, one probe
+            Y = np.tile(X, (4, 1))
             Y[:, k] = np.concatenate((lo, hi, c, d))
             g_lo, g_hi, gc, gd = _eval_f_probe(Y).reshape(4, -1)
             for _ in range(48):
@@ -717,9 +717,9 @@ def sample_domination(n: int, samples: int = 100_000, seed: int = 42) -> CheckRe
 
     Deterministic given (n, samples, seed).  On failure the witness is
     (sample index, vector).  Each batch is drawn into one reused buffer
-    and copied, transposed, into one reused work array, its mirror
-    (copysign) beside it; one _f_into pass over the array's columns gives
-    eval_f_batch's bits on the batch and on -|batch|.  A batch that the
+    and copied, transposed, into one reused work array, its mirror (one
+    copysign pass) beside it; one _f_into pass over the array's columns
+    gives eval_f_batch's bits on the batch and on -|batch|.  A batch that the
     exact compares pass is accepted: leq_with_tol adds a tolerance of at
     least ABS_TOL > 0, so it would pass it too; it decides the rest.
     """

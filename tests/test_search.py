@@ -907,6 +907,7 @@ def test_sample_domination_tolerance_decides_what_the_exact_compare_refuses(monk
     monkeypatch.setattr(search, "pohst_bound", lambda n: bound)
     assert sample_domination(n, samples, seed)
 
+
 def _reference_stream(n, samples, seed):
     """The documented stream: batches of 20 000 rows drawn with
     rng.uniform(-1, 1), zero entries redrawn the same way."""
