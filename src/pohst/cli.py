@@ -16,6 +16,7 @@ import argparse
 import csv
 import functools
 import io
+import os
 import sys
 
 from .numbertheory import compare_bounds
@@ -62,6 +63,20 @@ def _write(body: str, out: str | None) -> None:
                 fh.write(body)
         except OSError as e:
             raise ValueError(f"cannot write output: {e}")
+
+
+def _check_out(out: str | None) -> None:
+    """Refuse, before any work, an out that no write could open for its
+    path alone: a directory, or a file in a directory that is missing.
+    Creates and truncates nothing, so a command that fails writes no
+    file, and check reads a certificate that out also names first."""
+    if out is None:
+        return
+    if os.path.isdir(out):
+        raise ValueError(f"cannot write output: {out} is a directory")
+    folder = os.path.dirname(out) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"cannot write output: no directory {folder}")
 
 
 def _emit(payload: dict, text_lines: list[str], args: argparse.Namespace) -> None:
@@ -282,6 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        _check_out(args.out)
         return args.func(args)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -19,9 +19,11 @@ which the walk sets from the pattern bits, so a block that 2^(n-j)
 patterns share is checked once.  Each leaf lists its partition, runs
 check_blocks only on the listed blocks that are not its path's checked
 step.created objects (the surviving initial singletons), counts the
-cover, ends the audit and checks parity.  Any failure below a node is
-re-run through verify_pattern, the one-pattern reference.  With
-jobs > 1 the tree is split by prefix into 2^k subtrees, 2^k >= 4 jobs.
+cover, ends the audit and checks parity.  The first failing row or leaf
+ends the walk, and its task, the whole sweep or one prefix subtree of
+it, is re-run whole through verify_pattern, the one-pattern reference.
+With jobs > 1 the tree is split by prefix into 2^k subtrees,
+2^k >= 4 jobs, one task each.
 
 Numeric maximization reproduces the bound 2^floor((n+1)/2) without
 assuming it: a lattice search over the cube followed by per-coordinate
@@ -68,9 +70,9 @@ once with _terms.  Each pattern's partition becomes a small table of its
 blocks' term rows, padded with the 1.0 row to four members, and every
 block product of the chunk is one gather from the term array.  The
 tables of a batch's new patterns come from the same walk over just those
-patterns, with the build alone; where a row fails, the patterns below it
-are rebuilt one by one in ascending index, so the failure raised is the
-one a per-pattern loop meets first.
+patterns, with the build alone; where a row fails, the walk ends and
+all the batch's new patterns are built again one by one in ascending
+index, so the failure raised is the one a per-pattern loop meets first.
 """
 
 from __future__ import annotations
@@ -233,7 +235,7 @@ def _leaf_valid(r: list[int], blocks: tuple[PartitionBlock, ...],
 def _leaf_ok(n: int, idx: int, r: list[int], build: BuildState, audit: AuditState) -> bool:
     """The leaf's share of the validator (_leaf_valid), the audit's
     final-state check and border parity on the materialized partition of
-    a leaf; a failing leaf re-runs verify_pattern for its reason."""
+    a leaf; False ends the walk, and its task is re-run whole."""
     pat = pattern_from_index(n, idx)
     blocks = build.partition(pat).blocks
     if not _leaf_valid(r, blocks, build.steps) or not audit.final(blocks):
@@ -243,20 +245,19 @@ def _leaf_ok(n: int, idx: int, r: list[int], build: BuildState, audit: AuditStat
 
 def _walk(n: int, j: int, idx: int, q: list[int], r: list[int], build: BuildState,
           audit: AuditState | None, keys: list[int] | None,
-          leaf: Callable[[int, list[int], BuildState, AuditState | None], None],
-          pruned: Callable[[int, int, list[int] | None], None]) -> None:
+          leaf: Callable[[int, BuildState, AuditState | None], bool]) -> bool:
     """Walk the trie of the pattern indices keys, all of them when keys
     is None, below the node whose states hold rows 1..j of the patterns
     with low bits idx: each child applies its row (_apply_row) and
-    descends, or calls pruned(depth, index, keys below) where the row
-    fails.  Each leaf calls leaf(index, r, build, audit), in trie order,
-    which is ascending bit-reversed index.  A child works on a copy of
-    the node's states unless it is the node's last.  q holds the
-    builder's prefix classes and r the validator's, both set from the
-    bits of the index before row j + 1 reads them."""
+    descends.  Each leaf calls leaf(index, build, audit), in trie order,
+    which is ascending bit-reversed index.  False as soon as a row fails
+    or a leaf returns False, which ends the walk; True when every row and
+    leaf passed.  A child works on a copy of the node's states unless it
+    is the node's last.  q holds the builder's prefix classes and r the
+    validator's, both set from the bits of the index before row j + 1
+    reads them."""
     if j == n:
-        leaf(idx, r, build, audit)
-        return
+        return leaf(idx, build, audit)
     children = [(0, None), (1, None)] if keys is None else \
         [(bit, sub) for bit in (0, 1) if (sub := [k for k in keys if k >> j & 1 == bit])]
     for c, (bit, sub) in enumerate(children):
@@ -265,35 +266,27 @@ def _walk(n: int, j: int, idx: int, q: list[int], r: list[int], build: BuildStat
             b, a = build.copy(), None if audit is None else audit.copy()
         q[j + 1] = q[j] if bit else -q[j]   # q_{j+1} = -q_j x_{j+1}
         r[j + 1] = -r[j] * (-1 if bit else 1)   # r_{j+1} = -r_j x_{j+1}
-        child = idx | bit << j
-        if _apply_row(b, a, q, r, j + 1):
-            _walk(n, j + 1, child, q, r, b, a, sub, leaf, pruned)
-        else:
-            pruned(j + 1, child, sub)
+        if not (_apply_row(b, a, q, r, j + 1)
+                and _walk(n, j + 1, idx | bit << j, q, r, b, a, sub, leaf)):
+            return False
+    return True
 
 
 def _sweep_subtree(args: tuple[int, int, int]) -> list[tuple[int, str]]:
     """Failures (pattern index, reason) among the patterns whose low k
-    bits are prefix."""
+    bits are prefix: none when the prefix rows and the walk below them
+    pass, else verify_pattern's on every pattern of the task, the whole
+    task re-run pattern by pattern (_verify_leaves)."""
     n, k, prefix = args
     pattern = pattern_from_index(n, prefix)
     # Entries above k are overwritten by _walk before they are read.
     q, r = list(prefix_classes(pattern)), validator_classes(pattern)
     build, audit = BuildState(n), AuditState()
-    for j in range(1, k + 1):
-        if not _apply_row(build, audit, q, r, j):
-            return _verify_leaves(n, k, prefix)
-    found: list[tuple[int, str]] = []
-
-    def leaf(idx: int, r: list[int], build: BuildState, audit: AuditState | None) -> None:
-        if not _leaf_ok(n, idx, r, build, audit):
-            found.extend(_verify_leaves(n, n, idx))
-
-    def pruned(depth: int, idx: int, _: None) -> None:
-        found.extend(_verify_leaves(n, depth, idx))
-
-    _walk(n, k, prefix, q, r, build, audit, None, leaf, pruned)
-    return found
+    if (all(_apply_row(build, audit, q, r, j) for j in range(1, k + 1))
+            and _walk(n, k, prefix, q, r, build, audit, None,
+                      lambda idx, b, a: _leaf_ok(n, idx, r, b, a))):
+        return []
+    return _verify_leaves(n, k, prefix)
 
 
 def sweep_patterns(n: int, jobs: int = 1) -> SweepReport:
@@ -304,10 +297,12 @@ def sweep_patterns(n: int, jobs: int = 1) -> SweepReport:
     blocks the row creates with the validator's check_blocks and applies
     row j of the audit; each leaf finishes the validator on its
     materialized partition (_leaf_valid), ends the audit and checks
-    border parity.  Whatever fails below a node is
-    re-run through verify_pattern, pattern by pattern, so the report is
-    the per-pattern loop's.  With jobs > 1 the tree is split by prefix
-    into 2^k subtrees, 2^k >= 4 jobs, over a pool of worker processes.
+    border parity.  The first row or leaf that fails ends the walk of
+    its task, and the whole task is re-run through verify_pattern,
+    pattern by pattern, so the report is the per-pattern loop's.  The
+    task is the whole tree, or with jobs > 1 one of the 2^k subtrees,
+    2^k >= 4 jobs, that split it by prefix over a pool of worker
+    processes.
     """
     if not 1 <= n <= _MAX_N:
         raise ValueError(f"n must be between 1 and {_MAX_N}")
@@ -765,22 +760,19 @@ def _pattern_tables(n: int, keys: Sequence[int], cache: dict[int, np.ndarray]) -
     cache maps a pattern index to its table.  The patterns missing from
     it are built by one walk of the trie of their prefixes (_walk), each
     row once per trie node, and each leaf's partition becomes its table.
-    Where a row raises ConstructionFailure, the patterns below that node
-    are built with build_good_partition in ascending index, so the
-    lowest of them raises what a per-pattern loop would raise first."""
-    failed: list[int] = []
-
-    def leaf(idx: int, _r: list[int], build: BuildState, _: None) -> None:
+    Where a row raises ConstructionFailure the walk ends, and all those
+    patterns are built again with build_good_partition in ascending
+    index, so the lowest failing one raises what a per-pattern loop
+    would raise first."""
+    def leaf(idx: int, build: BuildState, _: None) -> bool:
         cache[idx] = _member_table(n, build.partition(pattern_from_index(n, idx)))
-
-    def pruned(depth: int, idx: int, below: list[int]) -> None:
-        failed.extend(below)
+        return True
 
     new = [key for key in keys if key not in cache]
     # q_0 = r_0 = 1; _walk sets q_j and r_j before row j reads them.
-    _walk(n, 0, 0, [1] * (n + 1), [1] * (n + 1), BuildState(n), None, new, leaf, pruned)
-    for key in sorted(failed):
-        cache[key] = _member_table(n, build_good_partition(pattern_from_index(n, key)))
+    if not _walk(n, 0, 0, [1] * (n + 1), [1] * (n + 1), BuildState(n), None, new, leaf):
+        for key in sorted(new):
+            cache[key] = _member_table(n, build_good_partition(pattern_from_index(n, key)))
     tables = [cache[key] for key in keys]
     stacked = np.full((len(tables), max(len(t) for t in tables), 4), n * n, dtype=np.intp)
     for u, table in enumerate(tables):
@@ -817,10 +809,10 @@ def sample_blockwise_domination(n: int, samples: int = 100_000,
     Each batch first builds the partitions of its new patterns, with
     one walk of the trie of their prefixes (_pattern_tables), and keeps
     only their member tables; the walk's leaves come in trie order.  A
-    ConstructionFailure in the walk sends the patterns below the failing
-    node to build_good_partition in ascending pattern_from_index index,
-    so the batch raises what building its new patterns one by one in
-    ascending index raises first, before any of its domination
+    ConstructionFailure in the walk ends it and sends all the batch's
+    new patterns to build_good_partition in ascending pattern_from_index
+    index, so the batch raises what building its new patterns one by
+    one in ascending index raises first, before any of its domination
     verdicts.  A batch that finds more than _CACHED_PATTERNS patterns
     built starts from none, so memory does not grow with samples.  The
     batch's rows are then checked in chunks of _GATHER_ELEMENTS //

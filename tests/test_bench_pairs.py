@@ -139,3 +139,49 @@ def test_summary_lists_median_figures_per_side():
     assert bench_pairs.summarize([{"parent": _result(4.0, 50.0, 0.3),
                                    "change": _result(3.0, 50.0, 0.3)}],
                                  END_TO_END)["figures"] == {}
+
+
+@pytest.mark.parametrize("stdout", ["", "setup_s 0.3 s\nnot json"],
+                         ids=["nothing", "not-json"])
+def test_run_names_a_run_without_a_result_line(tmp_path, stdout):
+    """A run.py that prints nothing, or a last line that is not JSON,
+    raises RuntimeError naming the checkout, the exit code and stderr."""
+    runner = tmp_path / bench_pairs.RUNNER
+    runner.parent.mkdir()
+    runner.write_text("import sys\n"
+                      f"print({stdout!r})\n"
+                      "print('broken run', file=sys.stderr)\n"
+                      "sys.exit(3)\n")
+    with pytest.raises(RuntimeError) as info:
+        bench_pairs._run(tmp_path, "sweep", 1, 1.0)
+    message = str(info.value)
+    assert message.startswith(f"{tmp_path}: run.py exited 3 ")
+    assert message.endswith("broken run\n")
+
+
+def test_run_pairs_alternates_and_records_both_sides(monkeypatch, capsys):
+    """Pair p runs the parent first when p is odd, the change first when
+    it is even; each record holds the pair, the side that ran first, and
+    each side's result, figures and exit code."""
+    calls = []
+
+    def run(checkout, workload, seed, seconds):
+        side = checkout.name
+        calls.append((side, workload, seed, seconds))
+        return (_result(4.0 if side == "parent" else 5.0, 50.0, 0.3), [f"fig {side}"],
+                len(calls))
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    runs = bench_pairs.run_pairs(Path("parent"), Path("change"), "sweep", 3, 1, 2.0)
+    assert calls == [(side, "sweep", 1, 2.0) for side in
+                     ("parent", "change", "change", "parent", "parent", "change")]
+    assert [(r["pair"], r["first"]) for r in runs] == [(1, "parent"), (2, "change"),
+                                                       (3, "parent")]
+    for r in runs:
+        assert set(r) == {"pair", "first", "parent", "change", "parent_figures",
+                          "change_figures", "parent_exit", "change_exit"}
+        for side, ops in (("parent", 4.0), ("change", 5.0)):
+            assert r[side]["metrics"]["ops_per_s"]["value"] == ops
+            assert r[f"{side}_figures"] == [f"fig {side}"]
+    assert [(r["parent_exit"], r["change_exit"]) for r in runs] == [(1, 2), (4, 3), (5, 6)]
+    assert "sweep pair 3: parent 4.000  change 5.000" in capsys.readouterr().err

@@ -61,12 +61,36 @@ def test_verify_out_file(capsys, tmp_path):
     assert json.loads(target.read_text())["n"] == 3
 
 
-def test_out_to_unwritable_path_is_usage_error(capsys, tmp_path):
+def test_out_to_unwritable_path_is_usage_error(capsys, tmp_path, monkeypatch):
+    """An --out in a missing directory, or naming a directory, exits 2
+    before the sweep or the build starts, and creates nothing."""
+    started = []
+    monkeypatch.setattr(cli, "sweep_patterns", lambda *a, **k: started.append(a))
+    monkeypatch.setattr(cli, "build_good_partition", lambda *a: started.append(a))
     target = tmp_path / "missing" / "report.json"
-    rc, _, err = run(capsys, ["verify", "--n", "3", "--out", str(target)])
-    assert rc == 2 and "cannot write" in err
-    rc, _, err = run(capsys, ["certify", "--pattern", "-,+", "--out", str(target)])
-    assert rc == 2 and "cannot write" in err
+    for out in (target, tmp_path):
+        rc, _, err = run(capsys, ["verify", "--n", "3", "--out", str(out)])
+        assert rc == 2 and "cannot write" in err
+        rc, _, err = run(capsys, ["certify", "--pattern", "-,+", "--out", str(out)])
+        assert rc == 2 and "cannot write" in err
+    assert started == [] and list(tmp_path.iterdir()) == []
+
+
+def test_out_that_open_refuses_is_usage_error(capsys, tmp_path):
+    """A name too long for the file system passes the checks before the
+    work; the write's own error then exits 2."""
+    rc, _, err = run(capsys, ["verify", "--n", "3", "--out", str(tmp_path / ("x" * 300))])
+    assert rc == 2 and "cannot write output" in err and "too long" in err
+
+
+def test_check_out_to_its_own_certificate(capsys, tmp_path):
+    """check reads the certificate before --out, naming the same file,
+    is written: the report replaces it."""
+    cert = tmp_path / "cert.json"
+    run(capsys, ["certify", "--pattern", "-,+", "--out", str(cert)])
+    rc, out, _ = run(capsys, ["check", str(cert), "--out", str(cert)])
+    assert (rc, out) == (0, "")
+    assert cert.read_text() == f"{cert}: valid\n"
 
 
 def test_verify_rejects_bad_n(capsys):

@@ -1193,6 +1193,93 @@ def test_sweep_subtree_reruns_a_failing_prefix_row(monkeypatch):
         assert len(expected) == (128 if prefix & 0b11 == 0b01 else 0)
 
 
+def _plant_failing_leaf(monkeypatch, n, planted):
+    """_leaf_ok fails at the one leaf planted of n, and verify_pattern,
+    counting its calls in the list it returns, gives that pattern the
+    reason "planted" and every other pattern None."""
+    calls = []
+    leaf_ok, bad = search._leaf_ok, pattern_from_index(n, planted)
+
+    def leaf(m, idx, r, build, audit):
+        return (m, idx) != (n, planted) and leaf_ok(m, idx, r, build, audit)
+
+    def verify(pattern):
+        calls.append(pattern)
+        return "planted" if tuple(pattern) == bad else None
+
+    monkeypatch.setattr(search, "_leaf_ok", leaf)
+    monkeypatch.setattr(search, "verify_pattern", verify)
+    return calls
+
+
+def test_failing_leaf_reruns_the_whole_sweep(monkeypatch):
+    """One failing leaf ends the serial walk of n = 8, and all 256
+    patterns go through verify_pattern, once each; the report is the
+    per-pattern loop's, the planted pattern alone."""
+    planted = 0b10110010
+    calls = _plant_failing_leaf(monkeypatch, 8, planted)
+    report = sweep_patterns(8)
+    assert report.failures == ((pattern_from_index(8, planted), "planted"),)
+    assert sorted(calls) == sorted(pattern_from_index(8, idx) for idx in range(256))
+
+
+def test_failing_leaf_reruns_its_task_only(monkeypatch):
+    """Of the 8 (10, 3, prefix) tasks, the one that holds the failing
+    leaf re-runs its 128 patterns through verify_pattern and reports the
+    leaf; the other seven call it never.  Each task runs in this process,
+    where the spy can count, as it cannot in pool workers."""
+    planted = 0b1011001101   # low bits 101: task 5
+    calls = _plant_failing_leaf(monkeypatch, 10, planted)
+    for prefix in range(8):
+        del calls[:]
+        found = search._sweep_subtree((10, 3, prefix))
+        if prefix == 0b101:
+            assert found == [(planted, "planted")]
+            assert sorted(calls) == sorted(pattern_from_index(10, idx)
+                                           for idx in range(prefix, 2 ** 10, 8))
+        else:
+            assert (found, calls) == ([], [])
+
+
+def _record_walk(monkeypatch):
+    """Spies on the walk: the list returned gets ("row", verdict) for
+    every _apply_row call and ("leaf", index) for every sweep leaf."""
+    events = []
+    apply_row, leaf_ok = search._apply_row, search._leaf_ok
+
+    def row(build, audit, q, r, j):
+        ok = apply_row(build, audit, q, r, j)
+        events.append(("row", ok))
+        return ok
+
+    def leaf(n, idx, r, build, audit):
+        events.append(("leaf", idx))
+        return leaf_ok(n, idx, r, build, audit)
+
+    monkeypatch.setattr(search, "_apply_row", row)
+    monkeypatch.setattr(search, "_leaf_ok", leaf)
+    return events
+
+
+def test_first_failing_row_ends_the_walk(monkeypatch):
+    """A row failing at depth 3 below x = (+, -, +) ends the walk: the
+    sweep sees no row and no leaf after it, the 64 leaves below
+    x = (+, +) before it, and still reports the per-pattern loop's
+    failures; _pattern_tables applies no row after it and raises."""
+    _inject_prefix_failures(monkeypatch, {(3, 0b010): (1, 3)})
+    patterns = [pattern_from_index(8, idx) for idx in range(2 ** 8)]
+    expected = tuple((p, r) for p in patterns if (r := verify_pattern(p)) is not None)
+    assert len(expected) == 32
+    events = _record_walk(monkeypatch)
+    assert sweep_patterns(8).failures == expected
+    assert events.index(("row", False)) == len(events) - 1
+    assert sum(kind == "leaf" for kind, _ in events) == 64
+    del events[:]
+    with pytest.raises(ConstructionFailure):
+        search._pattern_tables(8, list(range(2 ** 8)), {})
+    assert events.index(("row", False)) == len(events) - 1
+
+
 @pytest.mark.parametrize("failing", [
     {(3, 0b110): (1, 3), (2, 0b11): (2, 2)},   # the walk meets 6 first; 3 is lowest
     {(4, 0b1010): (3, 4), (5, 0b10010): (1, 5), (2, 0b01): (1, 2)},

@@ -118,15 +118,18 @@ def figure_medians(runs: list[dict]) -> dict[str, dict[str, float]]:
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, list[str], int]:
     """One run.py call in checkout: its result line, the lines before it,
-    and its exit code."""
+    and its exit code.  RuntimeError, naming checkout, the exit code and
+    stderr, when run.py printed nothing or a last line that is not JSON."""
     proc = subprocess.run(
         [sys.executable, str(RUNNER), "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds)],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise RuntimeError(f"{checkout}: run.py printed nothing:\n{proc.stderr}")
-    return json.loads(lines[-1]), lines[:-1], proc.returncode
+    try:
+        return json.loads(lines[-1]), lines[:-1], proc.returncode
+    except (IndexError, json.JSONDecodeError):
+        raise RuntimeError(f"{checkout}: run.py exited {proc.returncode} without a JSON "
+                           f"result line:\n{proc.stderr}") from None
 
 
 def run_pairs(parent: Path, change: Path, workload: str, pairs: int, seed: int,
