@@ -67,11 +67,14 @@ def _write(body: str, out: str | None) -> None:
 
 def _check_out(out: str | None) -> None:
     """Refuse, before any work, an out that no write could open for its
-    path alone: a directory, or a file in a directory that is missing.
-    Creates and truncates nothing, so a command that fails writes no
-    file, and check reads a certificate that out also names first."""
+    path alone: an empty name, a directory, or a file in a directory
+    that is missing.  Creates and truncates nothing, so a command that
+    fails writes no file, and check reads a certificate that out also
+    names first."""
     if out is None:
         return
+    if out == "":
+        raise ValueError("cannot write output: empty file name")
     if os.path.isdir(out):
         raise ValueError(f"cannot write output: {out} is a directory")
     folder = os.path.dirname(out) or "."

@@ -126,10 +126,7 @@ def eval_term(v: Sequence[float] | np.ndarray, t: TermIndex) -> float:
     """Evaluate the single term 1 - x_i ... x_j."""
     arr = as_vector(v)
     i, j = _check_index(TermIndex(*t), len(arr))
-    p = 1.0
-    for k in range(i - 1, j):
-        p *= arr[k]
-    return 1.0 - p
+    return 1.0 - math.prod(arr[i - 1:j].tolist())
 
 
 def running_terms(cols: Sequence) -> Iterator[tuple[int, int, float | np.ndarray]]:
@@ -193,18 +190,8 @@ def split_at_zeros(v: Sequence[float] | np.ndarray) -> list[np.ndarray]:
     crosses a zero evaluates to 1.
     """
     arr = as_vector(v)
-    segments: list[np.ndarray] = []
-    start = None
-    for k, x in enumerate(arr):
-        if x == 0.0:
-            if start is not None:
-                segments.append(arr[start:k].copy())
-                start = None
-        elif start is None:
-            start = k
-    if start is not None:
-        segments.append(arr[start:].copy())
-    return segments
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], arr != 0.0, [0]))))
+    return [arr[a:b].copy() for a, b in zip(edges[::2], edges[1::2])]
 
 
 def pohst_bound(n: int) -> float:

@@ -1,7 +1,9 @@
-"""tools/bench_pairs.py: the summary it writes for alternating pairs."""
+"""tools/bench_pairs.py: the summary it writes for alternating pairs, and
+main end to end."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -185,3 +187,61 @@ def test_run_pairs_alternates_and_records_both_sides(monkeypatch, capsys):
             assert r[f"{side}_figures"] == [f"fig {side}"]
     assert [(r["parent_exit"], r["change_exit"]) for r in runs] == [(1, 2), (4, 3), (5, 6)]
     assert "sweep pair 3: parent 4.000  change 5.000" in capsys.readouterr().err
+
+
+STUB_RUNNER = '''import json
+from pathlib import Path
+
+ops = float((Path(__file__).resolve().parents[1] / "src" / "value.txt").read_text())
+print(f"stub.ops_per_s {ops} 1/s")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {
+    "ops_per_s": {"value": ops, "unit": "1/s"},
+    "peak_rss_mb": {"value": 40.0, "unit": "MB"},
+    "setup_s": {"value": 0.2, "unit": "s"}}}))
+'''
+
+
+def test_main_benchmarks_two_commits_in_clones(tmp_path, monkeypatch, capsys):
+    """main runs --parent (HEAD~1) and HEAD, each in a clone of its
+    commit, and names both full shas; the stub's ops_per_s comes from
+    src/, 1.0 at the parent and 2.0 at HEAD.  It leaves no worktree, and
+    with src/ edited and not committed it exits 2 and writes no file."""
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "perfbench").mkdir()
+    (repo / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    (repo / bench_pairs.RUNNER).write_text(STUB_RUNNER)
+
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost",
+                               "-c", "commit.gpgsign=false", *args], cwd=repo, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    shas = []
+    for value in ("1.0", "2.0"):
+        (repo / "src" / "value.txt").write_text(value + "\n")
+        git("add", "-A")
+        git("commit", "-q", "-m", f"value {value}")
+        shas.append(git("rev-parse", "HEAD"))
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    argv = ["--label", "stub", "--workload", "sweep", "--pairs", "2", "--seconds", "1"]
+
+    assert bench_pairs.main(argv) == 0
+    record = json.loads((repo / "BENCH_stub.json").read_text())
+    assert [record["parent_sha"], record["change_sha"]] == shas
+    assert [(r["parent"]["metrics"]["ops_per_s"]["value"],
+             r["change"]["metrics"]["ops_per_s"]["value"])
+            for r in record["runs"]["sweep"]] == [(1.0, 2.0), (1.0, 2.0)]
+    assert record["summary"]["sweep"]["figures"] == {
+        "stub.ops_per_s": {"parent": 1.0, "change": 2.0}}
+    assert len(git("worktree", "list").splitlines()) == 1
+
+    (repo / "BENCH_stub.json").unlink()
+    (repo / "src" / "value.txt").write_text("3.0\n")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(argv)
+    assert info.value.code == 2
+    assert "src/value.txt" in capsys.readouterr().err
+    assert list(repo.glob("BENCH_*.json")) == []

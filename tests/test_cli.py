@@ -62,13 +62,13 @@ def test_verify_out_file(capsys, tmp_path):
 
 
 def test_out_to_unwritable_path_is_usage_error(capsys, tmp_path, monkeypatch):
-    """An --out in a missing directory, or naming a directory, exits 2
-    before the sweep or the build starts, and creates nothing."""
+    """An --out in a missing directory, naming a directory, or empty,
+    exits 2 before the sweep or the build starts, and creates nothing."""
     started = []
     monkeypatch.setattr(cli, "sweep_patterns", lambda *a, **k: started.append(a))
     monkeypatch.setattr(cli, "build_good_partition", lambda *a: started.append(a))
     target = tmp_path / "missing" / "report.json"
-    for out in (target, tmp_path):
+    for out in (target, tmp_path, ""):
         rc, _, err = run(capsys, ["verify", "--n", "3", "--out", str(out)])
         assert rc == 2 and "cannot write" in err
         rc, _, err = run(capsys, ["certify", "--pattern", "-,+", "--out", str(out)])

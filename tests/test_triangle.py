@@ -42,6 +42,7 @@ def test_eval_term_frozen(v, t, expected):
 def test_eval_term_frozen_nondyadic():
     # 1 - 0.3*(-0.7)*0.9*(-0.2) = 1 - 378/10000, rational oracle
     assert close(eval_term((0.3, -0.7, 0.9, -0.2), (1, 4)), 0.9622)
+    assert type(eval_term((0.3, -0.7, 0.9, -0.2), (1, 4))) is float
 
 
 @pytest.mark.parametrize("t", [(0, 1), (1, 3), (3, 3), (2, 1)])

@@ -2,14 +2,14 @@
 
     python3 tools/bench_pairs.py --label pr18_certify --workload certify \
         [--workload sweep ...] [--pairs 10] [--seconds 30] [--seed 1] \
-        [--parent HEAD] \
-        [--other-seed 2 --other-pairs 3] [--what TEXT]
+        [--parent HEAD~1] [--what TEXT]
 
-The parent side runs perfbench/run.py in a temporary `git worktree` of
---parent, the change side in this working tree.  Pair p runs the parent
-first when p is odd and the change first when p is even.  Each run is
-the JSON line run.py prints last; the lines before it are kept as
-*_figures.  The file
+Both sides are clones of commits: --parent and HEAD are cloned into one
+temporary directory and perfbench/run.py runs in each, so src/ and
+perfbench/ must be committed first; with uncommitted changes there the
+command names them and exits 2.  Pair p runs the parent first when p is
+odd and the change first when p is even.  Each run is the JSON line
+run.py prints last; the lines before it are kept as *_figures.  The file
 BENCH_<label>.json at the repo root holds parent_sha, change_sha, env,
 runs and a summary per workload: for every end-to-end metric of
 BENCHMARK.json, median/q1/q3 of each side, the pairs the change won, the
@@ -155,12 +155,6 @@ def _git(*args: str) -> str:
                           text=True).stdout.strip()
 
 
-def _bench(parent: Path, workloads: list[str], pairs: int, seed: int, seconds: float,
-           end_to_end: list[dict]) -> tuple[dict, dict]:
-    runs = {w: run_pairs(parent, ROOT, w, pairs, seed, seconds) for w in workloads}
-    return runs, {w: summarize(r, end_to_end) for w, r in runs.items()}
-
-
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True, help="writes BENCH_<label>.json")
@@ -168,48 +162,41 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--parent", default="HEAD", help="git revision of the parent side")
-    p.add_argument("--other-seed", type=int)
-    p.add_argument("--other-pairs", type=int, default=3)
+    p.add_argument("--parent", default="HEAD~1", help="git revision of the parent side")
     p.add_argument("--what", default="", help="one line on what the change is")
     args = p.parse_args(argv)
-    if args.pairs < 1 or args.other_pairs < 1:
-        p.error("--pairs and --other-pairs must be >= 1")
+    if args.pairs < 1:
+        p.error("--pairs must be >= 1")
+    uncommitted = _git("status", "--porcelain", "--", "src", "perfbench")
+    if uncommitted:
+        p.exit(2, f"commit src/ and perfbench/ first, both sides run in clones of "
+                  f"commits:\n{uncommitted}\n")
 
     import numpy
 
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    parent_sha = _git("rev-parse", args.parent)
-    change_sha = _git("rev-parse", "HEAD")
-    if _git("status", "--porcelain", "--untracked-files=no"):
-        change_sha += "+uncommitted"
+    shas = {"parent": _git("rev-parse", args.parent), "change": _git("rev-parse", "HEAD")}
     out: dict = {
-        "what": args.what + " Pair p ran the parent first when p is odd and the change "
+        "what": args.what + " Parent and change each ran in a git clone of its commit. "
+                "Pair p ran the parent first when p is odd and the change "
                 "first when p is even. Each run is the JSON line run.py prints last; "
                 "runs.*.*_figures holds the lines before it.",
         "command": f"python3 {RUNNER} --workload {{{','.join(args.workload)}}} "
                    f"--seconds {args.seconds:g} --seed {args.seed}",
-        "parent_sha": parent_sha,
-        "change_sha": change_sha,
+        "parent_sha": shas["parent"],
+        "change_sha": shas["change"],
         "env": {"nproc": os.cpu_count(), "python": platform.python_version(),
                 "numpy": numpy.__version__},
         "quartiles": QUARTILES,
     }
     with tempfile.TemporaryDirectory() as tmp:
-        parent = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(parent), parent_sha)
-        try:
-            out["runs"], out["summary"] = _bench(parent, args.workload, args.pairs,
-                                                 args.seed, args.seconds, end_to_end)
-            if args.other_seed is not None:
-                runs, summary = _bench(parent, args.workload, args.other_pairs,
-                                       args.other_seed, args.seconds, end_to_end)
-                out["other_seed_runs"] = {
-                    "command": out["command"].replace(f"--seed {args.seed}",
-                                                      f"--seed {args.other_seed}"),
-                    "runs": runs, "summary": summary}
-        finally:
-            _git("worktree", "remove", "--force", str(parent))
+        for side, sha in shas.items():
+            _git("clone", "--quiet", "--shared", "--no-checkout", str(ROOT), f"{tmp}/{side}")
+            _git("-C", f"{tmp}/{side}", "checkout", "--quiet", "--detach", sha)
+        out["runs"] = {w: run_pairs(Path(tmp, "parent"), Path(tmp, "change"), w,
+                                    args.pairs, args.seed, args.seconds)
+                       for w in args.workload}
+    out["summary"] = {w: summarize(r, end_to_end) for w, r in out["runs"].items()}
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     for w, s in out["summary"].items():
