@@ -32,8 +32,12 @@ The audit (AuditState) is a fold over rows in the same way: it seeds
 each row from the prefix classes just before that row's steps and
 replays them against the five impossible configurations.
 AuditState._entries is the one reader of corner roles: it returns a
-block's row entries directly, none for a singleton.  The replay compares
-indices as plain tuples, whatever record type a trace carries.
+block's row entries directly, none for a singleton.  Every row is clean
+before a step, and removing an entry cannot create configuration 1 or 2,
+so after a step those two compare only the entry the step added to each
+row it touches, in one pass (AuditState.check_row); configurations 3 to
+5 read the whole row.  The replay compares indices as plain tuples,
+whatever record type a trace carries.
 
 The validator is written against the block-shape definition only and
 shares no shape logic with the builder, so a certificate produced by
@@ -603,8 +607,11 @@ class AuditState:
     seed puts a row in from the prefix classes just before its steps,
     as BuildState.row does; step is the one per-step check.  live is
     keyed by the frozenset of a block's members; anchors and the pairs
-    step compares are plain (i, j) tuples.  check_row is one full scan
-    of its row's sorted spans and drops.
+    step compares are plain (i, j) tuples.  step hands check_row the
+    entry its created block put in each row it touches, so that
+    configurations 1 and 2 compare only that entry with the row;
+    check_row(row) alone is the full scan of the row's sorted spans and
+    drops, which the one-shot check_impossible_configurations runs.
     """
 
     __slots__ = ("live", "anchors", "negatives", "nh", "nv", "vd")
@@ -654,8 +661,9 @@ class AuditState:
             return ((self.nv, neg[1], (neg[0], neg[1] - pos[1])),
                     (self.vd, pos[1], pos[0]))
         if len(idx) == 4:
-            cols = sorted({t[0] for t in idx})
-            rows = sorted({t[1] for t in idx})
+            a, b, c, d = idx
+            cols = sorted({a[0], b[0], c[0], d[0]})
+            rows = sorted({a[1], b[1], c[1], d[1]})
             if len(cols) != 2 or len(rows) != 2:
                 return None
             # bottom-left negative pairs horizontally, top-right vertically
@@ -663,38 +671,66 @@ class AuditState:
                     (self.nv, rows[1], (cols[1], rows[1] - rows[0])))
         return ()
 
-    def add(self, idx: tuple[TermIndex, ...]) -> set[int] | None:
-        """Put one block in the row view; return the rows it touches, or
-        None, with nothing put in, for four members that are not on two
-        columns and two rows."""
+    def add(self, idx: tuple[TermIndex, ...]) -> dict[int, tuple] | None:
+        """Put one block in the row view; return the entry it puts in each
+        row it touches, row -> (structure, payload), or None, with nothing
+        put in, for four members that are not on two columns and two rows.
+        A block puts at most one entry in a row."""
         entries = self._entries(idx)
         if entries is None:
             return None
-        touched = set()
+        new = {}
         for struct, row, payload in entries:
             struct.setdefault(row, []).append(payload)
-            touched.add(row)
-        return touched
+            new[row] = (struct, payload)
+        return new
 
-    def check_row(self, row: int) -> CheckResult:
-        spans = sorted(self.nh.get(row, ()))
-        drops = sorted(self.nv.get(row, ()))
-        for a in range(len(spans) - 1):
-            i1, e1 = spans[a]
-            for b in range(a + 1, len(spans)):
-                i2, e2 = spans[b]
-                if i1 < i2 < e1 < e2:
-                    return CheckResult(
-                        False, f"impossible-configuration-1: interleaved nhdoub "
-                        f"spans {(i1, e1)} and {(i2, e2)} in row {row}",
-                        ((i1, row), (i2, row)), 1)
-        for i1, e1 in spans:
-            for i2, _l in drops:
-                if i1 < i2 < e1:
-                    return CheckResult(
-                        False, f"impossible-configuration-2: nvdoub at {(i2, row)} "
-                        f"inside nhdoub span {(i1, e1)} of row {row}",
-                        ((i1, row), (i2, row)), 2)
+    def check_row(self, row: int, new: tuple | None = None) -> CheckResult:
+        """The first impossible configuration of row, or ACCEPT.
+
+        With new None this is the full scan: configuration 1 over every
+        pair of the row's sorted spans, 2 over every span and drop.  new
+        is (structure, payload), as add returns it: the one entry a step
+        has just put in a row that showed neither configuration before
+        the step.  Removing an entry cannot interleave two spans or put a
+        drop inside a span, so every violating pair holds the new entry,
+        and 1 and 2 compare only it with the row, in one pass with no
+        sort; when it breaks one, the row's full scan reports the first
+        violating pair in sorted order.  Configurations 3 to 5 always
+        read the whole row, since a removal can change configuration 3.
+        """
+        spans, drops = self.nh.get(row, ()), self.nv.get(row, ())
+        if new is None:
+            spans, drops = sorted(spans), sorted(drops)
+            for a in range(len(spans) - 1):
+                i1, e1 = spans[a]
+                for b in range(a + 1, len(spans)):
+                    i2, e2 = spans[b]
+                    if i1 < i2 < e1 < e2:
+                        return CheckResult(
+                            False, f"impossible-configuration-1: interleaved nhdoub "
+                            f"spans {(i1, e1)} and {(i2, e2)} in row {row}",
+                            ((i1, row), (i2, row)), 1)
+            for i1, e1 in spans:
+                for i2, _l in drops:
+                    if i1 < i2 < e1:
+                        return CheckResult(
+                            False, f"impossible-configuration-2: nvdoub at {(i2, row)} "
+                            f"inside nhdoub span {(i1, e1)} of row {row}",
+                            ((i1, row), (i2, row)), 2)
+        elif new[0] is self.nh:
+            i, e = new[1]
+            for a, b in spans:
+                if a < i < b < e or i < a < e < b:
+                    return self.check_row(row)
+            for d in drops:
+                if i < d[0] < e:
+                    return self.check_row(row)
+        elif new[0] is self.nv:
+            i = new[1][0]
+            for a, b in spans:
+                if a < i < b:
+                    return self.check_row(row)
         vd_here = self.vd.get(row, ())
         if vd_here:
             nh_negs = {i for i, _ in spans}
@@ -708,6 +744,7 @@ class AuditState:
                             f"{(leftmost, row)} without nhdoub left of vdoub "
                             f"positive {(ip, row)}", ((leftmost, row), (ip, row)), 3)
         if len(drops) > 1:
+            drops = sorted(drops)
             ia, la = drops[0]
             for ib, lb in drops:
                 if lb != la:
@@ -727,7 +764,8 @@ class AuditState:
         """Check step k, which must absorb expected: its numbering, its
         pair, that its consumed blocks are live, that it creates exactly
         their members plus the pair, as a block of two or four members,
-        and that no affected row shows an impossible configuration.  The
+        and that no affected row shows an impossible configuration, by
+        check_row on the entry the created block put in that row.  The
         pair is compared as _plain_pair reads it, so one of other than two
         entries is a wrong pair, not an error, and a Case-2 pair equal to
         expected that cannot be an anchor is rejected."""
@@ -742,13 +780,15 @@ class AuditState:
                                "an index pair (i, j)")
         live, union = self.live, {pair}
         for blk in step.consumed:
-            key = frozenset(blk.members)
+            members = blk.members
+            key = frozenset(members)
             # members listed twice would match a live block of fewer members
-            if len(key) != len(blk.members) or live.pop(key, _ABSENT) is _ABSENT:
+            if len(key) != len(members) or live.pop(key, _ABSENT) is _ABSENT:
                 return CheckResult(False, f"step {k}: consumed block "
                                    f"{sorted(key)} is not present")
-            for struct, row, payload in self._entries(blk.members):
-                struct[row].remove(payload)
+            if len(key) > 1:   # a singleton has no row entries
+                for struct, row, payload in self._entries(members):
+                    struct[row].remove(payload)
             union |= key
         created = step.created.members
         key = frozenset(created)
@@ -758,14 +798,15 @@ class AuditState:
         if len(created) != 2 and len(created) != 4:
             return CheckResult(False, f"step {k}: created block has {len(created)} members")
         live[key] = step.created.provenance
-        touched = self.add(created)
-        if touched is None:
+        new = self.add(created)
+        if new is None:
             return CheckResult(False, f"step {k}: created block "
                                f"{sorted(map(tuple, key))} is not on two columns "
                                "and two rows")
-        for row in touched:
-            r = self.check_row(row)
-            if not r:
+        # a set: its order picks the row reported when two rows fail
+        for row in set(new):
+            r = self.check_row(row, new[row])
+            if not r.ok:
                 return CheckResult(False, f"step {k}: {r.reason}", r.witness, r.code)
         return ACCEPT
 
@@ -790,7 +831,7 @@ class AuditState:
                                f"{len(negatives)} negative pairs")
         for k, i in enumerate(reversed(negatives), start=k0 + 1):
             r = self.step(k, steps[k - 1], (i, j))
-            if not r:
+            if not r.ok:
                 return r
         return ACCEPT
 
@@ -841,7 +882,7 @@ def check_impossible_configurations(gp: GoodPartition) -> CheckResult:
             if touched is None:
                 return CheckResult(False, f"block {sorted(map(tuple, b.members))} of four "
                                    "members is not on two columns and two rows", b)
-            rows |= touched
+            rows.update(touched)
         for s in gp.trace:
             if s.case == "case2":
                 pair = _plain_pair(s.pair)

@@ -1321,6 +1321,182 @@ def test_check_row_codes_pinned():
         "07a0601e8fd103c03baccaadf9e9bb81bcd3c8d887589bd945675519fe79dae7")
 
 
+def _clean_row_state(rng):
+    """A row r of 150 to 400 and an AuditState whose view of row r shows
+    no impossible configuration: 25 to 70 spans that nest or are
+    disjoint (a random bracket walk over sorted random first indices),
+    drops of one length at first indices inside no span, vdoub positives
+    at or left of every negative without a span, negatives at every span
+    and drop and a few more, and Case-2 anchors on no drop but the last.
+    Each list is shuffled; the view holds 50 to 200 entries."""
+    row = int(rng.integers(150, 401))
+    k = int(rng.integers(25, 71))
+    spans, stack = [], []
+    for c, p in enumerate(sorted(rng.choice(np.arange(1, row + 1), 2 * k, replace=False))):
+        if stack and (len(stack) == 2 * k - c or rng.random() < 0.5):
+            spans.append((stack.pop(), int(p)))
+        else:
+            stack.append(int(p))
+    free = [i for i in range(1, row + 1) if not any(a < i < b for a, b in spans)]
+    firsts = sorted(int(i) for i in rng.choice(free, int(rng.integers(0, min(len(free), 20) + 1)),
+                                               replace=False))
+    length = int(rng.integers(1, row))
+    drops = [(i, length) for i in firsts]
+    negatives = ([a for a, _ in spans] + firsts
+                 + [int(i) for i in rng.integers(1, row + 1, int(rng.integers(0, 10)))])
+    not_nh = set(negatives) - {a for a, _ in spans}
+    top = min(not_nh, default=row)
+    vd = [int(i) for i in rng.integers(1, top + 1, int(rng.integers(0, 10)))]
+    anchors = {(int(i), row) for i in rng.integers(1, row + 1, 5)} - {(i, row) for i in firsts}
+    if firsts and rng.random() < 0.5:
+        anchors.add((firsts[-1], row))
+    state = AuditState()
+    for view, entries in ((state.nh, spans), (state.nv, drops), (state.vd, vd),
+                          (state.negatives, negatives)):
+        view[row] = [entries[a] for a in rng.permutation(len(entries))]
+    state.anchors = anchors
+    return row, state
+
+
+def _random_entry(rng, state, row):
+    """One random entry of the kinds a step puts in a row, as
+    (structure, payload): an nhdoub span, short or anywhere, an nvdoub
+    drop, mostly of the row's drop length, or a vdoub positive."""
+    kind = int(rng.integers(0, 3))
+    i = int(rng.integers(1, row))
+    if kind == 0:
+        short = rng.random() < 0.5
+        end = i + int(rng.integers(1, 4)) if short else int(rng.integers(i + 1, row + 1))
+        return state.nh, (i, min(end, row))
+    if kind == 1:
+        drops = state.nv.get(row)
+        length = drops[0][1] if drops and rng.random() < 0.8 else int(rng.integers(1, row))
+        return state.nv, (i, length)
+    return state.vd, i
+
+
+def test_check_row_codes_pinned_on_long_rows():
+    """The full scan check_row(row) over 600 seeded long row states, each
+    a clean state (_clean_row_state) with up to three random entries
+    added (_random_entry, or a negative or a Case-2 anchor on a drop).
+    Every outcome occurs, and the (ok, reason, code, witness) of each
+    hash to one fixed digest: a change to any verdict, reason text, code
+    or witness of the full scan on rows of 50 to 200 entries fails here."""
+    rng = np.random.default_rng(33)
+    digest, codes = hashlib.sha256(), set()
+    for _ in range(600):
+        row, state = _clean_row_state(rng)
+        for _ in range(int(rng.integers(0, 4))):
+            u = rng.random()
+            if u < 0.1:
+                state.negatives[row].append(int(rng.integers(1, row + 1)))
+            elif u < 0.2 and state.nv[row]:
+                state.anchors.add((state.nv[row][int(rng.integers(len(state.nv[row])))][0], row))
+            else:
+                view, payload = _random_entry(rng, state, row)
+                view.setdefault(row, []).append(payload)
+        r = state.check_row(row)
+        codes.add(r.code)
+        digest.update(repr((r.ok, r.reason, r.code, r.witness)).encode())
+    assert codes == {None, 1, 2, 3, 4, 5}
+    assert digest.hexdigest() == (
+        "b86b2e5859c99a3f66f74c5bc5fcff83938a69d860e62f41c6c7f783ac5a1518")
+
+
+def test_narrowed_check_row_matches_the_full_scan():
+    """On 1,500 seeded clean long row states (_clean_row_state), one
+    random new entry (_random_entry) put in: check_row(row, new), which
+    compares only the new entry with the row for configurations 1 and 2,
+    returns the same CheckResult, ok, reason, code and witness, as the
+    full scan check_row(row).  Each kind of entry is accepted and rejected
+    by each configuration it can break."""
+    rng = np.random.default_rng(34)
+    seen = set()
+    for _ in range(1500):
+        row, state = _clean_row_state(rng)
+        assert state.check_row(row)
+        view, payload = _random_entry(rng, state, row)
+        view.setdefault(row, []).append(payload)
+        full = state.check_row(row)
+        assert state.check_row(row, (view, payload)) == full
+        kind = "span" if view is state.nh else "drop" if view is state.nv else "vd"
+        seen.add((kind, full.code))
+    assert seen == {("span", None), ("span", 1), ("span", 2), ("drop", None), ("drop", 2),
+                    ("drop", 4), ("drop", 5), ("vd", None), ("vd", 3)}
+
+
+def _hand_steps(state, steps):
+    """Check steps (pair, case, consumed member lists, created members)
+    with state.step, numbered from 1, each expected to absorb its own
+    pair; the verdicts up to the first rejection."""
+    pat, verdicts = (1,) * 12, []
+    for k, (pair, case, consumed, created) in enumerate(steps, start=1):
+        blocks = tuple(block_of(m, pat, "x", "x") for m in consumed)
+        step = BuildStep(k, TermIndex(*pair), case, 1, blocks,
+                         block_of(created, pat, "x", case))
+        verdicts.append(state.step(k, step, pair))
+        if not verdicts[-1]:
+            break
+    return verdicts
+
+
+@pytest.mark.parametrize("vdoub_first", [False, True])
+def test_removed_span_shows_as_configuration_3(vdoub_first):
+    """A hand-built replay of row 6, whose negative (3, 6) step 1 pairs
+    with the positive (2, 6) on its left.  Step 2 consumes that hdoub
+    into a rectangle whose row-6 span is (2, 3): the span of (3, 6) is
+    not put back, so (3, 6) is a negative without an nhdoub.  With no
+    vdoub positive in row 6 the row passes, and step 3, whose vdoub puts
+    (4, 6) in, is rejected by configuration 3 on row 6.  With (4, 6) in
+    the row from the start, step 2 is rejected for it: the removal, not
+    the entry step 2 adds, makes the row fail, which is why
+    configurations 3 to 5 are checked on the whole row."""
+    state = AuditState()
+    for m in ((2, 6), (3, 9), (4, 6)):
+        state.live[frozenset((m,))] = "initial"
+    state.negatives[6] = [3]
+    steps = [((3, 6), "case1", [[(2, 6)]], [(2, 6), (3, 6)]),
+             ((2, 9), "case3", [[(2, 6), (3, 6)], [(3, 9)]],
+              [(2, 6), (3, 6), (2, 9), (3, 9)]),
+             ((4, 11), "case3", [[(4, 6)]], [(4, 6), (4, 11)])]
+    if vdoub_first:
+        state.vd[6] = [4]
+        steps.pop()
+    verdicts = _hand_steps(state, steps)
+    assert [bool(v) for v in verdicts] == [True] * (len(steps) - 1) + [False]
+    k, r = len(steps), verdicts[-1]
+    assert (r.code, r.witness) == (3, ((3, 6), (4, 6)))
+    assert r.reason == (f"step {k}: impossible-configuration-3: negative (3, 6) "
+                        "without nhdoub left of vdoub positive (4, 6)")
+
+
+@pytest.mark.parametrize("live,views,pair,created,reason,witness", [
+    # rows 6 and 9: configuration 1 in row 6 and 2 in row 9; row 9 is reported
+    ([(2, 6), (5, 6), (5, 9)], {"nh": {6: [(1, 4)], 9: [(4, 7)]}}, (2, 9),
+     [(2, 6), (5, 6), (2, 9), (5, 9)],
+     "impossible-configuration-2: nvdoub at (5, 9) inside nhdoub span (4, 7) of row 9",
+     ((4, 9), (5, 9))),
+    # rows 11 and 2: configuration 2 in row 11 and 3 in row 2; row 2 is reported
+    ([(2, 2)], {"nh": {11: [(1, 3)]}, "negatives": {2: [1]}}, (2, 11),
+     [(2, 2), (2, 11)],
+     "impossible-configuration-3: negative (1, 2) without nhdoub left of vdoub "
+     "positive (2, 2)", ((1, 2), (2, 2))),
+])
+def test_step_reports_one_row_when_two_fail(live, views, pair, created, reason, witness):
+    """A step whose created block puts an entry in two rows that both
+    fail reports the row that a set of the two row numbers yields first:
+    row 9 before row 6, row 2 before row 11, so neither always the lower
+    row nor always the row of the block's first entry."""
+    state = AuditState()
+    for m in live:
+        state.live[frozenset((m,))] = "initial"
+    for name, rows in views.items():
+        getattr(state, name).update(rows)
+    consumed = [[m] for m in live]
+    [r] = _hand_steps(state, [(pair, "case3", consumed, created)])
+    assert not r and (r.reason, r.witness) == (f"step 1: {reason}", witness)
+
+
 def _odd_strings_certificate():
     """A parsed certificate whose strings need escaping, with an empty block."""
     payload = json.loads(GOLDEN)
